@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Long-running atlas driver with checkpointing.
 
-The (2,5) size-5 atlas is the big one: 454 affine classes, a couple of
-hours single-threaded.  Interrupt at will; rerunning with the same
---checkpoint file resumes and produces byte-identical output.
+The (2,5) size-5 atlas is the big one: 454 affine classes, about two
+minutes on one core (2-core x86 VM, Python 3.11).  Interrupt at will;
+rerunning with the same --checkpoint file resumes and produces
+byte-identical output.  One progress line is printed per class decided,
+with --jobs > 1 too.
 
     python scripts/run_atlas.py --q 2 --n 5 --size 5 \
         --checkpoint atlas25.ck --out atlas25.tsv --jobs 4
@@ -38,7 +40,7 @@ def main():
               f"{','.join(map(str, rep))}\t{verdict}", flush=True)
 
     result = atlas(args.q, args.n, args.size, checkpoint=args.checkpoint,
-                   jobs=args.jobs, progress=progress if args.jobs == 1 else None)
+                   jobs=args.jobs, progress=progress)
     with open(args.out, "w") as fh:
         fh.write("\n".join(result.lines()) + "\n")
     print(f"classes: {result.totals}  elapsed: {time.time() - t0:.0f}s")

@@ -74,10 +74,11 @@ def _min_circular_gap(residues, p):
 
 
 def plan_dilation(I, S, min_p=None):
-    """Prime p = smallest prime > n*n*(S+3) and the multiplier k maximizing
-    the minimum circular gap of k*I mod p (smallest k on ties); accepted
-    when the gap reaches S.  `min_p` can force a larger prime when the plan
-    will be embedded in a longer string."""
+    """Prime p = smallest prime > n*n*(S+3) that keeps the elements of I
+    distinct mod p, and the multiplier k maximizing the minimum circular gap
+    of k*I mod p (smallest k on ties); accepted when the gap reaches S.
+    `min_p` can force a larger prime when the plan will be embedded in a
+    longer string."""
     I = tuple(sorted(set(I)))
     n = len(I)
     if S < 0:
@@ -86,6 +87,8 @@ def plan_dilation(I, S, min_p=None):
     if min_p is not None:
         bound = max(bound, min_p - 1)
     p = smallest_prime_above(bound)
+    while len({i % p for i in I}) < n:
+        p = smallest_prime_above(p)
     if n == 1:
         return DilationPlan(p=p, k=1, min_gap=p, index_set=I, words=S)
     best_k, best_gap = 1, -1

@@ -52,8 +52,12 @@ class RunConfig:
     @classmethod
     def from_args(cls, args):
         node_env, time_env = search_mod.default_budget()
-        node = getattr(args, "budget_nodes", None) or node_env
-        secs = getattr(args, "budget_secs", None) or time_env
+        node = getattr(args, "budget_nodes", None)
+        secs = getattr(args, "budget_secs", None)
+        if node is None:
+            node = node_env
+        if secs is None:
+            secs = time_env
         if node is not None and node <= 0:
             raise ValueError("node budget must be positive")
         if secs is not None and secs <= 0:

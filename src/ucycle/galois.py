@@ -20,6 +20,7 @@ on translates of I.
 """
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import dataclass
@@ -555,7 +556,14 @@ def jacobi_log(ctx: FieldCtx):
     return table
 
 
-def exceptional_triple(i, j, k, q, reading="universal", _cache={}):
+@functools.lru_cache(maxsize=8)
+def _jacobi_table(q):
+    """Jacobi logarithm table of F_{q**3}, built once per q."""
+    p, k = prime_power(q)
+    return tuple(jacobi_log(build_field(p, 3 * k)))
+
+
+def exceptional_triple(i, j, k, q, reading="universal"):
     """Three-exponent criterion via the Jacobi logarithm.
 
     True when Q = q*q + q + 1 divides one of the pairwise differences, or
@@ -570,12 +578,7 @@ def exceptional_triple(i, j, k, q, reading="universal", _cache={}):
     if any(d % Q == 0 for d in ((j - i) % order, (k - j) % order,
                                 (k - i) % order)):
         return True
-    key = q
-    if key not in _cache:
-        p, kk = prime_power(q)
-        ctx = build_field(p, 3 * kk)
-        _cache[key] = (ctx, jacobi_log(ctx))
-    ctx, L = _cache[key]
+    L = _jacobi_table(q)
 
     def log_condition(m):
         tgt = (m * (k - i)) % Q

@@ -7,6 +7,19 @@ and q**n words, a complete string makes the translate-to-word map a
 bijection, and the search below branches on symbols while rejecting any
 assignment that repeats a completed window word ("bijection pruning").
 
+Symmetry breaking.  Rotating a string and relabeling its symbols both map
+complete strings to complete strings, so the search explores one member of
+each orbit:
+
+* rotation - a complete string has exactly one translate reading 0**n, and
+  rotating the string moves that translate to 0.  So the search assigns
+  I's positions first and pins each to 0 (a lex-leader rule for the cyclic
+  group, after Crawford, Ginsberg, Luks and Roy, KR 1996);
+* relabeling - a symbol may be used only after every smaller symbol has
+  occurred in assignment order.  Putting a string that reads 0 on I into
+  first-occurrence order keeps 0 fixed, because I's positions come first,
+  so the two rules together still reach every orbit.
+
 Two further sound rules:
 
 * symbol counting - in any valid string each symbol occurs exactly q**(n-1)
@@ -135,8 +148,9 @@ def _cycle_count(perm):
 
 
 def _first_need_order(N, I):
-    # positions in the order translates 0, 1, 2, ... first require them;
-    # equals plain position order for contiguous index sets
+    # positions in the order translates 0, 1, 2, ... first require them, so
+    # I's own positions (pinned to 0 by the search) come first; equals plain
+    # position order for contiguous index sets containing 0
     order = []
     seen = bytearray(N)
     for t in range(N):
@@ -153,10 +167,12 @@ def _first_need_order(N, I):
 def _greedy_completion_order(N, I, q):
     """Assignment order that finishes nearly-complete windows first.
 
-    Each unassigned position is scored by how close it brings windows to
-    completion (a window missing one position dominates one missing two,
-    and so on); ties go to the smallest position.  Keeps the duplicate-word
-    pruning firing as early as possible on stride-heavy index sets.
+    I's own positions come first: the search pins them to 0 (see the
+    module docstring).  After them, each unassigned position is scored
+    by how close it brings windows to completion (a window missing one
+    position dominates one missing two, and so on); ties go to the
+    smallest position.  Keeps the duplicate-word pruning firing as early
+    as possible on stride-heavy index sets.
     """
     n = len(I)
     pos_windows = [[] for _ in range(N)]
@@ -172,11 +188,14 @@ def _greedy_completion_order(N, I, q):
         score[p] = sum(weight[rem[t]] for t in pos_windows[p])
     assigned = bytearray(N)
     order = []
-    for _ in range(N):
-        best, best_score = -1, -1
-        for p in range(N):
-            if not assigned[p] and score[p] > best_score:
-                best, best_score = p, score[p]
+    for step in range(N):
+        if step < n:
+            best = I[step]
+        else:
+            best, best_score = -1, -1
+            for p in range(N):
+                if not assigned[p] and score[p] > best_score:
+                    best, best_score = p, score[p]
         assigned[best] = 1
         order.append(best)
         for t in pos_windows[best]:
@@ -201,8 +220,10 @@ def decide_valid(q, n, I, node_limit=None, time_limit=None):
     """Decide q-validity of I with a verified witness or a refutation.
 
     Deterministic: fixed assignment order, symbols tried ascending, symbol
-    relabeling broken by first-occurrence order, so the reported witness is
-    the least string under the search order.
+    relabeling broken by first-occurrence order, and translate 0 pinned to
+    the word 0**n (see the module docstring).  The reported witness is the
+    least string under the search order among those that read 0 at every
+    position of I.
     """
     N = q ** n
     if N > 2 ** 24:
@@ -243,6 +264,9 @@ def _dfs(q, n, I, N, node_limit, time_limit, start):
         order = _greedy_completion_order(N, I, q)
     else:
         order = _first_need_order(N, I)
+    # highest symbol allowed at each depth: 0 on I (translate 0 reads 0**n),
+    # then any symbol the first-occurrence relabeling admits
+    top = [0] * n + [q - 1] * (N - n)
     powers = [q ** (n - 1 - j) for j in range(n)]
     pos_wins = [[] for _ in range(N)]
     for j, i in enumerate(I):
@@ -271,8 +295,8 @@ def _dfs(q, n, I, N, node_limit, time_limit, start):
             return True, chi, nodes
         p = order[depth]
         cap = maxseen[depth] + 1
-        if cap > q - 1:
-            cap = q - 1
+        if cap > top[depth]:
+            cap = top[depth]
         s = sym[depth] + 1
         advanced = False
         wins = pos_wins[p]

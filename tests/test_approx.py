@@ -57,6 +57,12 @@ class TestPatch:
         achieved = {window(chi, (0, 1), t) for t in range(29)}
         assert achieved == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
+    def test_index_set_wider_than_default_prime(self):
+        # 17 is the smallest prime above 2*2*(1+3), and 0 = 17 mod 17
+        chi = patch_sequence((0, 17), [(1, 1)], 2)
+        assert len(chi) == 19
+        assert any(window(chi, (0, 17), t) == (1, 1) for t in range(19))
+
     def test_empty_request(self):
         chi = patch_sequence((0, 1), [], 2)
         assert set(chi.symbols) == {0}

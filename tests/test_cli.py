@@ -40,6 +40,19 @@ class TestSearchCommand:
                                "--set", "0,1,x")
         assert code == 2
 
+    def test_zero_node_budget_is_usage_error(self, capsys):
+        # 0 must reach the "must be positive" check, not mean "unlimited"
+        code, _, err = run_cli(capsys, "search", "--q", "2", "--n", "3",
+                               "--set", "0,1,2", "--budget-nodes", "0")
+        assert code == 2
+        assert "must be positive" in err
+
+    def test_zero_time_budget_is_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, "search", "--q", "2", "--n", "3",
+                               "--set", "0,1,2", "--budget-secs", "0")
+        assert code == 2
+        assert "must be positive" in err
+
     def test_env_budget_override(self, capsys, monkeypatch):
         monkeypatch.setenv("UCYCLE_BUDGET_NODES", "10")
         code, _, err = run_cli(capsys, "search", "--q", "2", "--n", "5",
