@@ -6,6 +6,7 @@ __version__ = "0.1.0"
 
 from .core import (
     AffineClass,
+    BudgetExceeded,
     CoverageReport,
     CycleParams,
     CyclicString,
@@ -19,7 +20,6 @@ from .core import (
 )
 from .search import (
     Atlas,
-    BudgetExceeded,
     ValidityCertificate,
     atlas,
     decide_valid,

@@ -17,8 +17,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import islice
 
-from .core import CyclicString, UcycleError, VerificationError, verify_cover
+from .core import (CyclicString, UcycleError, VerificationError, verify_cover,
+                   windows)
 
 RNG_ALGORITHM = "MT19937 (random.Random)"
 
@@ -124,9 +126,7 @@ def patch_sequence(I, words, q, min_p=None):
             raw[(k * i + t) % p] = words[t - 1][j]
     dilated = [raw[(k * s) % p] for s in range(p)]
     chi = CyclicString(q, tuple(dilated))
-    achieved = set()
-    for t in range(p):
-        achieved.add(tuple(chi.symbols[(i + t) % p] for i in I))
+    achieved = set(windows(chi.symbols, I))
     for w in words:
         if tuple(w) not in achieved:
             raise VerificationError("patch string missed a prescribed word")
@@ -141,22 +141,18 @@ def type2_random(q, n, I, m, seed):
     rng = random.Random(seed)
     symbols = tuple(rng.randrange(q) for _ in range(m))
     chi = CyclicString(q, symbols)
-    I = tuple(i % m for i in I)
-    achieved = set()
-    for t in range(m):
-        achieved.add(tuple(symbols[(i + t) % m] for i in I))
-    return chi, q ** n - len(achieved)
+    return chi, q ** n - len(set(windows(symbols, I)))
 
 
 def linear_missing(q, n, I, chi):
     """Words not achieved by any window fully inside the string (no wrap);
-    monotone under extension, used by the coverage property tests."""
-    span = max(I) - min(I)
-    m = len(chi)
-    achieved = set()
-    for t in range(m - span):
-        achieved.add(tuple(chi.symbols[i + t] for i in I))
-    return q ** n - len(achieved)
+    monotone under extension, used by the coverage property tests.  The
+    windows are read through I - min(I): those are the same words."""
+    low = min(I)
+    span = max(I) - low
+    inside = max(0, len(chi) - span)
+    shifted = [i - low for i in I]
+    return q ** n - len(set(islice(windows(chi.symbols, shifted), inside)))
 
 
 def type1_construct(q, n, I, seed):
@@ -187,37 +183,18 @@ def type1_construct(q, n, I, seed):
 
     for _ in range(12):
         chi = CyclicString(q, tuple(symbols))
-        achieved = set()
-        N = len(symbols)
-        for t in range(N):
-            achieved.add(tuple(symbols[(i + t) % N] for i in I))
-        missing = [w for w in _all_words(q, n) if w not in achieved]
+        missing = verify_cover(chi, (q, n), I).missing
         if not missing:
-            result = ApproxResult(
-                chi=chi, seed=seed, random_length=m,
-                patch_lengths=patch_lengths, missing_before_patch=missed)
-            rep = verify_cover(chi, (q, n), I)
-            if not rep.complete:
-                raise VerificationError("construction failed verification")
             if len(chi) < q ** n:
                 raise VerificationError(
                     "full cover shorter than the word count")
-            return result
+            return ApproxResult(
+                chi=chi, seed=seed, random_length=m,
+                patch_lengths=patch_lengths, missing_before_patch=missed)
         block = patch_sequence(I, missing, q, min_p=span + 1)
         patch_lengths.append(len(block))
         symbols = symbols + list(block.symbols) + list(block.symbols)
     raise VerificationError("patch loop did not converge")
-
-
-def _all_words(q, n):
-    out = []
-    for c in range(q ** n):
-        w = []
-        for _ in range(n):
-            w.append(c % q)
-            c //= q
-        out.append(tuple(reversed(w)))
-    return out
 
 
 def janson_bound(mu, Delta, delta):

@@ -268,7 +268,7 @@ def cmd_approx(args):
         _emit_cycle(cfg, result.chi, report,
                     extra={"construction": result.construction_log})
         return EXIT_OK
-    m = args.m or max(1, int(4 * q ** n))
+    m = args.m if args.m is not None else max(1, int(4 * q ** n))
     chi, missing = approx_mod.type2_random(q, n, I, m, seed=cfg.seed)
     report = verify_cover(chi, (q, n), I)
     doc = {"cycle": chi.text(), "missing": missing, "m": m,

@@ -4,6 +4,14 @@ Everything downstream funnels through :func:`verify_cover`: the construction
 and search modules emit cyclic strings whose coverage claims are re-checked
 here, independently of how they were produced.
 
+Three primitives live here and are the only implementations in the package;
+new code must call them rather than re-derive them:
+
+* :func:`windows` -- the lazy scan of the words a cyclic string reads through
+  an index set at every translate;
+* :func:`least_rotation` -- the lexicographically least rotation (Booth);
+* :func:`euler_circuit` -- Hierholzer's closed walk, least head first.
+
 Conventions used across the package:
 
 * alphabet symbols are ``0 .. q-1``,
@@ -15,7 +23,7 @@ Conventions used across the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, islice, product
 from math import gcd
 
 DESK_SCALE = 2 ** 32
@@ -27,6 +35,15 @@ class UcycleError(Exception):
 
 class VerificationError(UcycleError):
     """A constructed object failed its own verification."""
+
+
+class BudgetExceeded(UcycleError):
+    """Search stopped on a node or time budget; not a mathematical verdict."""
+
+    def __init__(self, message, nodes=0, elapsed=0.0):
+        super().__init__(message)
+        self.nodes = nodes
+        self.elapsed = elapsed
 
 
 # ---------------------------------------------------------------------------
@@ -82,10 +99,37 @@ class CyclicString:
         return cls(q, symbols)
 
 
+def least_rotation(seq):
+    """The lexicographically least rotation of `seq`, as a tuple.
+
+    Booth's algorithm (K. S. Booth, Lexicographically least circular
+    substrings, IPL 1980): a failure function over the doubled sequence,
+    linear time.
+    """
+    s = tuple(seq)
+    doubled = s + s
+    fail = [-1] * len(doubled)
+    k = 0
+    for j in range(1, len(doubled)):
+        c = doubled[j]
+        i = fail[j - k - 1]
+        while i != -1 and c != doubled[k + i + 1]:
+            if c < doubled[k + i + 1]:
+                k = j - i - 1
+            i = fail[i]
+        if c != doubled[k + i + 1]:  # here i == -1
+            if c < doubled[k]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return s[k:] + s[:k]
+
+
 def equal_up_to_rotation(a: CyclicString, b: CyclicString):
     if len(a) != len(b) or a.q != b.q:
         return False
-    return any(a.rotated(r).symbols == b.symbols for r in range(len(a)))
+    return least_rotation(a.symbols) == least_rotation(b.symbols)
 
 
 def equal_up_to_rotation_and_translate(a: CyclicString, b: CyclicString):
@@ -166,12 +210,24 @@ def window(chi: CyclicString, I, t):
     return tuple(chi.symbols[(i + t) % n] for i in I)
 
 
+def windows(symbols, I):
+    """Lazily yield the word read through I at translates 0, 1, ..., N-1 of
+    the cyclic sequence `symbols` (N = len(symbols)); each i is taken mod N.
+
+    Built from one rotated iterator per element of I, zipped together, so
+    no per-translate indexing and nothing of size N is materialized.
+    """
+    N = len(symbols)
+    return zip(*(chain(islice(symbols, i % N, None), islice(symbols, i % N))
+                 for i in I))
+
+
 @dataclass
 class CoverageReport:
     """Verdict of the independent verifier.
 
-    ``hits`` maps each achieved word to one witnessing translate, or to the
-    full list of witnesses when the verifier ran in exhaustive-witness mode.
+    ``hits`` maps each achieved word, in word order, to the first translate
+    that reads it.
     """
 
     complete: bool
@@ -199,8 +255,7 @@ class CoverageReport:
         }
 
 
-def verify_cover(chi: CyclicString, params, I, reduced=False,
-                 all_witnesses=False):
+def verify_cover(chi: CyclicString, params, I, reduced=False):
     """Check which n-words appear on translates of I; report the misses.
 
     `params` is a CycleParams (strict modulus) or a plain (q, n) pair, in
@@ -227,21 +282,15 @@ def verify_cover(chi: CyclicString, params, I, reduced=False,
     if len(I) != n:
         raise ValueError(f"index set size {len(I)} != window size {n}")
 
-    symbols = chi.symbols
-    powers = [q ** (n - 1 - j) for j in range(n)]
     hits = {}
-    for t in range(N):
-        c = 0
-        for i, w in zip(I, powers):
-            c += symbols[(i + t) % N] * w
-        if all_witnesses:
-            hits.setdefault(c, []).append(t)
-        elif c not in hits:
-            hits[c] = t
+    for t, word in enumerate(windows(chi.symbols, I)):
+        if word not in hits:
+            hits[word] = t
 
-    required = range(1, q ** n) if reduced else range(q ** n)
-    missing = [code_word(c, q, n) for c in required if c not in hits]
-    report_hits = {code_word(c, q, n): t for c, t in sorted(hits.items())}
+    required = product(range(q), repeat=n)
+    if reduced:
+        next(required)  # the all-zeroes word comes first
+    missing = [w for w in required if w not in hits]
     return CoverageReport(
         complete=not missing,
         reduced=reduced,
@@ -249,7 +298,7 @@ def verify_cover(chi: CyclicString, params, I, reduced=False,
         n=n,
         index_set=I,
         missing=missing,
-        hits=report_hits,
+        hits=dict(sorted(hits.items())),
     )
 
 
@@ -380,3 +429,27 @@ class DeBruijnDigraph:
 
 def debruijn_digraph(q, n):
     return DeBruijnDigraph(q, n)
+
+
+def euler_circuit(succ, start):
+    """Closed walk from `start` using every edge of the digraph `succ`
+    (vertex -> heads, one entry per edge) exactly once.
+
+    Hierholzer's algorithm, always taking the least unused head first, so
+    the walk is deterministic.  Returns the vertex sequence, `start` at both
+    ends; raises VerificationError when edges remain that the walk from
+    `start` cannot reach.
+    """
+    heads = {v: sorted(ws, reverse=True) for v, ws in succ.items()}
+    stack = [start]
+    path = []
+    while stack:
+        ws = heads.get(stack[-1])
+        if ws:
+            stack.append(ws.pop())
+        else:
+            path.append(stack.pop())
+    if any(heads.values()):
+        raise VerificationError("edge set is not connected")
+    path.reverse()
+    return path

@@ -29,8 +29,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .core import CyclicString, CycleParams, UcycleError, VerificationError, verify_cover
-from .search import BudgetExceeded
+from .core import (BudgetExceeded, CyclicString, CycleParams, UcycleError,
+                   VerificationError, euler_circuit, least_rotation,
+                   verify_cover)
 
 
 class Impossible(UcycleError):
@@ -112,22 +113,8 @@ def euler_trail(edges):
     succ = {}
     for u, v in edges:
         succ.setdefault(u, []).append(v)
-    for u in succ:
-        succ[u].sort(reverse=True)
-    start = min(succ)
-    stack = [start]
-    path = []
-    while stack:
-        v = stack[-1]
-        if succ.get(v):
-            stack.append(succ[v].pop())
-        else:
-            path.append(stack.pop())
-    if any(succ[v] for v in succ):
-        raise VerificationError("edge set is not connected")
-    path.reverse()
-    trail_edges = tuple(
-        (path[i], path[i + 1]) for i in range(len(path) - 1))
+    path = euler_circuit(succ, min(succ))
+    trail_edges = tuple(zip(path, path[1:]))
     if len(trail_edges) != len(edges):
         raise VerificationError("Euler walk did not use every edge")
     return ClosedTrail(trail_edges)
@@ -187,71 +174,78 @@ def decompose_loopless(m, lengths, node_limit=2_000_000,
         raise Impossible("6 vertices admit no all-triangle split",
                          reason="known-exception")
 
-    edges = sorted((u, v) for u in verts for v in verts if u != v)
-    used = set()
-    budget = {"nodes": 0}
+    result = _split_trails(verts, lengths, False, node_limit)
+    if result is not None:
+        return result
+    raise Impossible(
+        f"no split of the loopless digraph on {m} vertices into lengths "
+        f"{lengths} exists (search exhausted)", reason="exhausted")
+
+
+def _split_trails(verts, lengths, loops, node_limit):
+    """Edge-disjoint closed trails of the given lengths covering every edge
+    over `verts`, loops (u, u) only when `loops` is set; None when the
+    search exhausts.  Each distinct remaining length is tried once per
+    anchor; more than `node_limit` extension steps raise BudgetExceeded."""
+    edges = sorted((u, v) for u in verts for v in verts if loops or u != v)
+    free = set(edges)
+    nodes = 0
     t0 = time.monotonic()
 
     def trail_walks(anchor, length):
-        """Closed trails of `length` unused edges starting with `anchor`."""
+        """Closed trails of `length` free edges starting with `anchor`."""
         u0 = anchor[0]
         walk = [anchor]
-        used.add(anchor)
+        free.discard(anchor)
 
         def extend(v, left):
-            budget["nodes"] += 1
-            if budget["nodes"] > node_limit:
-                raise BudgetExceeded("trail split budget exceeded",
-                                     budget["nodes"],
+            nonlocal nodes
+            nodes += 1
+            if nodes > node_limit:
+                raise BudgetExceeded("trail split budget exceeded", nodes,
                                      time.monotonic() - t0)
             if left == 0:
                 if v == u0:
                     yield list(walk)
                 return
             if left == 1:
-                cand = [u0] if u0 != v and (v, u0) not in used else []
+                cand = [u0] if (v, u0) in free else []
             else:
-                cand = [w for w in verts if w != v and (v, w) not in used]
+                cand = [w for w in verts if (v, w) in free]
             for w in cand:
                 e = (v, w)
-                used.add(e)
+                free.discard(e)
                 walk.append(e)
                 yield from extend(w, left - 1)
                 walk.pop()
-                used.discard(e)
+                free.add(e)
 
         yield from extend(anchor[1], length - 1)
         walk.pop()
-        used.discard(anchor)
+        free.add(anchor)
 
     result = []
 
     def solve(remaining):
         if not remaining:
             return True
-        anchor = next(e for e in edges if e not in used)
+        anchor = next(e for e in edges if e in free)
         tried = set()
         for idx, L in enumerate(remaining):
             if L in tried:
                 continue
             tried.add(L)
             rest = remaining[:idx] + remaining[idx + 1:]
+            # the walk's edges stay out of `free` while trail_walks is
+            # suspended at its yield; trail_walks frees them as it backtracks
             for walk in trail_walks(anchor, L):
-                for e in walk:
-                    used.add(e)
                 result.append(ClosedTrail(tuple(walk)))
                 if solve(rest):
                     return True
                 result.pop()
-                for e in walk:
-                    used.discard(e)
         return False
 
-    if solve(lengths):
-        return result
-    raise Impossible(
-        f"no split of the loopless digraph on {m} vertices into lengths "
-        f"{lengths} exists (search exhausted)", reason="exhausted")
+    return result if solve(lengths) else None
 
 
 # ---------------------------------------------------------------------------
@@ -484,58 +478,9 @@ def _prop16_trails(n, d, node_limit):
 def decompose_exact(n, d, node_limit=2_000_000):
     """Peel length-d closed trails off the whole loop-digraph by direct
     backtracking; last-resort route for small residual cases."""
-    verts = list(range(1, n + 1))
-    edges = sorted((u, v) for u in verts for v in verts)
-    used = set()
-    budget = {"nodes": 0}
-    result = []
-
-    def walks(anchor):
-        u0 = anchor[0]
-        walk = [anchor]
-        used.add(anchor)
-
-        def extend(v, left):
-            budget["nodes"] += 1
-            if budget["nodes"] > node_limit:
-                raise BudgetExceeded("exact decomposition budget exceeded",
-                                     budget["nodes"], 0.0)
-            if left == 0:
-                if v == u0:
-                    yield list(walk)
-                return
-            for w in verts:
-                e = (v, w)
-                if e in used:
-                    continue
-                if left == 1 and w != u0:
-                    continue
-                used.add(e)
-                walk.append(e)
-                yield from extend(w, left - 1)
-                walk.pop()
-                used.discard(e)
-
-        yield from extend(anchor[1], d - 1)
-        walk.pop()
-        used.discard(anchor)
-
-    def solve(remaining):
-        if remaining == 0:
-            return True
-        anchor = next(e for e in edges if e not in used)
-        for walk in walks(anchor):
-            for e in walk:
-                used.add(e)
-            result.append(ClosedTrail(tuple(walk)))
-            if solve(remaining - 1):
-                return True
-            result.pop()
-            for e in walk:
-                used.discard(e)
-        return False
-
-    if solve(n * n // d):
+    result = _split_trails(list(range(1, n + 1)), [d] * (n * n // d), True,
+                           node_limit)
+    if result is not None:
         return result
     raise Impossible(f"no equal split of K~_{n} into length-{d} trails",
                      reason="exhausted")
@@ -591,12 +536,7 @@ def chi_from_decomposition(q, decomposition):
     for t in trails:
         if any(not (1 <= u <= q) for e in t.edges for u in e):
             raise ValueError("trail vertices must lie in 1..q")
-    norm = []
-    for t in trails:
-        seq = t.vertex_sequence()
-        best = min(range(L), key=lambda r: seq[r:] + seq[:r])
-        norm.append(seq[best:] + seq[:best])
-    norm.sort()
+    norm = sorted(least_rotation(t.vertex_sequence()) for t in trails)
     out = [0] * (q * q)
     for a, seq in enumerate(norm):
         for bpos in range(L):

@@ -25,7 +25,8 @@ import json
 import os
 from dataclasses import dataclass
 
-from .core import CycleParams, CyclicString, UcycleError, VerificationError, verify_cover
+from .core import (CycleParams, CyclicString, UcycleError, VerificationError,
+                   verify_cover, windows)
 
 ORDINARY = "ordinary"
 EXCEPTIONAL = "exceptional"
@@ -654,12 +655,9 @@ def psi_map(seq: LambdaSeq, sb: SubfieldBasis, I):
     """The additive transport: 0 -> 0 and generator**t -> the word of
     sequence symbols at positions I + t; returns element -> word."""
     ctx = sb.ctx
-    order = sb.q ** sb.n - 1
-    I = [i % order for i in I]
-    chi = seq.chi
-    out = {0: tuple([0] * len(I))}
+    out = {0: (0,) * len(I)}
     cur = 1
-    for t in range(order):
-        out[cur] = tuple(chi.symbols[(i + t) % order] for i in I)
+    for word in windows(seq.chi.symbols, I):
+        out[cur] = word
         cur = ctx.mul(cur, seq.generator)
     return out

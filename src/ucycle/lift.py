@@ -21,7 +21,10 @@ from .core import (
     CyclicString,
     UcycleError,
     VerificationError,
+    euler_circuit,
+    least_rotation,
     verify_cover,
+    windows,
 )
 
 class ZeroSumViolation(UcycleError):
@@ -61,11 +64,7 @@ class VertexCycle:
         return len(self.symbols)
 
     def vertices(self):
-        r = len(self.symbols)
-        return [
-            tuple(self.symbols[(i + j) % r] for j in range(self.m))
-            for i in range(r)
-        ]
+        return list(windows(self.symbols, range(self.m)))
 
     def symbol_sum(self):
         return sum(self.symbols) % self.q
@@ -81,9 +80,8 @@ def quotient_lambda(word, q):
 def project_cycle(cycle: VertexCycle):
     """Apply the quotient map vertex-wise; the image cycle's symbols are the
     consecutive differences of the input's symbols."""
-    q, s = cycle.q, cycle.symbols
-    r = len(s)
-    diffs = tuple((s[i] - s[(i + 1) % r]) % q for i in range(r))
+    q = cycle.q
+    diffs = tuple((a - b) % q for a, b in windows(cycle.symbols, (0, 1)))
     return VertexCycle(q, cycle.m - 1, diffs)
 
 
@@ -112,29 +110,16 @@ def de_bruijn_sequence(q, order):
     """
     if order == 1:
         return CyclicString(q, tuple(range(q)))
-    m = order - 1
-    V = q ** m
-    shrink = q ** (m - 1)
-    cnt = [0] * V
-    stack_v = [0]
-    stack_s = []
-    seq = []
-    while stack_v:
-        v = stack_v[-1]
-        if cnt[v] < q:
-            s = cnt[v]
-            cnt[v] += 1
-            stack_s.append(s)
-            stack_v.append((v % shrink) * q + s)
-        else:
-            stack_v.pop()
-            if stack_s:
-                seq.append(stack_s.pop())
-    seq.reverse()
+    # vertex v is an (order-1)-word as a radix-q code; edge v -> w reads the
+    # symbol w % q, so the smallest head is the smallest symbol
+    shrink = q ** (order - 2)
+    succ = {v: range((v % shrink) * q, (v % shrink + 1) * q)
+            for v in range(q ** (order - 1))}
+    path = euler_circuit(succ, 0)
+    seq = [w % q for w in path[1:]]
     if len(seq) != q ** order:
         raise VerificationError("Euler circuit did not use every edge")
-    best = min(tuple(seq[r:] + seq[:r]) for r in range(len(seq)))
-    return CyclicString(q, best)
+    return CyclicString(q, least_rotation(seq))
 
 
 def interleave_translates(lifted: VertexCycle):
@@ -217,11 +202,7 @@ def trails_to_chi(trail_symbol_lists, q):
 def _walk_edges(symbols):
     """Edges (consecutive triples) of the closed pair-walk with these
     symbols."""
-    r = len(symbols)
-    return [
-        (symbols[i], symbols[(i + 1) % r], symbols[(i + 2) % r])
-        for i in range(r)
-    ]
+    return list(windows(symbols, (0, 1, 2)))
 
 
 def _parity_cross_pieces(q):
@@ -349,22 +330,8 @@ def _euler_symbols_from_triples(triples):
     closed walk; Hierholzer over pair-vertices, smallest next edge first."""
     succ = {}
     for x, y, z in triples:
-        succ.setdefault((x, y), []).append(z)
-    for v in succ:
-        succ[v].sort(reverse=True)
-    start = min(succ)
-    stack = [start]
-    path = []
-    while stack:
-        v = stack[-1]
-        if succ.get(v):
-            z = succ[v].pop()
-            stack.append((v[1], z))
-        else:
-            path.append(stack.pop())
-    if any(succ[v] for v in succ):
-        raise VerificationError("trail group is not connected")
-    path.reverse()
+        succ.setdefault((x, y), []).append((y, z))
+    path = euler_circuit(succ, min(succ))
     # path vertices: v0, v1, ..., vL (vL == v0); symbols are first components
     return tuple(v[0] for v in path[:-1])
 

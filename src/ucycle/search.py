@@ -41,9 +41,9 @@ import time
 from dataclasses import dataclass, field
 
 from .core import (
+    BudgetExceeded,
     CycleParams,
     CyclicString,
-    UcycleError,
     VerificationError,
     affine_class_representatives,
     normalize_index_set,
@@ -52,15 +52,6 @@ from .core import (
 
 VALID = "valid"
 INVALID = "invalid"
-
-
-class BudgetExceeded(UcycleError):
-    """Search stopped on a node or time budget; not a mathematical verdict."""
-
-    def __init__(self, message, nodes=0, elapsed=0.0):
-        super().__init__(message)
-        self.nodes = nodes
-        self.elapsed = elapsed
 
 
 @dataclass

@@ -109,6 +109,15 @@ class TestType2:
                                                seed=seed)
             assert cyclic_missing <= linear_missing(2, 4, (0, 1, 2, 3), chi)
 
+    def test_linear_missing_without_zero_in_index_set(self):
+        # reading past the end once raised IndexError when min(I) > 0
+        chi, _ = type2_random(2, 3, (0, 1, 2), 20, seed=2)
+        for I in [(1, 2, 4), (3, 5, 6), (7, 8, 19)]:
+            shifted = [i - min(I) for i in I]
+            assert (linear_missing(2, 3, I, chi)
+                    == linear_missing(2, 3, shifted, chi))
+        assert linear_missing(2, 3, (1, 2, 4), chi) < 8
+
     def test_prefix_coupled_monotonicity(self):
         # interior coverage is non-increasing in m for a fixed seed because
         # the random stream is reused as a prefix

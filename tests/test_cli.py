@@ -157,6 +157,13 @@ class TestGenerationCommands:
         doc = json.loads(out)
         assert code == 0 and "missing" in doc
 
+    def test_approx_zero_length_is_usage_error(self, capsys):
+        # 0 must reach the "m must be positive" check, not mean "default m"
+        code, _, err = run_cli(capsys, "approx", "--q", "2", "--n", "3",
+                               "--set", "0,1,2", "--type", "2", "--m", "0")
+        assert code == 2
+        assert "m must be positive" in err
+
     def test_janson(self, capsys):
         code, out, _ = run_cli(capsys, "janson", "--mu", "0", "--Delta", "1",
                                "--delta", "1")

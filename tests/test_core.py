@@ -1,6 +1,7 @@
 """Core types, the coverage verifier, affine classes, de Bruijn digraphs."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from ucycle.core import (
     CycleParams,
     CyclicString,
+    VerificationError,
     affine_class_representatives,
     affine_orbit,
     canonicalize_affine,
@@ -16,10 +18,13 @@ from ucycle.core import (
     debruijn_digraph,
     equal_up_to_rotation,
     equal_up_to_rotation_and_translate,
+    euler_circuit,
+    least_rotation,
     normalize_index_set,
     units,
     verify_cover,
     window,
+    windows,
     word_code,
 )
 
@@ -58,6 +63,52 @@ class TestWindow:
         chi = CyclicString.from_text("0123", 4)
         assert window(chi, (0, 1), 3) == (3, 0)
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_windows_agree_with_window(self, data):
+        # the lazy scan against per-translate indexing, with elements of I
+        # at or beyond N so each must be reduced mod N
+        q = data.draw(st.sampled_from([2, 3]))
+        N = data.draw(st.integers(1, 30))
+        chi = CyclicString(
+            q, tuple(data.draw(st.integers(0, q - 1)) for _ in range(N)))
+        I = data.draw(st.lists(st.integers(0, 3 * N + 5), min_size=1,
+                               max_size=5))
+        assert list(windows(chi.symbols, I)) == [
+            window(chi, I, t) for t in range(N)]
+
+
+class TestLeastRotation:
+    def test_matches_brute_force(self):
+        rng = random.Random(11)
+        cases = [(0,), (1, 0), (0, 0, 0), (1, 0, 1, 0), (2, 1, 2, 1, 2, 1)]
+        for _ in range(400):
+            q = rng.choice([2, 3])
+            base = tuple(rng.randrange(q) for _ in range(rng.randint(1, 12)))
+            cases.append(base)
+            reps = rng.randint(2, 4)
+            if len(base) * reps <= 12:
+                cases.append(base * reps)  # periodic
+        for seq in cases:
+            brute = min(seq[r:] + seq[:r] for r in range(len(seq)))
+            assert least_rotation(seq) == brute
+            assert least_rotation(list(seq)) == brute
+
+
+class TestEulerCircuit:
+    @pytest.mark.parametrize("q,n", [(2, 1), (2, 3), (3, 2), (4, 2)])
+    def test_uses_each_debruijn_edge_once(self, q, n):
+        g = debruijn_digraph(q, n)
+        succ = {v: g.successors(v) for v in range(g.num_vertices)}
+        path = euler_circuit(succ, 0)
+        assert path[0] == path[-1] == 0
+        walked = list(zip(path, path[1:]))
+        assert sorted(walked) == sorted(g.edges())
+
+    def test_disconnected_edges_rejected(self):
+        with pytest.raises(VerificationError):
+            euler_circuit({1: [1], 2: [2]}, 1)
+
 
 class TestVerifyCover:
     def test_debruijn_complete(self):
@@ -87,12 +138,13 @@ class TestVerifyCover:
         for word, t in rep.hits.items():
             assert window(chi, (0, 1, 2), t) == word
 
-    def test_all_witnesses_mode(self):
-        chi = CyclicString(2, (0, 1, 0, 1))
-        rep = verify_cover(chi, CycleParams.unreduced(2, 2), (0, 1),
-                           all_witnesses=True)
-        assert rep.hits[(0, 1)] == [0, 2]
-        assert not rep.complete
+    def test_hits_keep_the_first_translate_in_word_order(self):
+        # (1, 0) is read at translates 1 and 3, (0, 1) at 2 and 4
+        chi = CyclicString(2, (1, 1, 0, 1, 0))
+        rep = verify_cover(chi, (2, 2), (0, 1))
+        assert list(rep.hits.items()) == [((0, 1), 2), ((1, 0), 1),
+                                          ((1, 1), 0)]
+        assert rep.missing == [(0, 0)]
 
     def test_reduced_case(self):
         # 7-symbol reduced string covering all nonzero 3-words on {0,1,2}

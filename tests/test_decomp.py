@@ -136,6 +136,16 @@ class TestLoopless:
         trails = decompose_loopless(5, [5, 5, 5, 5])
         assert all(len(t) == 5 for t in trails)
 
+    def test_backtracking_past_a_trail_keeps_its_prefix_edges_used(self):
+        # this split backtracks into a suspended walk; once the walk's edges
+        # were unmarked there, it extended into its own prefix and raised
+        # "repeated edge in trail"
+        trails = decompose_loopless(6, [4, 4, 6, 7, 9])
+        assert sorted(len(t) for t in trails) == [4, 4, 6, 7, 9]
+        edges = [e for t in trails for e in t.edges]
+        assert sorted(edges) == sorted(
+            (u, v) for u in range(1, 7) for v in range(1, 7) if u != v)
+
     def test_sum_mismatch_rejected(self):
         with pytest.raises(ValueError):
             decompose_loopless(4, [3, 3])

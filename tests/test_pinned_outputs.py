@@ -1,0 +1,108 @@
+"""Byte-identity pin: one sha256 over the outputs of every route that the
+shared primitives (window scan, least rotation, Euler circuit, closed-trail
+backtracker) feed.  The digest was computed before those routes were moved
+onto the shared primitives; a change to any emitted cycle, decomposition or
+coverage report changes it."""
+
+import hashlib
+
+from ucycle.approx import (
+    linear_missing,
+    patch_sequence,
+    type1_construct,
+    type2_random,
+)
+from ucycle.core import CycleParams, CyclicString, verify_cover
+from ucycle.decomp import (
+    chi_from_decomposition,
+    decompose_equal,
+    decompose_exact,
+    decompose_loopless,
+)
+from ucycle.galois import (
+    build_field,
+    build_reduced_cycle,
+    prime_power,
+    psi_map,
+    subfield_basis,
+)
+from ucycle.lift import de_bruijn_sequence, double_ap3, splice_ap_cycle
+
+PINNED_SHA256 = (
+    "9f1541bbfd35e2f2c04e82a0fe27a9a2d2bfadec51c676242d70c01fed78b648")
+
+
+def _report_lines(chi, params, I, reduced=False):
+    rep = verify_cover(chi, params, I, reduced=reduced)
+    return [repr(rep.missing), repr(list(rep.hits.items())),
+            repr(sorted(rep.to_json_dict().items()))]
+
+
+def _trails(trails):
+    return repr([t.edges for t in trails])
+
+
+def pinned_outputs():
+    out = []
+    for q, order in [(2, 10), (3, 6)]:
+        out.append(de_bruijn_sequence(q, order).text())
+    for q, n in [(2, 4), (3, 3), (5, 2)]:
+        out.append(splice_ap_cycle(q, n).text())
+    chi = CyclicString.from_text("00010111", 2)
+    for d in (1, 8, 64):
+        chi = double_ap3(chi, d)
+        out.append(chi.text())
+
+    # Euler, d = 4, hub (3, 5, 7) and packing (6, >= 8) routes
+    for n, d in [(3, 9), (4, 16), (6, 4), (8, 4), (7, 7), (9, 3), (10, 5),
+                 (6, 6), (8, 8), (10, 20), (12, 9)]:
+        dec = decompose_equal(n, d)
+        out.append(_trails(dec.trails))
+        out.append(chi_from_decomposition(n, dec).text())
+    for n, d in [(3, 3), (4, 8), (5, 5), (6, 9), (6, 12)]:
+        trails = decompose_exact(n, d)
+        out.append(_trails(trails))
+        out.append(chi_from_decomposition(n, trails).text())
+    out.append(_trails(decompose_loopless(5, [5, 5, 5, 5])))
+    out.append(_trails(decompose_loopless(6, [4, 4, 4, 3, 3, 3, 3, 3, 3])))
+
+    for q, n, I, seed in [(2, 3, (0, 1, 3), 1), (2, 4, (0, 2, 3, 7), 7),
+                          (3, 2, (0, 5), 3), (2, 6, (0, 1, 3, 7, 12, 20), 5)]:
+        res = type1_construct(q, n, I, seed)
+        out.append(res.chi.text())
+        out.append(repr(sorted(res.construction_log.items())))
+        out.extend(_report_lines(res.chi, (q, n), I))
+    for q, n, I, m, seed in [(2, 3, (0, 1, 2), 12, 4), (3, 3, (0, 2, 5), 40, 9),
+                             (2, 5, (0, 3, 4, 9, 11), 64, 2)]:
+        chi, missing = type2_random(q, n, I, m, seed)
+        out.append(f"{chi.text()} {missing}")
+        out.append(repr(linear_missing(q, n, I, chi)))
+        out.extend(_report_lines(chi, (q, n), I))
+    out.append(patch_sequence((0, 100), [(0, 1), (1, 1), (1, 0)], 2).text())
+    out.append(patch_sequence((0, 2, 5), [(0, 1, 2), (2, 2, 0)], 3).text())
+
+    for text, q, n, I in [("00010111", 2, 3, (0, 1, 2)),
+                          ("00110101", 2, 3, (0, 2, 5)),
+                          ("021210210210102021102210210", 3, 3, (0, 3, 6)),
+                          ("012210021", 3, 2, (0, 4))]:
+        chi = CyclicString.from_text(text, q)
+        out.extend(_report_lines(chi, CycleParams.unreduced(q, n), I))
+    chi = CyclicString.from_text("0010111", 2)
+    out.extend(_report_lines(chi, CycleParams.reduced(2, 3), (0, 1, 2),
+                             reduced=True))
+
+    for q, n, I in [(2, 4, (0, 1, 2, 3)), (3, 2, (0, 3))]:
+        seq = build_reduced_cycle(I, q, n)
+        out.append(seq.chi.text())
+        p, k = prime_power(q)
+        sb = subfield_basis(build_field(p, k * n), k, generator=seq.generator)
+        out.append(repr(sorted(psi_map(seq, sb, I).items())))
+    return out
+
+
+def outputs_digest():
+    return hashlib.sha256("\n".join(pinned_outputs()).encode()).hexdigest()
+
+
+def test_outputs_match_pinned_digest():
+    assert outputs_digest() == PINNED_SHA256
