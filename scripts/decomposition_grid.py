@@ -2,7 +2,9 @@
 """Sweep equal-length trail decompositions of complete loop-digraphs.
 
 For every n up to --max-n and every divisor d of n*n, report whether the
-decomposition exists, which route produced it, and how long it took.
+decomposition exists, which route produced it (as `decompose_equal`
+records it, so an exact-search fallback shows as "exact"), and how long it
+took.
 
     python scripts/decomposition_grid.py --max-n 12
 """
@@ -11,18 +13,6 @@ import sys
 import time
 
 from ucycle.decomp import Impossible, decompose_equal
-
-
-def route_for(n, d):
-    if n == 1 or d == n * n:
-        return "euler"
-    if d == 4 and n % 2 == 0:
-        return "length-4 families"
-    if d in (3, 5, 7):
-        return "hub gadgets"
-    if d == 6 or d >= 8:
-        return "atom packing"
-    return "exact search"
 
 
 def main():
@@ -37,7 +27,7 @@ def main():
             t0 = time.time()
             try:
                 dec = decompose_equal(n, d)
-                status = f"{len(dec.trails)} trails ({route_for(n, d)})"
+                status = f"{len(dec.trails)} trails ({dec.route})"
             except Impossible as exc:
                 status = f"impossible [{exc.reason}]"
             print(f"n={n:2d} d={d:3d}  {status}  {time.time() - t0:6.2f}s",

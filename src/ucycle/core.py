@@ -318,7 +318,8 @@ class AffineClass:
 
 
 def units(L):
-    return [k for k in range(1, L) if gcd(k, L) == 1]
+    """The units of Z_L as residues 1..L-1; [1] for the trivial ring Z_1."""
+    return [k for k in range(1, max(L, 2)) if gcd(k, L) == 1]
 
 
 def canonicalize_affine(I, L):

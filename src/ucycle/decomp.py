@@ -18,16 +18,19 @@ Routes, by target length:
                     d-edge connected groups by backtracking, each group then
                     serialized as one Euler trail.
 
+When the packing search exhausts or passes its node cap, the dispatcher
+falls back to exact search over the whole loop-digraph; any other failure
+propagates.  The route taken is recorded on the returned decomposition.
+
 The prescribed-length split of the loopless digraph is an exact backtracking
-search; `Impossible` from it is a refutation by exhaustion except for the
-optional hardcoded shortcut on the known 6-vertex all-triangles exception,
-which is labeled as such.  Every emitted decomposition re-verifies through
-`check_decomposition` before being returned.
+search; `Impossible` from it is a refutation by exhaustion.  Every emitted
+decomposition re-verifies through `check_decomposition` before being
+returned.
 """
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import (BudgetExceeded, CyclicString, CycleParams, UcycleError,
                    VerificationError, euler_circuit, least_rotation,
@@ -73,6 +76,9 @@ class TrailDecomposition:
     n: int
     d: int
     trails: list
+    # which construction built the trails: "euler", "families", "hub",
+    # "packing" or "exact"; left out of the JSON document
+    route: str = field(compare=False)
 
     def __post_init__(self):
         check_decomposition(self.n, self.d, self.trails)
@@ -151,16 +157,14 @@ def is_eulerian(edges):
 # ---------------------------------------------------------------------------
 
 
-def decompose_loopless(m, lengths, node_limit=2_000_000,
-                       known_exception_shortcut=False, vertices=None):
+def decompose_loopless(m, lengths, node_limit=2_000_000, vertices=None):
     """Edge-disjoint closed trails of the prescribed lengths covering the
     loopless complete digraph on m vertices.
 
     Exact backtracking: each trail is anchored at the smallest unused edge,
     so the search space is canonical.  The one true obstruction at this
-    scale is six vertices into all 3-cycles; with the shortcut enabled that
-    case returns immediately with reason "known-exception" instead of
-    re-exhausting.
+    scale is six vertices into all 3-cycles, refuted by exhausting the
+    search.
     """
     verts = list(vertices) if vertices is not None else list(range(1, m + 1))
     if len(verts) != m:
@@ -170,10 +174,6 @@ def decompose_loopless(m, lengths, node_limit=2_000_000,
         raise ValueError(f"lengths sum {sum(lengths)} != m(m-1) = {m*(m-1)}")
     if any(L < 2 for L in lengths):
         raise ValueError("every length must be >= 2")
-    if known_exception_shortcut and m == 6 and all(L == 3 for L in lengths):
-        raise Impossible("6 vertices admit no all-triangle split",
-                         reason="known-exception")
-
     result = _split_trails(verts, lengths, False, node_limit)
     if result is not None:
         return result
@@ -360,6 +360,7 @@ def _assemble_groups(t_pieces, inner, a, b, d, node_cap=400_000):
 
     Atoms are individually balanced, and a group only ever grows through a
     shared vertex, so each finished group is Eulerian by construction.
+    None when the search exhausts or passes `node_cap` nodes.
     """
     atoms = []
     for idx, t in enumerate(t_pieces):
@@ -398,7 +399,7 @@ def _assemble_groups(t_pieces, inner, a, b, d, node_cap=400_000):
     def dfs(cur, cur_size, cur_verts):
         nodes[0] += 1
         if nodes[0] > node_cap:
-            raise VerificationError("assembly budget exceeded")
+            return False  # over the cap: unwind as if exhausted
         if cur_size == d:
             groups.append(list(cur))
             if not unused:
@@ -439,7 +440,7 @@ def _assemble_groups(t_pieces, inner, a, b, d, node_cap=400_000):
         return False
 
     if not dfs([], 0, frozenset()):
-        raise VerificationError("no exact atom packing found")
+        return None
     out = []
     for g in groups:
         edges = []
@@ -453,6 +454,7 @@ def _assemble_groups(t_pieces, inner, a, b, d, node_cap=400_000):
 
 
 def _prop16_trails(n, d, node_limit):
+    """The packing route's trails, or None when the atoms do not pack."""
     a, b = n - 1, n
     inner = list(range(1, n - 1))
     eg = (n - 2) * (n - 3)
@@ -466,8 +468,8 @@ def _prop16_trails(n, d, node_limit):
     parts = decompose_loopless(n - 2, lengths, node_limit, vertices=inner)
     trails = [t for t in parts if len(t) == d]
     t_pieces = [t for t in parts if len(t) != d]
-    trails.extend(_assemble_groups(t_pieces, inner, a, b, d))
-    return trails
+    groups = _assemble_groups(t_pieces, inner, a, b, d)
+    return None if groups is None else trails + groups
 
 
 # ---------------------------------------------------------------------------
@@ -490,14 +492,15 @@ def decompose_equal(n, d, node_limit=2_000_000):
     """Decompose K~_n into n*n/d closed trails of length d.
 
     Raises Impossible for the two genuinely infeasible lengths (1 and 2,
-    for n >= 2) and ValueError when d does not divide n*n.
+    for n >= 2) and ValueError when d does not divide n*n.  The result's
+    `route` names the construction that produced it.
     """
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
     if (n * n) % d:
         raise ValueError(f"{d} does not divide n*n = {n * n}")
     if n == 1:
-        return TrailDecomposition(1, 1, [ClosedTrail(((1, 1),))])
+        return TrailDecomposition(1, 1, [ClosedTrail(((1, 1),))], "euler")
     if d == 1:
         raise Impossible(
             f"length 1 needs {n * n} loops but only {n} exist",
@@ -506,21 +509,19 @@ def decompose_equal(n, d, node_limit=2_000_000):
         raise Impossible(
             "length-2 trails are digon pairs and can never cover a loop",
             reason="counting")
+    trails = None
     if d == n * n:
         all_edges = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1)]
-        trails = [euler_trail(all_edges)]
+        trails, route = [euler_trail(all_edges)], "euler"
     elif d == 4 and n % 2 == 0:
-        trails = prop17_trails(n)
+        trails, route = prop17_trails(n), "families"
     elif d in (3, 5, 7):
-        trails = _prop18_trails(n, d, node_limit)
+        trails, route = _prop18_trails(n, d, node_limit), "hub"
     elif d == 6 or d >= 8:
-        try:
-            trails = _prop16_trails(n, d, node_limit)
-        except VerificationError:
-            trails = decompose_exact(n, d, node_limit)
-    else:
-        trails = decompose_exact(n, d, node_limit)
-    return TrailDecomposition(n, d, trails)
+        trails, route = _prop16_trails(n, d, node_limit), "packing"
+    if trails is None:
+        trails, route = decompose_exact(n, d, node_limit), "exact"
+    return TrailDecomposition(n, d, trails, route)
 
 
 def chi_from_decomposition(q, decomposition):

@@ -21,12 +21,11 @@ on translates of I.
 from __future__ import annotations
 
 import functools
-import json
-import os
+import operator
 from dataclasses import dataclass
 
 from .core import (CycleParams, CyclicString, UcycleError, VerificationError,
-                   verify_cover, windows)
+                   units, verify_cover, windows)
 
 ORDINARY = "ordinary"
 EXCEPTIONAL = "exceptional"
@@ -69,7 +68,7 @@ def prime_power(q):
 
 @dataclass(frozen=True)
 class FieldCtx:
-    """F_{p**m} with exp/log tables for the primitive element exp[1]."""
+    """F_{p**m} with exp/log tables for the primitive element alpha."""
 
     p: int
     m: int
@@ -87,7 +86,7 @@ class FieldCtx:
 
     @property
     def alpha(self):
-        return self.exp[1]
+        return self.exp[1 % self.mult_order]
 
     def add(self, x, y):
         if self.p == 2:
@@ -135,107 +134,71 @@ class FieldCtx:
         return tuple((x // p ** i) % p for i in range(self.m))
 
 
-def _mul_by_x(digits, modulus, p):
-    m = len(digits)
-    top = digits[-1]
-    out = [0] + list(digits[:-1])
-    if top:
-        for i in range(m):
-            out[i] = (out[i] - top * modulus[i]) % p
-    return out
+def _power_table(p, m, modulus):
+    """Codes of x**0, x**1, ..., x**(p**m - 2) modulo the monic `modulus`
+    (ascending coefficients), or None when x is not primitive.
 
-
-def _order_of_x(p, m, modulus):
-    """Length of the cycle of x under repeated multiplication, or 0 if the
-    iteration degenerates (reducible modulus with x a zero divisor)."""
-    one = [0] * m
-    one[0] = 1
-    cur = list(one)
-    for step in range(1, p ** m):
-        cur = _mul_by_x(cur, modulus, p)
-        if all(c == 0 for c in cur):
-            return 0
+    A zero constant term makes x a zero divisor and is rejected up front.
+    Otherwise x is a unit of F_p[x]/(modulus), a ring with at most p**m - 1
+    units, so x has order p**m - 1 (and the modulus is irreducible) exactly
+    when no earlier power returns to 1; the walk stops at the first that does.
+    """
+    if modulus[0] % p == 0:
+        return None
+    one = [1] + [0] * (m - 1)
+    cur = one
+    weights = [p ** i for i in range(m)]
+    exp = [1]
+    for _ in range(p ** m - 2):
+        top = cur[-1]  # cur = x * cur, reducing x**m by the modulus
+        cur = [0] + cur[:-1]
+        if top:
+            cur = [(c - top * f) % p for c, f in zip(cur, modulus)]
         if cur == one:
-            return step
-    return 0
+            return None
+        exp.append(sum(map(operator.mul, cur, weights)))
+    return exp
 
 
 def find_primitive_modulus(p, m):
-    """Least monic degree-m modulus (by ascending coefficient code) making x
-    a primitive element; x having full order forces irreducibility too."""
-    target = p ** m - 1
-    for code in range(p ** m):
-        modulus = [(code // p ** i) % p for i in range(m)] + [1]
-        if modulus[0] == 0:
-            continue  # x would be a zero divisor
-        if _order_of_x(p, m, modulus) == target:
-            return tuple(modulus)
+    """(modulus, exp) for the first monic degree-m modulus making x
+    primitive, with exp its table of powers of x.
+
+    Candidates for m >= 2 go by ascending coefficient code.  For m = 1 they
+    are x - g for g = 1, 2, ..., so x stands for the least primitive root.
+    """
+    if m == 1:
+        candidates = ((p - g, 1) for g in range(1, p))
+    else:
+        candidates = (tuple((code // p ** i) % p for i in range(m)) + (1,)
+                      for code in range(p ** m))
+    for modulus in candidates:
+        exp = _power_table(p, m, modulus)
+        if exp is not None:
+            return modulus, exp
     raise VerificationError(f"no primitive modulus of degree {m} over F_{p}")
 
 
-def _cache_path(cache_dir, p, m, modulus):
-    tag = f"gf_{p}_{m}_" + "-".join(str(c) for c in modulus)
-    return os.path.join(cache_dir, tag + ".json")
-
-
-def build_field(p, m, modulus=None, cache_dir=None):
-    """Construct F_{p**m}; tables are cached on disk when a directory is
-    given (keyed by p, m, and the modulus).  UCYCLE_FIELD_CACHE supplies a
-    default cache directory."""
-    if cache_dir is None:
-        cache_dir = os.environ.get("UCYCLE_FIELD_CACHE") or None
+def build_field(p, m, modulus=None):
+    """Construct F_{p**m} from one walk over the powers of x, modulo the
+    given monic modulus or the first primitive one."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if p ** m > 2 ** 24:
         raise ValueError("field exceeds desk scale")
-    if m == 1:
-        g = next(g for g in range(2, p)
-                 if _multiplicative_order(g, p) == p - 1) if p > 2 else 1
-        exp = [1]
-        for _ in range(p - 2):
-            exp.append(exp[-1] * g % p)
-        log = [-1] * p
-        for j, e in enumerate(exp):
-            log[e] = j
-        return FieldCtx(p, 1, (p - g, 1), tuple(exp), tuple(log))
-
     if modulus is None:
-        modulus = find_primitive_modulus(p, m)
-    modulus = tuple(modulus)
-    if cache_dir:
-        path = _cache_path(cache_dir, p, m, modulus)
-        if os.path.exists(path):
-            with open(path) as fh:
-                data = json.load(fh)
-            return FieldCtx(p, m, modulus, tuple(data["exp"]),
-                            tuple(data["log"]))
-    if _order_of_x(p, m, modulus) != p ** m - 1:
-        raise ValueError("modulus does not make x primitive")
-    cur = [0] * m
-    cur[0] = 1
-    exp = []
-    for _ in range(p ** m - 1):
-        exp.append(sum(c * p ** i for i, c in enumerate(cur)))
-        cur = _mul_by_x(cur, modulus, p)
+        modulus, exp = find_primitive_modulus(p, m)
+    else:
+        modulus = tuple(modulus)
+        if len(modulus) != m + 1 or modulus[m] != 1:
+            raise ValueError(f"modulus must be monic of degree {m}")
+        exp = _power_table(p, m, modulus)
+        if exp is None:
+            raise ValueError("modulus does not make x primitive")
     log = [-1] * p ** m
     for j, e in enumerate(exp):
         log[e] = j
-    ctx = FieldCtx(p, m, modulus, tuple(exp), tuple(log))
-    if cache_dir:
-        os.makedirs(cache_dir, exist_ok=True)
-        with open(_cache_path(cache_dir, p, m, modulus), "w") as fh:
-            json.dump({"exp": list(ctx.exp), "log": list(ctx.log)}, fh)
-    return ctx
-
-
-def _multiplicative_order(g, p):
-    x, k = g % p, 1
-    while x != 1:
-        x = x * g % p
-        k += 1
-        if k > p:
-            return 0
-    return k
+    return FieldCtx(p, m, modulus, tuple(exp), tuple(log))
 
 
 # ---------------------------------------------------------------------------
@@ -278,13 +241,6 @@ class SubfieldBasis:
             out.append(sym)
         return tuple(out)
 
-    def from_coords(self, symbols):
-        ctx = self.ctx
-        acc = 0
-        for sym, b in zip(symbols, self.basis):
-            acc = ctx.add(acc, ctx.mul(self.sym_elem[sym], b))
-        return acc
-
 
 def _invert_matrix_mod_p(cols, p):
     """Invert the matrix whose columns are `cols` (F_p vectors); returns the
@@ -316,12 +272,12 @@ def subfield_generator(ctx, k):
     return ctx.exp[(ctx.mult_order // (ctx.p ** k - 1)) % ctx.mult_order]
 
 
-def subfield_basis(ctx, k, basis=None, generator=None):
+def subfield_basis(ctx, k, generator=None):
     """Build the coordinate machinery for F_q = F_{p**k} inside ctx.
 
-    The default basis is 1, alpha, ..., alpha**(n-1) for the table primitive
-    alpha; `generator` substitutes another element whose powers should form
-    the basis.
+    The basis is 1, alpha, ..., alpha**(n-1) for the table primitive alpha;
+    `generator` substitutes another element whose powers should form the
+    basis.
     """
     p = ctx.p
     if ctx.m % k:
@@ -335,44 +291,25 @@ def subfield_basis(ctx, k, basis=None, generator=None):
         cur = 1
         for i in range(k):
             digit = (s // p ** i) % p
-            acc = ctx.add(acc, _scalar_mul(ctx, digit, cur))
+            # a digit d < p is the code of the constant d
+            acc = ctx.add(acc, ctx.mul(digit, cur))
             cur = ctx.mul(cur, g)
         sym_elem.append(acc)
     if len(set(sym_elem)) != q:
         raise VerificationError("subfield enumeration collided")
     elem_sym = {e: s for s, e in enumerate(sym_elem)}
 
-    if basis is None:
-        a = generator if generator is not None else ctx.alpha
-        basis = []
-        cur = 1
-        for _ in range(n):
-            basis.append(cur)
-            cur = ctx.mul(cur, a)
-    basis = tuple(basis)
+    a = generator if generator is not None else ctx.alpha
+    basis = tuple(ctx.pow(a, j) for j in range(n))
     cols = []
     for b in basis:
         for i in range(k):
-            cols.append(ctx.digits(ctx.mul(sym_elem_power(ctx, g, i), b)))
+            cols.append(ctx.digits(ctx.mul(ctx.pow(g, i), b)))
     inverse = _invert_matrix_mod_p(cols, p)
     if inverse is None:
         raise ValueError("not a basis over the subfield")
     return SubfieldBasis(ctx=ctx, k=k, basis=basis, sym_elem=tuple(sym_elem),
                          elem_sym=elem_sym, inverse_rows=inverse)
-
-
-def sym_elem_power(ctx, g, i):
-    out = 1
-    for _ in range(i):
-        out = ctx.mul(out, g)
-    return out
-
-
-def _scalar_mul(ctx, digit, elem):
-    out = 0
-    for _ in range(digit):
-        out = ctx.add(out, elem)
-    return out
 
 
 @dataclass
@@ -486,12 +423,7 @@ def min_poly(sb: SubfieldBasis, beta):
     return tuple(coeffs)
 
 
-def _coprime_exponents(order):
-    from math import gcd
-    return [u for u in range(1, order) if gcd(u, order) == 1]
-
-
-def is_exceptional_bruteforce(I, q, n, full_sweep=False):
+def is_exceptional_bruteforce(I, q, n):
     """Classify I by sweeping every generator of the multiplicative group.
 
     Ordinary verdicts come with a witnessing generator and its minimal
@@ -508,23 +440,15 @@ def is_exceptional_bruteforce(I, q, n, full_sweep=False):
     # the set is dependent for every generator; keep them as given
     I = tuple(sorted(i % order for i in I))
     deps = {}
-    witness = None
-    for u in _coprime_exponents(order):
-        beta_pows = [ctx.exp[(u * i) % order] for i in I]
-        dep = _fq_dependency(sb, beta_pows)
+    for u in units(order):
+        dep = _fq_dependency(sb, [ctx.exp[(u * i) % order] for i in I])
         if dep is None:
-            if witness is None:
-                witness = u
-            if not full_sweep:
-                break
-        else:
-            deps[u] = dep
-    if witness is not None:
-        beta = ctx.exp[witness]
-        return ExceptionalVerdict(
-            verdict=ORDINARY, q=q, n=n, index_set=I,
-            witness_generator=beta, witness_poly=min_poly(sb, beta),
-            dependencies={})
+            beta = ctx.exp[u % order]
+            return ExceptionalVerdict(
+                verdict=ORDINARY, q=q, n=n, index_set=I,
+                witness_generator=beta, witness_poly=min_poly(sb, beta),
+                dependencies={})
+        deps[u] = dep
     return ExceptionalVerdict(
         verdict=EXCEPTIONAL, q=q, n=n, index_set=I,
         witness_generator=None, witness_poly=None, dependencies=deps)
@@ -591,7 +515,7 @@ def exceptional_triple(i, j, k, q, reading="universal"):
                 return True
         return False
 
-    ms = _coprime_exponents(order)
+    ms = units(order)
     if reading == "universal":
         return all(log_condition(m) for m in ms)
     if reading == "existential":
@@ -626,8 +550,8 @@ def build_reduced_cycle(I, q, n):
     if len(set(I)) != n:
         raise ValueError(f"need {n} distinct exponents mod {order}")
     by_poly = {}
-    for u in _coprime_exponents(order):
-        beta = ctx.exp[u]
+    for u in units(order):
+        beta = ctx.exp[u % order]
         g = min_poly(sb, beta)
         if g in by_poly:
             continue
@@ -637,7 +561,7 @@ def build_reduced_cycle(I, q, n):
         u, independent = by_poly[g]
         if not independent:
             continue
-        beta = ctx.exp[u]
+        beta = ctx.exp[u % order]
         basis_sb = subfield_basis(ctx, k, generator=beta)
         v = tuple([1] + [0] * (n - 1))
         seq = lambda_sequence(basis_sb, v, generator=beta)

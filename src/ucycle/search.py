@@ -408,16 +408,29 @@ def _format_set(canonical):
 
 
 def _parse_checkpoint(path):
+    """Verdicts recorded in a checkpoint file.
+
+    A last line without its newline was torn by an interrupted write: it is
+    cut off the file, so the next append starts a fresh line, and its class
+    is recomputed.  Any other line that does not end in a verdict raises
+    ValueError naming the line.
+    """
     done = {}
-    if path and os.path.exists(path):
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                setpart, verdict = line.split("\t")
-                key = tuple(int(x) for x in setpart.split(","))
-                done[key] = verdict
+    if not (path and os.path.exists(path)):
+        return done
+    with open(path, "rb+") as fh:
+        data = fh.read()
+        whole = data.rfind(b"\n") + 1
+        if whole < len(data):
+            fh.truncate(whole)
+    for line in data[:whole].decode().splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        setpart, _, verdict = line.partition("\t")
+        if verdict not in (VALID, INVALID):
+            raise ValueError(f"checkpoint {path}: bad line {line!r}")
+        done[tuple(int(x) for x in setpart.split(","))] = verdict
     return done
 
 

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from ucycle.cli import load_golden, main
 
 REF_27 = "021210210210102021102210210"
@@ -128,6 +130,19 @@ class TestGenerationCommands:
         doc = json.loads(out)
         assert code == 0 and doc["verdict"] == "ordinary"
 
+    def test_gen_reduced_over_f2(self, capsys):
+        code, out, _ = run_cli(capsys, "gen-reduced", "--q", "2", "--n", "1",
+                               "--set", "0")
+        assert code == 0
+        assert out.splitlines()[0] == "1"
+
+    def test_classify_over_f2(self, capsys):
+        code, out, _ = run_cli(capsys, "classify", "--q", "2", "--n", "1",
+                               "--set", "0")
+        assert code == 0
+        assert out.splitlines() == ["ordinary",
+                                    "# witness poly (ascending): (1, 1)"]
+
     def test_decompose_impossible_is_verdict(self, capsys):
         code, out, _ = run_cli(capsys, "decompose", "--n", "2", "--d", "2",
                                "--format", "json")
@@ -192,6 +207,30 @@ class TestAtlasAndGolden:
         run_cli(capsys, "atlas", "--q", "2", "--n", "3", "--size", "3",
                 "--resume", str(ck), "--out", str(a2))
         assert a1.read_bytes() == a2.read_bytes()
+
+    @pytest.mark.parametrize("torn", ["0,1", "0,1,2\tval"])
+    def test_atlas_resume_drops_a_torn_last_line(self, tmp_path, capsys,
+                                                 torn):
+        argv = ["atlas", "--q", "2", "--n", "3", "--size", "3"]
+        fresh = tmp_path / "fresh.tsv"
+        run_cli(capsys, *argv, "--resume", str(fresh))
+        fresh_lines = fresh.read_text().splitlines()
+        ck = tmp_path / "ck.tsv"
+        ck.write_text(fresh_lines[0] + "\n" + torn)
+        code, out, _ = run_cli(capsys, *argv, "--resume", str(ck))
+        assert code == 0
+        assert out.splitlines() == sorted(fresh_lines)
+        lines = ck.read_text().splitlines()
+        assert sorted(lines) == sorted(fresh_lines)
+        assert all(ln.split("\t")[1] in ("valid", "invalid") for ln in lines)
+
+    def test_atlas_resume_rejects_a_bad_complete_line(self, tmp_path, capsys):
+        ck = tmp_path / "ck.tsv"
+        ck.write_text("0,1,2\tval\n")
+        code, _, err = run_cli(capsys, "atlas", "--q", "2", "--n", "3",
+                               "--size", "3", "--resume", str(ck))
+        assert code == 2
+        assert "0,1,2\\tval" in err
 
     def test_obs2_matches(self, tmp_path, capsys):
         out_file = tmp_path / "atlas24.tsv"

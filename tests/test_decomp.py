@@ -2,7 +2,9 @@
 
 import pytest
 
-from ucycle.core import CycleParams, VerificationError, verify_cover
+from ucycle import decomp
+from ucycle.core import (BudgetExceeded, CycleParams, VerificationError,
+                         verify_cover)
 from ucycle.decomp import (
     ClosedTrail,
     Impossible,
@@ -114,6 +116,27 @@ class TestEqualDecomposition:
         trails = decompose_exact(3, 3)
         check_decomposition(3, 3, trails)
 
+    def test_route_names_the_construction(self):
+        for (n, d), route in [((1, 1), "euler"), ((3, 9), "euler"),
+                              ((6, 4), "families"), ((6, 3), "hub"),
+                              ((10, 10), "packing")]:
+            assert decompose_equal(n, d).route == route
+
+    def test_unpacked_atoms_fall_back_to_exact_search(self, monkeypatch):
+        monkeypatch.setattr(decomp, "_assemble_groups", lambda *a, **k: None)
+        dec = decompose_equal(6, 6)
+        assert dec.route == "exact"
+        assert dec.trails == decompose_exact(6, 6)
+
+    def test_broken_packing_is_not_hidden_by_the_fallback(self, monkeypatch):
+        monkeypatch.setattr(decomp, "is_eulerian", lambda edges: False)
+        with pytest.raises(VerificationError):
+            decompose_equal(10, 10)
+
+    def test_loopless_budget_propagates_from_the_packing_route(self):
+        with pytest.raises(BudgetExceeded):
+            decompose_equal(10, 10, node_limit=5)
+
 
 class TestLoopless:
     def test_two_triangles(self):
@@ -126,11 +149,6 @@ class TestLoopless:
         with pytest.raises(Impossible) as exc:
             decompose_loopless(6, [3] * 10)
         assert exc.value.reason == "exhausted"
-
-    def test_known_exception_shortcut_labeled(self):
-        with pytest.raises(Impossible) as exc:
-            decompose_loopless(6, [3] * 10, known_exception_shortcut=True)
-        assert exc.value.reason == "known-exception"
 
     def test_five_vertices_length5(self):
         trails = decompose_loopless(5, [5, 5, 5, 5])
@@ -197,3 +215,4 @@ class TestSerialization:
         assert len(obj["trails"]) == 3
         assert all(len(t) == 3 for t in obj["trails"])
         assert all(len(pair) == 2 for t in obj["trails"] for pair in t)
+        assert "route" not in obj

@@ -12,6 +12,7 @@ from ucycle.galois import (
     build_field,
     build_reduced_cycle,
     exceptional_triple,
+    find_primitive_modulus,
     is_exceptional_bruteforce,
     jacobi_log,
     lambda_sequence,
@@ -58,10 +59,29 @@ class TestFieldConstruction:
             assert ctx.mul(x, ctx.add(y, z)) == ctx.add(
                 ctx.mul(x, y), ctx.mul(x, z))
 
-    def test_cache_round_trip(self, tmp_path):
-        c1 = build_field(2, 4, cache_dir=str(tmp_path))
-        c2 = build_field(2, 4, cache_dir=str(tmp_path))
-        assert c1.exp == c2.exp and c1.log == c2.log
+    def test_explicit_modulus_must_make_x_primitive(self):
+        # zero constant term: x is a zero divisor
+        with pytest.raises(ValueError):
+            build_field(2, 4, modulus=(0, 1, 0, 0, 1))
+        # all-ones modulus: x has order 5, not 15
+        with pytest.raises(ValueError):
+            build_field(2, 4, modulus=(1, 1, 1, 1, 1))
+        with pytest.raises(ValueError):
+            build_field(2, 4, modulus=(1, 1, 0, 1))
+        # x^4 = x^3 + 1 modulo x^4 + x^3 + 1
+        assert build_field(2, 4, modulus=(1, 0, 0, 1, 1)).exp[4] == 0b1001
+
+    def test_primitive_modulus_comes_with_its_power_table(self):
+        for p, m in [(2, 1), (3, 1), (7, 1), (2, 5), (3, 3)]:
+            modulus, exp = find_primitive_modulus(p, m)
+            ctx = build_field(p, m, modulus=modulus)
+            assert list(ctx.exp) == exp
+            assert sorted(exp) == list(range(1, p ** m))
+
+    def test_gf2_is_the_trivial_group(self):
+        ctx = build_field(2, 1)
+        assert ctx.exp == (1,) and ctx.alpha == 1
+        assert is_exceptional_bruteforce((0,), 2, 1).witness_poly == (1, 1)
 
     def test_prime_power_helper(self):
         assert prime_power(8) == (2, 3)

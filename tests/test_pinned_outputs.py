@@ -1,10 +1,18 @@
-"""Byte-identity pin: one sha256 over the outputs of every route that the
+"""Byte-identity pins.
+
+`PINNED_SHA256` is one sha256 over the outputs of every route that the
 shared primitives (window scan, least rotation, Euler circuit, closed-trail
 backtracker) feed.  The digest was computed before those routes were moved
 onto the shared primitives; a change to any emitted cycle, decomposition or
-coverage report changes it."""
+coverage report changes it.
+
+`GALOIS_SHA256` covers the galois layer: field tables, the explicit-modulus
+path, subfield bases, brute-force classification, reduced cycles, the
+triple criterion and Jacobi logarithms.  It was computed before field
+construction became a single walk over the powers of x."""
 
 import hashlib
+import itertools
 
 from ucycle.approx import (
     linear_missing,
@@ -20,16 +28,22 @@ from ucycle.decomp import (
     decompose_loopless,
 )
 from ucycle.galois import (
+    ORDINARY,
     build_field,
     build_reduced_cycle,
+    is_exceptional_bruteforce,
+    jacobi_log,
     prime_power,
     psi_map,
     subfield_basis,
+    triple_readings,
 )
 from ucycle.lift import de_bruijn_sequence, double_ap3, splice_ap_cycle
 
 PINNED_SHA256 = (
     "9f1541bbfd35e2f2c04e82a0fe27a9a2d2bfadec51c676242d70c01fed78b648")
+GALOIS_SHA256 = (
+    "147f0abafb3ba9c52ea93c56f46498672a7d365450763f6792ae141aa9408efb")
 
 
 def _report_lines(chi, params, I, reduced=False):
@@ -106,3 +120,49 @@ def outputs_digest():
 
 def test_outputs_match_pinned_digest():
     assert outputs_digest() == PINNED_SHA256
+
+
+def galois_outputs():
+    out = []
+    fields = ([(p, 1) for p in (2, 3, 5, 7, 11)]
+              + [(2, m) for m in range(2, 13)]
+              + [(3, m) for m in range(2, 9)] + [(5, 2), (5, 3), (7, 2)])
+    for p, m in fields:
+        ctx = build_field(p, m)
+        out.append(repr((p, m, ctx.modulus, ctx.exp, ctx.log)))
+        for k in range(1, m + 1):
+            # F_2 is left out: its subfield basis could not be built before
+            if m % k == 0 and 2 < p ** m <= 4096:
+                sb = subfield_basis(ctx, k)
+                out.append(repr((k, sb.basis, sb.sym_elem, sb.inverse_rows)))
+    for code in range(16):
+        modulus = tuple([(code >> i) & 1 for i in range(4)] + [1])
+        try:
+            ctx = build_field(2, 4, modulus=modulus)
+            out.append(repr((modulus, ctx.exp, ctx.log)))
+        except ValueError:
+            out.append(repr((modulus, "ValueError")))
+    for q, n in [(3, 1), (5, 1), (2, 2), (3, 2), (4, 2), (5, 2), (7, 2),
+                 (8, 2), (9, 2), (2, 3), (3, 3), (4, 3), (2, 4)]:
+        order = q ** n - 1
+        sets = [(0,) + c
+                for c in itertools.combinations(range(1, order), n - 1)]
+        for I in sets[:150] + [(0,) * n]:
+            v = is_exceptional_bruteforce(I, q, n)
+            out.append(repr((q, n, v.verdict, v.index_set,
+                             v.witness_generator, v.witness_poly,
+                             sorted(v.dependencies.items()))))
+            if v.verdict == ORDINARY and q ** n <= 64 and n > 1:
+                out.append(build_reduced_cycle(I, q, n).chi.text())
+    for q in (2, 3, 4):
+        order = q ** 3 - 1
+        for j, k in list(itertools.combinations(range(1, order), 2))[:120]:
+            out.append(repr((q, j, k, triple_readings(0, j, k, q))))
+    for p, m in [(2, 3), (2, 6), (3, 2), (3, 3), (5, 3)]:
+        out.append(repr(jacobi_log(build_field(p, m))))
+    return out
+
+
+def test_galois_outputs_match_pinned_digest():
+    digest = hashlib.sha256("\n".join(galois_outputs()).encode()).hexdigest()
+    assert digest == GALOIS_SHA256
