@@ -26,10 +26,24 @@ The prescribed-length split of the loopless digraph is an exact backtracking
 search; `Impossible` from it is a refutation by exhaustion.  Every emitted
 decomposition re-verifies through `check_decomposition` before being
 returned.
+
+Both searches cut subtrees by forward checking (Haralick and Elliott, AIJ
+1980).  Each rule only fails a node whose subtree holds no solution, and
+the branching order is untouched, so a search returns the same first
+solution with or without it:
+
+* trail split, when every length is 2 or 3 - each free edge must end up
+  in a closed 2- or 3-trail of still-free edges, so a node fails when some
+  free edge has no such trail left, or when unit propagation (forcing every
+  edge with exactly one such trail) reaches that state;
+* atom packing, when a group closes - every group is connected, so an
+  unused atom smaller than d needs another unused atom sharing one of its
+  vertices; a node that strands one fails.
 """
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .core import (BudgetExceeded, CyclicString, CycleParams, UcycleError,
@@ -165,6 +179,14 @@ def decompose_loopless(m, lengths, node_limit=2_000_000, vertices=None):
     so the search space is canonical.  The one true obstruction at this
     scale is six vertices into all 3-cycles, refuted by exhausting the
     search.
+
+    When every length is 2 or 3, each node first checks that every free
+    edge still lies on a closed 2- or 3-trail of free edges (a loopless
+    digon, or a triangle), and that forcing the edges with exactly one such
+    trail leads to no edge with none.  Any split covers each free edge by
+    one such trail, so the check fails only nodes without a split; the
+    trails returned are those of the search without it.  It cuts the split
+    behind decompose_equal(12, 3) from 1,470,009 nodes to 45,723.
     """
     verts = list(vertices) if vertices is not None else list(range(1, m + 1))
     if len(verts) != m:
@@ -186,9 +208,14 @@ def _split_trails(verts, lengths, loops, node_limit):
     """Edge-disjoint closed trails of the given lengths covering every edge
     over `verts`, loops (u, u) only when `loops` is set; None when the
     search exhausts.  Each distinct remaining length is tried once per
-    anchor; more than `node_limit` extension steps raise BudgetExceeded."""
+    anchor; more than `node_limit` extension steps raise BudgetExceeded.
+    When every length is 2 or 3, `_ShortTrailOptions` refutes dead nodes."""
     edges = sorted((u, v) for u in verts for v in verts if loops or u != v)
     free = set(edges)
+    take, give, refuted = free.discard, free.add, None
+    if set(lengths) <= {2, 3}:
+        options = _ShortTrailOptions(free, verts, loops, 2 in lengths)
+        take, give, refuted = options.take, options.give, options.refuted
     nodes = 0
     t0 = time.monotonic()
 
@@ -196,7 +223,7 @@ def _split_trails(verts, lengths, loops, node_limit):
         """Closed trails of `length` free edges starting with `anchor`."""
         u0 = anchor[0]
         walk = [anchor]
-        free.discard(anchor)
+        take(anchor)
 
         def extend(v, left):
             nonlocal nodes
@@ -214,21 +241,23 @@ def _split_trails(verts, lengths, loops, node_limit):
                 cand = [w for w in verts if (v, w) in free]
             for w in cand:
                 e = (v, w)
-                free.discard(e)
+                take(e)
                 walk.append(e)
                 yield from extend(w, left - 1)
                 walk.pop()
-                free.add(e)
+                give(e)
 
         yield from extend(anchor[1], length - 1)
         walk.pop()
-        free.add(anchor)
+        give(anchor)
 
     result = []
 
     def solve(remaining):
         if not remaining:
             return True
+        if refuted is not None and refuted(remaining):
+            return False
         anchor = next(e for e in edges if e in free)
         tried = set()
         for idx, L in enumerate(remaining):
@@ -246,6 +275,105 @@ def _split_trails(verts, lengths, loops, node_limit):
         return False
 
     return result if solve(lengths) else None
+
+
+class _ShortTrailOptions:
+    """Forward check for a split whose lengths are all 2 or 3.
+
+    An option of a free edge is a closed 2- or 3-trail through it whose
+    edges are all free: a loopless digon {uv, vu}, a triangle
+    {uv, vw, wu}, or with loops a loop plus a digon {uu, uv, vu}.  Every
+    free edge ends up in one trail of a remaining length, which is one of
+    its options, so `refuted` may fail a node when some free edge has no
+    option left, or when forcing the edges that have exactly one option
+    runs into such an edge (unit propagation).  The counts follow `take`
+    and `give` incrementally; `refuted` undoes what it forces.
+    """
+
+    def __init__(self, free, verts, loops, digons):
+        self.free = free
+        trails = []
+        for u in verts:
+            for v in verts:
+                if u == v:
+                    continue
+                if digons and u < v:
+                    trails.append(((u, v), (v, u)))
+                if loops:
+                    trails.append(((u, u), (u, v), (v, u)))
+                for w in verts:
+                    if u < v and u < w and w != v:
+                        trails.append(((u, v), (v, w), (w, u)))
+        self.trails = trails
+        # blocked[t]: how many edges of trail t are taken; an option when 0
+        self.blocked = [0] * len(trails)
+        # count[e][L]: options of length L through edge e
+        self.count = {e: [0, 0, 0, 0] for e in free}
+        # through[e]: (trail index, its length, the count rows of its edges)
+        self.through = {e: [] for e in free}
+        for t, edges in enumerate(trails):
+            rows = tuple(self.count[e] for e in edges)
+            for row in rows:
+                row[len(edges)] += 1
+            for e in edges:
+                self.through[e].append((t, len(edges), rows))
+
+    def take(self, e):
+        self.free.discard(e)
+        blocked = self.blocked
+        for t, L, rows in self.through[e]:
+            if not blocked[t]:
+                for row in rows:
+                    row[L] -= 1
+            blocked[t] += 1
+
+    def give(self, e):
+        self.free.add(e)
+        blocked = self.blocked
+        for t, L, rows in self.through[e]:
+            blocked[t] -= 1
+            if not blocked[t]:
+                for row in rows:
+                    row[L] += 1
+
+    def refuted(self, remaining):
+        """True only when no split of the free edges into `remaining`
+        exists; False promises nothing."""
+        left = [0, 0, remaining.count(2), remaining.count(3)]
+        free, count, blocked, trails = (self.free, self.count, self.blocked,
+                                        self.trails)
+        on2, on3 = left[2] > 0, left[3] > 0
+        queue = [e for e in free
+                 if on2 * (c := count[e])[2] + on3 * c[3] <= 1]
+        forced = []
+        try:
+            while queue:
+                e = queue.pop()
+                if e not in free:
+                    continue
+                c = count[e]
+                k = on2 * c[2] + on3 * c[3]
+                if k == 0:
+                    return True
+                if k > 1:
+                    continue
+                t, L, _ = next(o for o in self.through[e]
+                               if not blocked[o[0]] and left[o[1]])
+                left[L] -= 1
+                if not left[L]:
+                    # options of that length are gone: every edge may be low
+                    on2, on3 = left[2] > 0, left[3] > 0
+                    queue.extend(free)
+                for g in trails[t]:
+                    for s, _, _ in self.through[g]:
+                        if not blocked[s]:
+                            queue.extend(trails[s])
+                    self.take(g)
+                    forced.append(g)
+            return False
+        finally:
+            for g in reversed(forced):
+                self.give(g)
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +488,8 @@ def _assemble_groups(t_pieces, inner, a, b, d, node_cap=400_000):
 
     Atoms are individually balanced, and a group only ever grows through a
     shared vertex, so each finished group is Eulerian by construction.
+    Connectivity also means an atom smaller than d shares a vertex with
+    another atom of its group, so a closed group that strands one fails.
     None when the search exhausts or passes `node_cap` nodes.
     """
     atoms = []
@@ -396,6 +526,13 @@ def _assemble_groups(t_pieces, inner, a, b, d, node_cap=400_000):
                 out.append(j)
         return out
 
+    def stranded():
+        """Some unused atom smaller than d shares no vertex with any other
+        unused atom, so no connected group can hold it."""
+        seen = Counter(v for i in unused for v in atoms[i][2])
+        return any(atoms[i][1] < d and all(seen[v] == 1 for v in atoms[i][2])
+                   for i in unused)
+
     def dfs(cur, cur_size, cur_verts):
         nodes[0] += 1
         if nodes[0] > node_cap:
@@ -404,7 +541,7 @@ def _assemble_groups(t_pieces, inner, a, b, d, node_cap=400_000):
             groups.append(list(cur))
             if not unused:
                 return True
-            if dfs([], 0, frozenset()):
+            if not stranded() and dfs([], 0, frozenset()):
                 return True
             groups.pop()
             return False
@@ -449,7 +586,9 @@ def _assemble_groups(t_pieces, inner, a, b, d, node_cap=400_000):
         if not is_eulerian(edges):
             raise VerificationError("assembled group is not Eulerian")
         out.append(euler_trail(edges))
-    assert len(out) == n_groups
+    if len(out) != n_groups:
+        raise VerificationError(
+            f"packed {len(out)} groups, expected {n_groups}")
     return out
 
 

@@ -407,13 +407,13 @@ def _format_set(canonical):
     return ",".join(str(i) for i in canonical)
 
 
-def _parse_checkpoint(path):
-    """Verdicts recorded in a checkpoint file.
+def _parse_checkpoint(path, reps):
+    """Verdicts recorded in a checkpoint file for the classes `reps`.
 
     A last line without its newline was torn by an interrupted write: it is
     cut off the file, so the next append starts a fresh line, and its class
-    is recomputed.  Any other line that does not end in a verdict raises
-    ValueError naming the line.
+    is recomputed.  Any other line that does not end in a verdict, or whose
+    set is not one of `reps`, raises ValueError naming the line.
     """
     done = {}
     if not (path and os.path.exists(path)):
@@ -430,7 +430,14 @@ def _parse_checkpoint(path):
         setpart, _, verdict = line.partition("\t")
         if verdict not in (VALID, INVALID):
             raise ValueError(f"checkpoint {path}: bad line {line!r}")
-        done[tuple(int(x) for x in setpart.split(","))] = verdict
+        try:
+            key = tuple(int(x) for x in setpart.split(","))
+        except ValueError:
+            key = None
+        if key not in reps:
+            raise ValueError(f"checkpoint {path}: line {line!r} does not "
+                             "name a class representative")
+        done[key] = verdict
     return done
 
 
@@ -451,7 +458,7 @@ def atlas(q, n, set_size, node_limit=None, time_limit=None, checkpoint=None,
     """
     L = q ** n
     reps = affine_class_representatives(L, set_size)
-    done = _parse_checkpoint(checkpoint)
+    done = _parse_checkpoint(checkpoint, set(reps))
     pending = [rep for rep in reps if rep not in done]
 
     results = dict(done)

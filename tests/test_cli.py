@@ -232,6 +232,17 @@ class TestAtlasAndGolden:
         assert code == 2
         assert "0,1,2\\tval" in err
 
+    def test_atlas_resume_rejects_a_key_that_is_not_a_representative(
+            self, tmp_path, capsys):
+        # {0,2,5} is an affine image of a (2,3) size-3 class, not its
+        # canonical representative, so no fresh run ever writes this line
+        ck = tmp_path / "ck.tsv"
+        ck.write_text("0,2,5\tinvalid\n")
+        code, _, err = run_cli(capsys, "atlas", "--q", "2", "--n", "3",
+                               "--size", "3", "--resume", str(ck))
+        assert code == 2
+        assert "0,2,5\\tinvalid" in err
+
     def test_obs2_matches(self, tmp_path, capsys):
         out_file = tmp_path / "atlas24.tsv"
         run_cli(capsys, "atlas", "--q", "2", "--n", "4", "--size", "4",

@@ -1,5 +1,7 @@
 """Trail decompositions of complete loop-digraphs."""
 
+import time
+
 import pytest
 
 from ucycle import decomp
@@ -119,7 +121,8 @@ class TestEqualDecomposition:
     def test_route_names_the_construction(self):
         for (n, d), route in [((1, 1), "euler"), ((3, 9), "euler"),
                               ((6, 4), "families"), ((6, 3), "hub"),
-                              ((10, 10), "packing")]:
+                              ((10, 10), "packing"), ((30, 18), "packing"),
+                              ((24, 16), "packing")]:
             assert decompose_equal(n, d).route == route
 
     def test_unpacked_atoms_fall_back_to_exact_search(self, monkeypatch):
@@ -149,6 +152,12 @@ class TestLoopless:
         with pytest.raises(Impossible) as exc:
             decompose_loopless(6, [3] * 10)
         assert exc.value.reason == "exhausted"
+
+    def test_hub_split_for_twelve_vertices_needs_few_nodes(self):
+        # the split behind decompose_equal(12, 3); without the forward check
+        # it explores 1,470,009 nodes
+        trails = decompose_loopless(11, [3] * 36 + [2], node_limit=100_000)
+        assert sorted(len(t) for t in trails) == [2] + [3] * 36
 
     def test_five_vertices_length5(self):
         trails = decompose_loopless(5, [5, 5, 5, 5])
@@ -216,3 +225,216 @@ class TestSerialization:
         assert all(len(t) == 3 for t in obj["trails"])
         assert all(len(pair) == 2 for t in obj["trails"] for pair in t)
         assert "route" not in obj
+
+
+# ---------------------------------------------------------------------------
+# differential tests: the pruned searches against the same searches without
+# their forward checks, which must agree exactly, since pruning keeps the
+# branching order
+# ---------------------------------------------------------------------------
+
+
+def _unpruned_split_trails(verts, lengths, loops, node_limit):
+    """Edge-disjoint closed trails of the given lengths covering every edge
+    over `verts`, loops (u, u) only when `loops` is set; None when the
+    search exhausts.  Each distinct remaining length is tried once per
+    anchor; more than `node_limit` extension steps raise BudgetExceeded."""
+    edges = sorted((u, v) for u in verts for v in verts if loops or u != v)
+    free = set(edges)
+    nodes = 0
+    t0 = time.monotonic()
+
+    def trail_walks(anchor, length):
+        """Closed trails of `length` free edges starting with `anchor`."""
+        u0 = anchor[0]
+        walk = [anchor]
+        free.discard(anchor)
+
+        def extend(v, left):
+            nonlocal nodes
+            nodes += 1
+            if nodes > node_limit:
+                raise BudgetExceeded("trail split budget exceeded", nodes,
+                                     time.monotonic() - t0)
+            if left == 0:
+                if v == u0:
+                    yield list(walk)
+                return
+            if left == 1:
+                cand = [u0] if (v, u0) in free else []
+            else:
+                cand = [w for w in verts if (v, w) in free]
+            for w in cand:
+                e = (v, w)
+                free.discard(e)
+                walk.append(e)
+                yield from extend(w, left - 1)
+                walk.pop()
+                free.add(e)
+
+        yield from extend(anchor[1], length - 1)
+        walk.pop()
+        free.add(anchor)
+
+    result = []
+
+    def solve(remaining):
+        if not remaining:
+            return True
+        anchor = next(e for e in edges if e in free)
+        tried = set()
+        for idx, L in enumerate(remaining):
+            if L in tried:
+                continue
+            tried.add(L)
+            rest = remaining[:idx] + remaining[idx + 1:]
+            # the walk's edges stay out of `free` while trail_walks is
+            # suspended at its yield; trail_walks frees them as it backtracks
+            for walk in trail_walks(anchor, L):
+                result.append(ClosedTrail(tuple(walk)))
+                if solve(rest):
+                    return True
+                result.pop()
+        return False
+
+    return result if solve(lengths) else None
+
+
+
+def _unpruned_assemble_groups(t_pieces, inner, a, b, d, node_cap=400_000):
+    """Pack leftover trails, per-vertex gadget atoms, and hub atoms into
+    connected groups of exactly d edges (exact backtracking search).
+
+    Atoms are individually balanced, and a group only ever grows through a
+    shared vertex, so each finished group is Eulerian by construction.
+    None when the search exhausts or passes `node_cap` nodes.
+    """
+    atoms = []
+    for idx, t in enumerate(t_pieces):
+        atoms.append((("t", idx), len(t.edges), frozenset(t.vertices()),
+                      tuple(t.edges)))
+    for j in inner:
+        atoms.append((("loop", j), 1, frozenset({j}), ((j, j),)))
+        atoms.append((("pa", j), 2, frozenset({j, a}), ((j, a), (a, j))))
+        atoms.append((("pb", j), 2, frozenset({j, b}), ((j, b), (b, j))))
+    atoms.append((("ha",), 1, frozenset({a}), ((a, a),)))
+    atoms.append((("hb",), 1, frozenset({b}), ((b, b),)))
+    atoms.append((("hab",), 2, frozenset({a, b}), ((a, b), (b, a))))
+
+    total = sum(size for _, size, _, _ in atoms)
+    if total % d:
+        raise VerificationError("atom supply not a multiple of d")
+    n_groups = total // d
+    t_count = len(t_pieces)
+    marked = {j for t in t_pieces for j in t.vertices()}
+    order = {atom[0]: i for i, atom in enumerate(atoms)}
+    unused = set(order.values())
+    nodes = [0]
+
+    groups = []
+
+    def fresh_js():
+        """Inner vertices untouched so far, mutually interchangeable."""
+        out = []
+        for j in inner:
+            if j in marked:
+                continue
+            if all(order[(kind, j)] in unused for kind in ("loop", "pa", "pb")):
+                out.append(j)
+        return out
+
+    def dfs(cur, cur_size, cur_verts):
+        nodes[0] += 1
+        if nodes[0] > node_cap:
+            return False  # over the cap: unwind as if exhausted
+        if cur_size == d:
+            groups.append(list(cur))
+            if not unused:
+                return True
+            if dfs([], 0, frozenset()):
+                return True
+            groups.pop()
+            return False
+        room = d - cur_size
+        fresh = fresh_js()
+        skip_fresh = set(fresh[1:])
+        cands = []
+        for i in sorted(unused):
+            key, size, verts, _ = atoms[i]
+            if size > room:
+                continue
+            if cur and not (verts & cur_verts):
+                continue
+            if key[0] in ("loop", "pa", "pb") and key[1] in skip_fresh:
+                continue
+            if not cur and key[0] != "t" and any(
+                    atoms[k][0][0] == "t" for k in unused):
+                continue  # leftover trails seed their own groups
+            cands.append((-size, i))
+        if not cur and cands:
+            cands = cands[:1]  # seeding is canonical: groups are unordered
+        for _, i in sorted(cands):
+            key, size, verts, _ = atoms[i]
+            unused.discard(i)
+            was_fresh = key[0] in ("loop", "pa", "pb") and key[1] in fresh
+            if was_fresh:
+                marked.add(key[1])
+            if dfs(cur + [i], cur_size + size, cur_verts | verts):
+                return True
+            if was_fresh:
+                marked.discard(key[1])
+            unused.add(i)
+        return False
+
+    if not dfs([], 0, frozenset()):
+        return None
+    out = []
+    for g in groups:
+        edges = []
+        for i in g:
+            edges.extend(atoms[i][3])
+        if not is_eulerian(edges):
+            raise VerificationError("assembled group is not Eulerian")
+        out.append(euler_trail(edges))
+    assert len(out) == n_groups
+    return out
+
+
+
+class TestPruningAgainstUnprunedSearch:
+    def test_every_short_loopless_split(self):
+        for m in range(2, 11):
+            verts = list(range(1, m + 1))
+            for threes in range(m * (m - 1) // 3 + 1):
+                twos, odd = divmod(m * (m - 1) - 3 * threes, 2)
+                if odd:
+                    continue
+                lengths = [3] * threes + [2] * twos
+                assert (decomp._split_trails(verts, lengths, False, 10**7)
+                        == _unpruned_split_trails(verts, lengths, False,
+                                                  10**7)), (m, lengths)
+
+    @pytest.mark.parametrize("n", [3, 6, 9])
+    def test_looped_length3_split(self, n):
+        verts = list(range(1, n + 1))
+        lengths = [3] * (n * n // 3)
+        got = decomp._split_trails(verts, lengths, True, 10**7)
+        assert got is not None
+        assert got == _unpruned_split_trails(verts, lengths, True, 10**7)
+
+    def test_every_packing_route_case(self, monkeypatch):
+        pruned = decomp._assemble_groups
+        packed = []
+
+        def both(t_pieces, inner, a, b, d):
+            got = pruned(t_pieces, inner, a, b, d)
+            assert got == _unpruned_assemble_groups(t_pieces, inner, a, b, d)
+            packed.append(d)
+            return got
+
+        monkeypatch.setattr(decomp, "_assemble_groups", both)
+        cases = [(n, d) for n in range(2, 17) for d in range(6, n * n)
+                 if (n * n) % d == 0 and (d == 6 or d >= 8)]
+        for n, d in cases:
+            decompose_equal(n, d)
+        assert len(packed) == len(cases)
