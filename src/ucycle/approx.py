@@ -19,8 +19,8 @@ import random
 from dataclasses import dataclass
 from itertools import islice
 
-from .core import (CyclicString, UcycleError, VerificationError, verify_cover,
-                   windows)
+from .core import (CoverageReport, CyclicString, UcycleError,
+                   VerificationError, verify_cover, windows)
 
 RNG_ALGORITHM = "MT19937 (random.Random)"
 
@@ -45,6 +45,7 @@ class ApproxResult:
     random_length: int
     patch_lengths: list
     missing_before_patch: int
+    report: CoverageReport  # the verifier's verdict on chi
 
     @property
     def construction_log(self):
@@ -159,39 +160,45 @@ def type1_construct(q, n, I, seed):
     """Doubled random stage plus doubled patch stage, re-verified; extra
     patch blocks are appended until the verifier reports full coverage.
 
+    I is read as the distinct integers given, not reduced mod q**n: the
+    random stage is longer than max(I) - min(I), so the elements stay
+    distinct mod the string length and the verified set is the given one.
+
     Termination: a patch block for the currently missing words witnesses
     each of them on a window interior to the block, and interior windows
     survive all later appends; only seam-crossing witnesses can break, and
     their words rejoin the missing set of the next round.
     """
-    I = tuple(sorted(set(i % (q ** n) for i in I)))
-    if len(I) != n:
-        raise ValueError("index set must have n distinct residues")
+    I = tuple(sorted(I))
+    if len(set(I)) != n or len(I) != n:
+        raise ValueError("index set must have n distinct elements")
     if n == 1:
         chi = CyclicString(q, tuple(range(q)))
         rep = verify_cover(chi, (q, 1), I)
         if not rep.complete:
             raise VerificationError("alphabet run failed verification")
         return ApproxResult(chi=chi, seed=seed, random_length=q,
-                            patch_lengths=[], missing_before_patch=0)
+                            patch_lengths=[], missing_before_patch=0,
+                            report=rep)
 
     span = max(I) - min(I)
-    m = max(1, math.ceil(4 * q ** n * math.log(n)))
+    m = max(span + 1, math.ceil(4 * q ** n * math.log(n)))
     t1, missed = type2_random(q, n, I, m, seed)
     symbols = list(t1.symbols) + list(t1.symbols)
     patch_lengths = []
 
     for _ in range(12):
         chi = CyclicString(q, tuple(symbols))
-        missing = verify_cover(chi, (q, n), I).missing
-        if not missing:
+        rep = verify_cover(chi, (q, n), I)
+        if rep.complete:
             if len(chi) < q ** n:
                 raise VerificationError(
                     "full cover shorter than the word count")
             return ApproxResult(
                 chi=chi, seed=seed, random_length=m,
-                patch_lengths=patch_lengths, missing_before_patch=missed)
-        block = patch_sequence(I, missing, q, min_p=span + 1)
+                patch_lengths=patch_lengths, missing_before_patch=missed,
+                report=rep)
+        block = patch_sequence(I, rep.missing, q, min_p=span + 1)
         patch_lengths.append(len(block))
         symbols = symbols + list(block.symbols) + list(block.symbols)
     raise VerificationError("patch loop did not converge")

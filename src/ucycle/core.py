@@ -322,62 +322,51 @@ def units(L):
     return [k for k in range(1, max(L, 2)) if gcd(k, L) == 1]
 
 
-def canonicalize_affine(I, L):
-    """Lexicographically least sorted member of the affine orbit of I."""
-    I = normalize_index_set(I, L)
-    best = None
-    best_map = (1, 0)
+def _zero_images(I, L):
+    """Yield (k, b, k*I + b as a sorted tuple) for every image that contains
+    0, i.e. b = -k*x for some x in I; k ascending, then b ascending.
+
+    The one walk over the affine group: every orbit member is a translate of
+    such an image, and the least member starts with 0, so it is one of them.
+    """
     for k in units(L):
-        dil = sorted(k * i % L for i in I)
-        for b in range(L):
-            cand = tuple(sorted((x + b) % L for x in dil))
-            if best is None or cand < best:
-                best = cand
-                best_map = (k, b)
-    return AffineClass(canonical=best, k=best_map[0], b=best_map[1], L=L)
+        for b in sorted(-k * x % L for x in I):
+            yield k, b, tuple(sorted((k * i + b) % L for i in I))
+
+
+def canonicalize_affine(I, L):
+    """Lexicographically least sorted member of the affine orbit of I, with
+    the least (k, b) that maps I onto it."""
+    I = normalize_index_set(I, L)
+    # min keeps the first least image, so ties go to the least (k, b)
+    k, b, canonical = min(_zero_images(I, L), key=lambda kbi: kbi[2])
+    return AffineClass(canonical=canonical, k=k, b=b, L=L)
 
 
 def affine_orbit(I, L):
     """All sorted tuples in the affine orbit of I."""
     I = normalize_index_set(I, L)
-    orbit = set()
-    for k in units(L):
-        dil = sorted(k * i % L for i in I)
-        for b in range(L):
-            orbit.add(tuple(sorted((x + b) % L for x in dil)))
-    return orbit
+    return {tuple(sorted((x + c) % L for x in image))
+            for _, _, image in _zero_images(I, L) for c in range(L)}
 
 
 def affine_class_representatives(L, size):
     """Canonical representatives of every affine class of size-`size` subsets.
 
-    Walks subsets in lexicographic order and expands whole orbits, so each
-    class is touched once; suitable up to L around 40.
+    Walks the subsets that contain 0 in lexicographic order.  The first one
+    met of each class is its least member, hence its representative, and
+    marks every member of the class that contains 0 as seen.
     """
     if not 1 <= size <= L:
         raise ValueError("size out of range")
-    us = units(L)
     seen = set()
     reps = []
-    for combo in combinations(range(L), size):
-        mask = 0
-        for i in combo:
-            mask |= 1 << i
-        if mask in seen:
+    for rest in combinations(range(1, L), size - 1):
+        combo = (0,) + rest
+        if combo in seen:
             continue
-        best = None
-        for k in us:
-            dil = sorted(k * i % L for i in combo)
-            for b in range(L):
-                member = tuple(sorted((x + b) % L for x in dil))
-                m = 0
-                for i in member:
-                    m |= 1 << i
-                seen.add(m)
-                if best is None or member < best:
-                    best = member
-        reps.append(best)
-    reps.sort()
+        reps.append(combo)
+        seen.update(image for _, _, image in _zero_images(combo, L))
     return reps
 
 

@@ -666,7 +666,8 @@ def decompose_equal(n, d, node_limit=2_000_000):
 def chi_from_decomposition(q, decomposition):
     """Read a decomposition of K~_q into d trails of length q*q/d as a
     cyclic string: residue class a mod d carries trail a's vertex sequence.
-    The result achieves every 2-word on translates of {0, d}."""
+    The result achieves every 2-word on translates of {0, d}; it is returned
+    with the CoverageReport that verified it."""
     trails = decomposition.trails if isinstance(
         decomposition, TrailDecomposition) else list(decomposition)
     d = len(trails)
@@ -685,4 +686,4 @@ def chi_from_decomposition(q, decomposition):
     rep = verify_cover(chi, CycleParams.unreduced(q, 2), (0, d % (q * q)))
     if not rep.complete:
         raise VerificationError("decomposition reading failed verification")
-    return chi
+    return chi, rep

@@ -535,12 +535,16 @@ def triple_readings(i, j, k, q):
 
 
 def build_reduced_cycle(I, q, n):
-    """A verified reduced cycle for an ordinary index set.
+    """A verified reduced cycle for an ordinary index set, returned with the
+    CoverageReport that verified it.
 
     Scans minimal polynomials of generators in ascending coefficient order
     and keeps the first whose root powers {alpha**i_j} are independent; the
     coordinate sequence of that root is the certificate, checked against the
-    reduced verifier before being returned.
+    reduced verifier before being returned.  The generators alpha**u and
+    alpha**(u*q**j) are Frobenius conjugates: they share a minimal polynomial,
+    and their root powers are independent together or not at all, so only
+    the least exponent of each Frobenius orbit is examined.
     """
     p, k = prime_power(q)
     ctx = build_field(p, k * n)
@@ -551,10 +555,9 @@ def build_reduced_cycle(I, q, n):
         raise ValueError(f"need {n} distinct exponents mod {order}")
     by_poly = {}
     for u in units(order):
-        beta = ctx.exp[u % order]
-        g = min_poly(sb, beta)
-        if g in by_poly:
+        if any(u * q ** j % order < u for j in range(1, n)):
             continue
+        g = min_poly(sb, ctx.exp[u % order])
         beta_pows = [ctx.exp[(u * i) % order] for i in I]
         by_poly[g] = (u, _fq_dependency(sb, beta_pows) is None)
     for g in sorted(by_poly):
@@ -570,7 +573,7 @@ def build_reduced_cycle(I, q, n):
         if not report.complete:
             raise VerificationError(
                 "reduced cycle failed verification despite independence")
-        return seq
+        return seq, report
     raise ExceptionalInput(
         f"{I} is exceptional for q={q}; no generator gives independence")
 

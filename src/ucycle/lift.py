@@ -136,7 +136,8 @@ def interleave_translates(lifted: VertexCycle):
 
 
 def splice_ap_cycle(q, n, seed=None):
-    """A verified cycle of length q**n for the window set {0, q, ..., (n-1)q}.
+    """A verified cycle of length q**n for the window set {0, q, ..., (n-1)q},
+    returned with the CoverageReport that verified it.
 
     `seed` may supply the starting de Bruijn cycle of order n-1 (as a
     CyclicString or text); otherwise the deterministic default is used.
@@ -169,7 +170,7 @@ def splice_ap_cycle(q, n, seed=None):
                           ap_index_set(n, q))
     if not report.complete:
         raise VerificationError("spliced cycle failed verification")
-    return chi
+    return chi, report
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +339,8 @@ def _euler_symbols_from_triples(triples):
 
 def double_ap3(chi: CyclicString, d):
     """From a verified {0, d, 2d}-cycle over q with 8 | q**3/d, build a
-    verified {0, 8d, 16d}-cycle over 2q (length 8 q**3)."""
+    verified {0, 8d, 16d}-cycle over 2q (length 8 q**3); returns it with the
+    CoverageReport that verified it."""
     q = chi.q
     N = q ** 3
     if len(chi) != N:
@@ -385,4 +387,4 @@ def double_ap3(chi: CyclicString, d):
                           ap_index_set(3, 8 * d))
     if not report.complete:
         raise VerificationError("doubled cycle failed verification")
-    return out
+    return out, report

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import os
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 
 from .core import (
@@ -462,33 +463,23 @@ def atlas(q, n, set_size, node_limit=None, time_limit=None, checkpoint=None,
     pending = [rep for rep in reps if rep not in done]
 
     results = dict(done)
-    ck = open(checkpoint, "a") if checkpoint else None
-    try:
+    work = [(q, n, rep, node_limit, time_limit) for rep in pending]
+    with ExitStack() as stack:
+        ck = stack.enter_context(open(checkpoint, "a")) if checkpoint else None
         if jobs > 1 and pending:
             import multiprocessing
 
-            with multiprocessing.Pool(jobs) as pool:
-                work = [(q, n, rep, node_limit, time_limit) for rep in pending]
-                for rep, verdict in pool.imap_unordered(_decide_worker, work):
-                    results[rep] = verdict
-                    if ck:
-                        ck.write(_format_set(rep) + "\t" + verdict + "\n")
-                        ck.flush()
-                    if progress:
-                        progress(rep, verdict)
+            pool = stack.enter_context(multiprocessing.Pool(jobs))
+            decided = pool.imap_unordered(_decide_worker, work)
         else:
-            for rep in pending:
-                cert = decide_valid(q, n, rep, node_limit=node_limit,
-                                    time_limit=time_limit)
-                results[rep] = cert.verdict
-                if ck:
-                    ck.write(_format_set(rep) + "\t" + cert.verdict + "\n")
-                    ck.flush()
-                if progress:
-                    progress(rep, cert.verdict)
-    finally:
-        if ck:
-            ck.close()
+            decided = map(_decide_worker, work)
+        for rep, verdict in decided:
+            results[rep] = verdict
+            if ck:
+                ck.write(_format_set(rep) + "\t" + verdict + "\n")
+                ck.flush()
+            if progress:
+                progress(rep, verdict)
 
     out = Atlas(q=q, n=n, set_size=set_size)
     for rep in reps:

@@ -116,7 +116,7 @@ def test_c04_two_element_grid():
 
 
 def test_c05_splice_reference_example():
-    chi = splice_ap_cycle(3, 3, seed=REF_SEED)
+    chi, _ = splice_ap_cycle(3, 3, seed=REF_SEED)
     rep = verify_cover(chi, CycleParams.unreduced(3, 3), (0, 3, 6))
     assert rep.complete
     assert len(chi) == 27
@@ -128,11 +128,11 @@ def test_c05_splice_reference_example():
 
 def test_c06_doubling_chain():
     start = de_bruijn_sequence(2, 3)
-    step1 = double_ap3(start, 1)
+    step1, _ = double_ap3(start, 1)
     assert len(step1) == 64 and step1.q == 4
     rep1 = verify_cover(step1, CycleParams.unreduced(4, 3), (0, 8, 16))
     assert rep1.complete
-    step2 = double_ap3(step1, 8)
+    step2, _ = double_ap3(step1, 8)
     assert len(step2) == 512 and step2.q == 8
     rep2 = verify_cover(step2, CycleParams.unreduced(8, 3), (0, 64, 128))
     assert rep2.complete
@@ -199,7 +199,7 @@ def test_c10_reduced_cycles_sampled():
             verdict = is_exceptional_bruteforce(I, q, n)
             if verdict.verdict != ORDINARY:
                 continue
-            seq = build_reduced_cycle(I, q, n)
+            seq, _ = build_reduced_cycle(I, q, n)
             rep = verify_cover(seq.chi, CycleParams.reduced(q, n), I,
                                reduced=True)
             assert rep.complete, (q, n, I)

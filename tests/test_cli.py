@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from ucycle.cli import load_golden, main
+from ucycle.core import CyclicString, verify_cover
 
 REF_27 = "021210210210102021102210210"
 
@@ -54,6 +55,15 @@ class TestSearchCommand:
                                "--set", "0,1,2", "--budget-secs", "0")
         assert code == 2
         assert "must be positive" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["gen-ap", "--q", "3", "--n", "3", "--budget-secs", "5"],
+        ["decompose", "--n", "6", "--d", "3", "--budget-secs", "5"]])
+    def test_budget_flag_a_command_does_not_read_is_usage_error(
+            self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "unrecognized arguments" in err
 
     def test_env_budget_override(self, capsys, monkeypatch):
         monkeypatch.setenv("UCYCLE_BUDGET_NODES", "10")
@@ -164,6 +174,30 @@ class TestGenerationCommands:
         assert code == 0
         assert doc["verification"]["complete"]
         assert doc["config"]["seed"] == 11
+
+    def test_approx_type1_verifies_the_given_set(self, capsys):
+        # 17 and 18 are not reduced mod 2**4: the cover is for 0,3,17,18
+        code, out, _ = run_cli(capsys, "approx", "--q", "2", "--n", "4",
+                               "--set", "0,3,17,18", "--type", "1",
+                               "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["verification"]["complete"]
+        assert doc["verification"]["index_set"] == [0, 3, 17, 18]
+        chi = CyclicString.from_text(doc["cycle"], 2)
+        assert verify_cover(chi, (2, 4), (0, 3, 17, 18)).complete
+
+    def test_approx_type1_accepts_elements_equal_mod_q_to_the_n(self, capsys):
+        code, out, _ = run_cli(capsys, "approx", "--q", "2", "--n", "3",
+                               "--set", "0,1,9", "--type", "1")
+        assert code == 0
+        assert "complete=True" in out
+
+    def test_approx_type1_repeated_element_is_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, "approx", "--q", "2", "--n", "3",
+                               "--set", "0,1,1,2", "--type", "1")
+        assert code == 2
+        assert "distinct" in err
 
     def test_approx_type2_reports_missing(self, capsys):
         code, out, _ = run_cli(capsys, "approx", "--q", "2", "--n", "4",

@@ -264,6 +264,50 @@ class TestAffine:
             assert b not in affine_orbit(a, L)
 
 
+def brute_orbit(I, L):
+    """(image, k, b) for every map s -> k*s + b, the whole k x b grid."""
+    return [(tuple(sorted((k * i + b) % L for i in I)), k, b)
+            for k in units(L) for b in range(L)]
+
+
+class TestAffineWalkAgainstBruteForce:
+    """The orbit walk visits only the images that contain 0; the oracle
+    walks every unit k and every shift b."""
+
+    def test_canonical_form_and_map(self):
+        rng = random.Random(11)
+        for _ in range(400):
+            L = rng.randint(1, 32)
+            I = rng.sample(range(L), rng.randint(1, min(L, 6)))
+            ac = canonicalize_affine(I, L)
+            # min over (image, k, b): the least image, then the least map
+            assert (ac.canonical, ac.k, ac.b) == min(brute_orbit(I, L))
+
+    @staticmethod
+    def brute_representatives(L, size):
+        seen, reps = set(), []
+        for combo in itertools.combinations(range(L), size):
+            if combo not in seen:
+                orbit = {image for image, _, _ in brute_orbit(combo, L)}
+                seen |= orbit
+                reps.append(min(orbit))
+        return sorted(reps)
+
+    @pytest.mark.parametrize("L", range(1, 33))
+    def test_class_representatives(self, L):
+        for size in range(1, min(L, 4) + 1):
+            assert (affine_class_representatives(L, size)
+                    == self.brute_representatives(L, size))
+
+    def test_class_representatives_2_5(self):
+        reps = affine_class_representatives(32, 5)
+        assert len(reps) == 454
+        assert reps == self.brute_representatives(32, 5)
+
+    def test_class_count_3_4(self):
+        assert len(affine_class_representatives(81, 4)) == 426
+
+
 class TestDigraph:
     def test_complete_loop_digraph(self):
         g = debruijn_digraph(2, 1)

@@ -198,20 +198,20 @@ class TestBridge:
                     possible = False
                 assert possible == two_element_validity(q, ddiff), (q, ddiff)
                 if possible:
-                    chi = chi_from_decomposition(q, dec)
+                    chi, _ = chi_from_decomposition(q, dec)
                     rep = verify_cover(chi, CycleParams.unreduced(q, 2),
                                        (0, ddiff))
                     assert rep.complete
 
     def test_order2_debruijn_from_euler(self):
         dec = decompose_equal(2, 4)
-        chi = chi_from_decomposition(2, dec)
+        chi, _ = chi_from_decomposition(2, dec)
         rep = verify_cover(chi, CycleParams.unreduced(2, 2), (0, 1))
         assert rep.complete
 
     def test_three_trails_gives_stride3(self):
         dec = decompose_equal(3, 3)
-        chi = chi_from_decomposition(3, dec)
+        chi, _ = chi_from_decomposition(3, dec)
         rep = verify_cover(chi, CycleParams.unreduced(3, 2), (0, 3))
         assert rep.complete
 

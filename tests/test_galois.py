@@ -238,11 +238,11 @@ class TestOrdinaryFamilies:
 
 class TestReducedCycles:
     def test_classic_case(self):
-        seq = build_reduced_cycle((0, 1, 2), 2, 3)
+        seq, _ = build_reduced_cycle((0, 1, 2), 2, 3)
         assert len(seq.chi) == 7
 
     def test_ternary_013(self):
-        seq = build_reduced_cycle((0, 1, 3), 3, 3)
+        seq, _ = build_reduced_cycle((0, 1, 3), 3, 3)
         assert len(seq.chi) == 26
         rep = verify_cover(seq.chi, CycleParams.reduced(3, 3), (0, 1, 3),
                            reduced=True)
@@ -253,15 +253,15 @@ class TestReducedCycles:
             build_reduced_cycle((0, 4), 3, 2)
 
     def test_prime_power_ground_field(self):
-        seq = build_reduced_cycle((0, 1), 4, 2)
+        seq, _ = build_reduced_cycle((0, 1), 4, 2)
         assert len(seq.chi) == 15
         rep = verify_cover(seq.chi, CycleParams.reduced(4, 2), (0, 1),
                            reduced=True)
         assert rep.complete
 
     def test_deterministic(self):
-        a = build_reduced_cycle((0, 1, 3), 3, 3)
-        b = build_reduced_cycle((0, 1, 3), 3, 3)
+        a, _ = build_reduced_cycle((0, 1, 3), 3, 3)
+        b, _ = build_reduced_cycle((0, 1, 3), 3, 3)
         assert a.chi == b.chi
 
 

@@ -107,21 +107,21 @@ class TestDeBruijn:
 
 class TestSplice:
     def test_reference_example(self):
-        chi = splice_ap_cycle(3, 3, seed=REF_SEED)
+        chi, _ = splice_ap_cycle(3, 3, seed=REF_SEED)
         ref = CyclicString.from_text(REF_SPLICED, 3)
         assert equal_up_to_rotation_and_translate(chi, ref)
         rep = verify_cover(chi, CycleParams.unreduced(3, 3), (0, 3, 6))
         assert rep.complete
 
     def test_binary_order3(self):
-        chi = splice_ap_cycle(2, 3)
+        chi, _ = splice_ap_cycle(2, 3)
         assert len(chi) == 8
         rep = verify_cover(chi, CycleParams.unreduced(2, 3), (0, 2, 4))
         assert rep.complete
 
     @pytest.mark.parametrize("q,n", [(3, 2), (2, 4), (3, 3), (4, 3), (5, 2)])
     def test_default_constructions_verify(self, q, n):
-        chi = splice_ap_cycle(q, n)
+        chi, _ = splice_ap_cycle(q, n)
         rep = verify_cover(chi, CycleParams.unreduced(q, n),
                            ap_index_set(n, q))
         assert rep.complete
@@ -139,7 +139,7 @@ class TestSplice:
 
 class TestTrailsRoundTrip:
     def test_split_and_rebuild(self):
-        chi = splice_ap_cycle(3, 3, seed=REF_SEED)
+        chi, _ = splice_ap_cycle(3, 3, seed=REF_SEED)
         trails = chi_to_trail_symbols(chi, 3)
         assert trails_to_chi(trails, 3) == chi
         assert all(len(t) == 9 for t in trails)
@@ -148,7 +148,7 @@ class TestTrailsRoundTrip:
 class TestDoubleAp3:
     def test_binary_debruijn_doubles(self):
         chi = de_bruijn_sequence(2, 3)
-        doubled = double_ap3(chi, 1)
+        doubled, _ = double_ap3(chi, 1)
         assert len(doubled) == 64 and doubled.q == 4
         rep = verify_cover(doubled, CycleParams.unreduced(4, 3), (0, 8, 16))
         assert rep.complete
@@ -164,8 +164,8 @@ class TestDoubleAp3:
 
     def test_chain_to_512(self):
         chi = de_bruijn_sequence(2, 3)
-        step1 = double_ap3(chi, 1)
-        step2 = double_ap3(step1, 8)
+        step1, _ = double_ap3(chi, 1)
+        step2, _ = double_ap3(step1, 8)
         assert len(step2) == 512 and step2.q == 8
         rep = verify_cover(step2, CycleParams.unreduced(8, 3), (0, 64, 128))
         assert rep.complete
@@ -173,7 +173,7 @@ class TestDoubleAp3:
     def test_larger_group_packing(self):
         # d=1 at q=4 forces 16-piece groups instead of pairs
         chi = de_bruijn_sequence(4, 3)
-        doubled = double_ap3(chi, 1)
+        doubled, _ = double_ap3(chi, 1)
         assert len(doubled) == 512 and doubled.q == 8
         rep = verify_cover(doubled, CycleParams.unreduced(8, 3), (0, 8, 16))
         assert rep.complete

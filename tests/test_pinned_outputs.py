@@ -9,7 +9,12 @@ coverage report changes it.
 `GALOIS_SHA256` covers the galois layer: field tables, the explicit-modulus
 path, subfield bases, brute-force classification, reduced cycles, the
 triple criterion and Jacobi logarithms.  It was computed before field
-construction became a single walk over the powers of x."""
+construction became a single walk over the powers of x.
+
+`CLI_SHA256` covers the text and JSON bytes the CLI writes for the commands
+whose builders verify their own output.  It was computed while the CLI still
+re-ran `verify_cover` after each of those builders, so it pins that emitting
+the builder's own report leaves every byte unchanged."""
 
 import hashlib
 import itertools
@@ -20,6 +25,7 @@ from ucycle.approx import (
     type1_construct,
     type2_random,
 )
+from ucycle.cli import main
 from ucycle.core import CycleParams, CyclicString, verify_cover
 from ucycle.decomp import (
     chi_from_decomposition,
@@ -61,10 +67,10 @@ def pinned_outputs():
     for q, order in [(2, 10), (3, 6)]:
         out.append(de_bruijn_sequence(q, order).text())
     for q, n in [(2, 4), (3, 3), (5, 2)]:
-        out.append(splice_ap_cycle(q, n).text())
+        out.append(splice_ap_cycle(q, n)[0].text())
     chi = CyclicString.from_text("00010111", 2)
     for d in (1, 8, 64):
-        chi = double_ap3(chi, d)
+        chi, _ = double_ap3(chi, d)
         out.append(chi.text())
 
     # Euler, d = 4, hub (3, 5, 7) and packing (6, >= 8) routes
@@ -72,11 +78,11 @@ def pinned_outputs():
                  (6, 6), (8, 8), (10, 20), (12, 9)]:
         dec = decompose_equal(n, d)
         out.append(_trails(dec.trails))
-        out.append(chi_from_decomposition(n, dec).text())
+        out.append(chi_from_decomposition(n, dec)[0].text())
     for n, d in [(3, 3), (4, 8), (5, 5), (6, 9), (6, 12)]:
         trails = decompose_exact(n, d)
         out.append(_trails(trails))
-        out.append(chi_from_decomposition(n, trails).text())
+        out.append(chi_from_decomposition(n, trails)[0].text())
     out.append(_trails(decompose_loopless(5, [5, 5, 5, 5])))
     out.append(_trails(decompose_loopless(6, [4, 4, 4, 3, 3, 3, 3, 3, 3])))
 
@@ -106,7 +112,7 @@ def pinned_outputs():
                              reduced=True))
 
     for q, n, I in [(2, 4, (0, 1, 2, 3)), (3, 2, (0, 3))]:
-        seq = build_reduced_cycle(I, q, n)
+        seq, _ = build_reduced_cycle(I, q, n)
         out.append(seq.chi.text())
         p, k = prime_power(q)
         sb = subfield_basis(build_field(p, k * n), k, generator=seq.generator)
@@ -153,7 +159,7 @@ def galois_outputs():
                              v.witness_generator, v.witness_poly,
                              sorted(v.dependencies.items()))))
             if v.verdict == ORDINARY and q ** n <= 64 and n > 1:
-                out.append(build_reduced_cycle(I, q, n).chi.text())
+                out.append(build_reduced_cycle(I, q, n)[0].chi.text())
     for q in (2, 3, 4):
         order = q ** 3 - 1
         for j, k in list(itertools.combinations(range(1, order), 2))[:120]:
@@ -166,3 +172,44 @@ def galois_outputs():
 def test_galois_outputs_match_pinned_digest():
     digest = hashlib.sha256("\n".join(galois_outputs()).encode()).hexdigest()
     assert digest == GALOIS_SHA256
+
+
+CLI_SHA256 = (
+    "d119ba2784e0359261ddbcdb5b7e6d7601c8ab5b42f7864f72041be9cbe37fda")
+
+
+def cli_outputs(tmp_path):
+    """Text and JSON bytes of the commands whose builders verify their own
+    output: gen-ap (lift and decomposition routes), the double-ap3 chain,
+    gen-reduced and approx type 1."""
+    (tmp_path / "d0.txt").write_text("00010111\n")
+    calls = [(["gen-ap", "--q", str(q), "--n", str(n)], None)
+             for q, n in [(2, 5), (3, 3), (4, 2)]]
+    for step, (q, d) in enumerate([(2, 1), (4, 8)]):
+        calls.append((["double-ap3", "--input", str(tmp_path / f"d{step}.txt"),
+                       "--q", str(q), "--d", str(d)],
+                      tmp_path / f"d{step + 1}.txt"))
+    calls += [(["gen-reduced", "--q", "2", "--n", "4", "--set", "0,1,2,3"],
+               None),
+              (["gen-reduced", "--q", "3", "--n", "3", "--set", "0,1,3"],
+               None),
+              (["approx", "--q", "2", "--n", "6", "--set", "0,1,2,3,4,5",
+                "--type", "1", "--seed", "7"], None)]
+    out = []
+    dst = tmp_path / "out.txt"
+    for argv, save in calls:
+        for fmt in ("text", "json"):
+            code = main(argv + ["--format", fmt, "--out", str(dst)])
+            out.append(f"{code}\n{dst.read_text()}")
+            if save is not None and fmt == "text":
+                # the next doubling reads this cycle, the first text line
+                save.write_text(dst.read_text().splitlines()[0])
+    return out
+
+
+def test_cli_outputs_match_pinned_digest(tmp_path, monkeypatch):
+    monkeypatch.delenv("UCYCLE_BUDGET_NODES", raising=False)
+    monkeypatch.delenv("UCYCLE_BUDGET_SECS", raising=False)
+    digest = hashlib.sha256("\n".join(cli_outputs(tmp_path)).encode()
+                            ).hexdigest()
+    assert digest == CLI_SHA256, digest
