@@ -397,12 +397,6 @@ class DeBruijnDigraph:
     def num_edges(self):
         return self.q ** (self.n + 1)
 
-    def vertex_word(self, v):
-        return code_word(v, self.q, self.n)
-
-    def word_vertex(self, word):
-        return word_code(word, self.q)
-
     def successors(self, v):
         base = (v % self.q ** (self.n - 1)) * self.q
         return [base + s for s in range(self.q)]

@@ -10,7 +10,8 @@ Routes, by target length:
 
 * d = n^2           one Euler circuit;
 * d = 4, n even     explicit 4-cycle families;
-* d in {3, 5, 7}    hub gadgets plus a prescribed-length split of the
+* d = 3             K~_3's three trails blown up by a Latin square;
+* d in {5, 7}       hub gadgets plus a prescribed-length split of the
                     loopless complete digraph;
 * d = 6 or d >= 8   the same idea with a two-vertex hub {a, b}: per-vertex
                     gadgets G_j = {(j,j), j<->a, j<->b} and the hub square
@@ -27,18 +28,12 @@ search; `Impossible` from it is a refutation by exhaustion.  Every emitted
 decomposition re-verifies through `check_decomposition` before being
 returned.
 
-Both searches cut subtrees by forward checking (Haralick and Elliott, AIJ
-1980).  Each rule only fails a node whose subtree holds no solution, and
-the branching order is untouched, so a search returns the same first
-solution with or without it:
-
-* trail split, when every length is 2 or 3 - each free edge must end up
-  in a closed 2- or 3-trail of still-free edges, so a node fails when some
-  free edge has no such trail left, or when unit propagation (forcing every
-  edge with exactly one such trail) reaches that state;
-* atom packing, when a group closes - every group is connected, so an
-  unused atom smaller than d needs another unused atom sharing one of its
-  vertices; a node that strands one fails.
+The atom packing cuts subtrees by forward checking (Haralick and Elliott,
+AIJ 1980): every group is connected, so an unused atom smaller than d needs
+another unused atom sharing one of its vertices, and a node that strands
+one fails.  The rule only fails a node whose subtree holds no packing, and
+the branching order is untouched, so the packer returns the same first
+packing with or without it.
 """
 from __future__ import annotations
 
@@ -90,8 +85,8 @@ class TrailDecomposition:
     n: int
     d: int
     trails: list
-    # which construction built the trails: "euler", "families", "hub",
-    # "packing" or "exact"; left out of the JSON document
+    # which construction built the trails: "euler", "families", "latin",
+    # "hub", "packing" or "exact"; left out of the JSON document
     route: str = field(compare=False)
 
     def __post_init__(self):
@@ -179,14 +174,6 @@ def decompose_loopless(m, lengths, node_limit=2_000_000, vertices=None):
     so the search space is canonical.  The one true obstruction at this
     scale is six vertices into all 3-cycles, refuted by exhausting the
     search.
-
-    When every length is 2 or 3, each node first checks that every free
-    edge still lies on a closed 2- or 3-trail of free edges (a loopless
-    digon, or a triangle), and that forcing the edges with exactly one such
-    trail leads to no edge with none.  Any split covers each free edge by
-    one such trail, so the check fails only nodes without a split; the
-    trails returned are those of the search without it.  It cuts the split
-    behind decompose_equal(12, 3) from 1,470,009 nodes to 45,723.
     """
     verts = list(vertices) if vertices is not None else list(range(1, m + 1))
     if len(verts) != m:
@@ -208,14 +195,9 @@ def _split_trails(verts, lengths, loops, node_limit):
     """Edge-disjoint closed trails of the given lengths covering every edge
     over `verts`, loops (u, u) only when `loops` is set; None when the
     search exhausts.  Each distinct remaining length is tried once per
-    anchor; more than `node_limit` extension steps raise BudgetExceeded.
-    When every length is 2 or 3, `_ShortTrailOptions` refutes dead nodes."""
+    anchor; more than `node_limit` extension steps raise BudgetExceeded."""
     edges = sorted((u, v) for u in verts for v in verts if loops or u != v)
     free = set(edges)
-    take, give, refuted = free.discard, free.add, None
-    if set(lengths) <= {2, 3}:
-        options = _ShortTrailOptions(free, verts, loops, 2 in lengths)
-        take, give, refuted = options.take, options.give, options.refuted
     nodes = 0
     t0 = time.monotonic()
 
@@ -223,7 +205,7 @@ def _split_trails(verts, lengths, loops, node_limit):
         """Closed trails of `length` free edges starting with `anchor`."""
         u0 = anchor[0]
         walk = [anchor]
-        take(anchor)
+        free.discard(anchor)
 
         def extend(v, left):
             nonlocal nodes
@@ -241,23 +223,21 @@ def _split_trails(verts, lengths, loops, node_limit):
                 cand = [w for w in verts if (v, w) in free]
             for w in cand:
                 e = (v, w)
-                take(e)
+                free.discard(e)
                 walk.append(e)
                 yield from extend(w, left - 1)
                 walk.pop()
-                give(e)
+                free.add(e)
 
         yield from extend(anchor[1], length - 1)
         walk.pop()
-        give(anchor)
+        free.add(anchor)
 
     result = []
 
     def solve(remaining):
         if not remaining:
             return True
-        if refuted is not None and refuted(remaining):
-            return False
         anchor = next(e for e in edges if e in free)
         tried = set()
         for idx, L in enumerate(remaining):
@@ -275,105 +255,6 @@ def _split_trails(verts, lengths, loops, node_limit):
         return False
 
     return result if solve(lengths) else None
-
-
-class _ShortTrailOptions:
-    """Forward check for a split whose lengths are all 2 or 3.
-
-    An option of a free edge is a closed 2- or 3-trail through it whose
-    edges are all free: a loopless digon {uv, vu}, a triangle
-    {uv, vw, wu}, or with loops a loop plus a digon {uu, uv, vu}.  Every
-    free edge ends up in one trail of a remaining length, which is one of
-    its options, so `refuted` may fail a node when some free edge has no
-    option left, or when forcing the edges that have exactly one option
-    runs into such an edge (unit propagation).  The counts follow `take`
-    and `give` incrementally; `refuted` undoes what it forces.
-    """
-
-    def __init__(self, free, verts, loops, digons):
-        self.free = free
-        trails = []
-        for u in verts:
-            for v in verts:
-                if u == v:
-                    continue
-                if digons and u < v:
-                    trails.append(((u, v), (v, u)))
-                if loops:
-                    trails.append(((u, u), (u, v), (v, u)))
-                for w in verts:
-                    if u < v and u < w and w != v:
-                        trails.append(((u, v), (v, w), (w, u)))
-        self.trails = trails
-        # blocked[t]: how many edges of trail t are taken; an option when 0
-        self.blocked = [0] * len(trails)
-        # count[e][L]: options of length L through edge e
-        self.count = {e: [0, 0, 0, 0] for e in free}
-        # through[e]: (trail index, its length, the count rows of its edges)
-        self.through = {e: [] for e in free}
-        for t, edges in enumerate(trails):
-            rows = tuple(self.count[e] for e in edges)
-            for row in rows:
-                row[len(edges)] += 1
-            for e in edges:
-                self.through[e].append((t, len(edges), rows))
-
-    def take(self, e):
-        self.free.discard(e)
-        blocked = self.blocked
-        for t, L, rows in self.through[e]:
-            if not blocked[t]:
-                for row in rows:
-                    row[L] -= 1
-            blocked[t] += 1
-
-    def give(self, e):
-        self.free.add(e)
-        blocked = self.blocked
-        for t, L, rows in self.through[e]:
-            blocked[t] -= 1
-            if not blocked[t]:
-                for row in rows:
-                    row[L] += 1
-
-    def refuted(self, remaining):
-        """True only when no split of the free edges into `remaining`
-        exists; False promises nothing."""
-        left = [0, 0, remaining.count(2), remaining.count(3)]
-        free, count, blocked, trails = (self.free, self.count, self.blocked,
-                                        self.trails)
-        on2, on3 = left[2] > 0, left[3] > 0
-        queue = [e for e in free
-                 if on2 * (c := count[e])[2] + on3 * c[3] <= 1]
-        forced = []
-        try:
-            while queue:
-                e = queue.pop()
-                if e not in free:
-                    continue
-                c = count[e]
-                k = on2 * c[2] + on3 * c[3]
-                if k == 0:
-                    return True
-                if k > 1:
-                    continue
-                t, L, _ = next(o for o in self.through[e]
-                               if not blocked[o[0]] and left[o[1]])
-                left[L] -= 1
-                if not left[L]:
-                    # options of that length are gone: every edge may be low
-                    on2, on3 = left[2] > 0, left[3] > 0
-                    queue.extend(free)
-                for g in trails[t]:
-                    for s, _, _ in self.through[g]:
-                        if not blocked[s]:
-                            queue.extend(trails[s])
-                    self.take(g)
-                    forced.append(g)
-            return False
-        finally:
-            for g in reversed(forced):
-                self.give(g)
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +291,27 @@ def prop17_trails(n):
     return trails
 
 
+def _triple_trails(n):
+    """Length-3 trails covering K~_n for 3 | n.
+
+    K~_3 splits into the three trails x -> x -> x+1 -> x (x mod 3).  Blow
+    vertex x up into the k = n/3 vertices (x, i), numbered x*k + i + 1, and
+    its trail into the k*k trails (x,i) -> (x,j) -> (x+1,l) -> (x,i) with
+    l = i + j mod k, a Latin square.  Any two of i, j, l fix the third, so
+    each arc within block x, from x to x+1, and from x+1 to x lies on
+    exactly one trail; i = j puts the loop at (x,i) on its trail.
+    """
+    k = n // 3
+    trails = []
+    for x in range(3):
+        y = (x + 1) % 3
+        for i in range(k):
+            for j in range(k):
+                u, v, w = x * k + i + 1, x * k + j + 1, y * k + (i + j) % k + 1
+                trails.append(ClosedTrail(((u, v), (v, w), (w, u))))
+    return trails
+
+
 def _gadget_edges(j, hubs):
     edges = [(j, j)]
     for h in hubs:
@@ -420,21 +322,6 @@ def _gadget_edges(j, hubs):
 def _prop18_trails(n, d, node_limit):
     if n % d:
         raise ValueError("this route needs d | n")
-    if d == 3:
-        b = n
-        inner = list(range(1, n))
-        K = ((n - 1) * (n - 2) - 2) // 3
-        parts = decompose_loopless(n - 1, [3] * K + [2], node_limit,
-                                   vertices=inner)
-        two = next(t for t in parts if len(t) == 2)
-        trails = [t for t in parts if len(t) == 3]
-        u = min(two.vertices())
-        trails.append(euler_trail(list(two.edges) + [(u, u)]))
-        trails.append(euler_trail([(b, b), (u, b), (b, u)]))
-        for j in inner:
-            if j != u:
-                trails.append(euler_trail(_gadget_edges(j, [b])))
-        return trails
     if d == 5:
         a, b = n - 1, n
         inner = list(range(1, n - 1))
@@ -474,7 +361,7 @@ def _prop18_trails(n, d, node_limit):
             if j != u:
                 trails.append(euler_trail(_gadget_edges(j, [a, b, c])))
         return trails
-    raise ValueError("route only covers d in {3, 5, 7}")
+    raise ValueError("route only covers d in {5, 7}")
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +395,6 @@ def _assemble_groups(t_pieces, inner, a, b, d, node_cap=400_000):
     if total % d:
         raise VerificationError("atom supply not a multiple of d")
     n_groups = total // d
-    t_count = len(t_pieces)
     marked = {j for t in t_pieces for j in t.vertices()}
     order = {atom[0]: i for i, atom in enumerate(atoms)}
     unused = set(order.values())
@@ -654,7 +540,9 @@ def decompose_equal(n, d, node_limit=2_000_000):
         trails, route = [euler_trail(all_edges)], "euler"
     elif d == 4 and n % 2 == 0:
         trails, route = prop17_trails(n), "families"
-    elif d in (3, 5, 7):
+    elif d == 3:
+        trails, route = _triple_trails(n), "latin"
+    elif d in (5, 7):
         trails, route = _prop18_trails(n, d, node_limit), "hub"
     elif d == 6 or d >= 8:
         trails, route = _prop16_trails(n, d, node_limit), "packing"

@@ -21,6 +21,7 @@ from .core import (
     CyclicString,
     UcycleError,
     VerificationError,
+    debruijn_digraph,
     euler_circuit,
     least_rotation,
     verify_cover,
@@ -112,9 +113,8 @@ def de_bruijn_sequence(q, order):
         return CyclicString(q, tuple(range(q)))
     # vertex v is an (order-1)-word as a radix-q code; edge v -> w reads the
     # symbol w % q, so the smallest head is the smallest symbol
-    shrink = q ** (order - 2)
-    succ = {v: range((v % shrink) * q, (v % shrink + 1) * q)
-            for v in range(q ** (order - 1))}
+    graph = debruijn_digraph(q, order - 1)
+    succ = {v: graph.successors(v) for v in range(graph.num_vertices)}
     path = euler_circuit(succ, 0)
     seq = [w % q for w in path[1:]]
     if len(seq) != q ** order:
@@ -242,8 +242,8 @@ def _parity_cross_pieces(q):
 def _group_pieces(pieces, per_group):
     """Partition 4-symbol pieces into connected groups of `per_group` pieces.
 
-    Greedy growth by shared vertices with a swap repair against completed
-    groups; deterministic via lexicographic ordering.
+    Greedy growth by shared vertices, least piece first; deterministic.
+    Raises VerificationError when a group finds no piece to grow by.
     """
     def verts(piece):
         r = len(piece)
@@ -256,16 +256,7 @@ def _group_pieces(pieces, per_group):
         for v in verts(pieces[i]):
             vertex_index.setdefault(v, []).append(i)
 
-    def candidates(group_verts):
-        out = set()
-        for v in group_verts:
-            for i in vertex_index.get(v, ()):
-                if i in unused:
-                    out.add(i)
-        return sorted(out, key=lambda i: pieces[i])
-
     groups = []
-    group_sets = []
     for start in order:
         if start not in unused:
             continue
@@ -273,57 +264,15 @@ def _group_pieces(pieces, per_group):
         group = [start]
         gverts = set(verts(pieces[start]))
         while len(group) < per_group:
-            cands = candidates(gverts)
-            if cands:
-                nxt = cands[0]
-                unused.discard(nxt)
-                group.append(nxt)
-                gverts |= verts(pieces[nxt])
-                continue
-            # repair: pull a connectable piece out of a finished group and
-            # hand that group a stranded piece instead
-            swapped = False
-            for gi, (g, gv) in enumerate(zip(groups, group_sets)):
-                for pos, member in enumerate(g):
-                    if not (verts(pieces[member]) & gverts):
-                        continue
-                    rest = [x for x in g if x != member]
-                    for repl in sorted(unused, key=lambda i: pieces[i]):
-                        trial = rest + [repl]
-                        if _pieces_connected([pieces[i] for i in trial], verts):
-                            unused.discard(repl)
-                            g[pos] = repl
-                            group_sets[gi] = set().union(
-                                *(verts(pieces[i]) for i in trial))
-                            group.append(member)
-                            gverts |= verts(pieces[member])
-                            swapped = True
-                            break
-                    if swapped:
-                        break
-                if swapped:
-                    break
-            if not swapped:
+            cands = [i for v in gverts for i in vertex_index[v] if i in unused]
+            if not cands:
                 raise VerificationError("piece grouping failed")
+            nxt = min(cands, key=lambda i: pieces[i])
+            unused.discard(nxt)
+            group.append(nxt)
+            gverts |= verts(pieces[nxt])
         groups.append(group)
-        group_sets.append(gverts)
     return [[pieces[i] for i in g] for g in groups]
-
-
-def _pieces_connected(group_pieces, verts):
-    if not group_pieces:
-        return False
-    todo = list(range(1, len(group_pieces)))
-    reached = set(verts(group_pieces[0]))
-    progress = True
-    while todo and progress:
-        progress = False
-        for i in list(todo):
-            if verts(group_pieces[i]) & reached:
-                reached |= verts(group_pieces[i])
-                todo.remove(i)
-                progress = True
-    return not todo
 
 
 def _euler_symbols_from_triples(triples):

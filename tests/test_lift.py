@@ -190,3 +190,27 @@ class TestDoubleAp3:
             assert len(set(edges)) == 6 * q ** 3
             for x, y, z in edges:
                 assert not (x % 2 == y % 2 == z % 2)
+
+    def test_piece_groups_partition_into_connected_groups(self):
+        # the greedy grouping never gets stuck for any valid (q, d) with
+        # q <= 8: the groups partition the pieces, and within a group every
+        # piece reaches every other through shared pair-vertices
+        from ucycle.lift import _group_pieces, _parity_cross_pieces
+        for q in (2, 4, 6, 8):
+            pieces = _parity_cross_pieces(q)
+            for d in range(1, q ** 3 + 1):
+                k, rem = divmod(q ** 3, d)
+                if rem or k % 8:
+                    continue
+                groups = _group_pieces(pieces, k // 4)
+                assert sorted(p for g in groups for p in g) == sorted(pieces)
+                assert all(len(g) == k // 4 for g in groups)
+                for g in groups:
+                    pairs = [set(zip(p, p[1:] + p[:1])) for p in g]
+                    reached, todo = set(pairs[0]), pairs[1:]
+                    while todo:
+                        near = [s for s in todo if s & reached]
+                        assert near, (q, d)
+                        for s in near:
+                            reached |= s
+                            todo.remove(s)
