@@ -4,7 +4,8 @@
 For every n up to --max-n and every divisor d of n*n, report whether the
 decomposition exists, which route produced it (as `decompose_equal`
 records it, so an exact-search fallback shows as "exact"), and how long it
-took.
+took.  A row that runs out of its node budget prints `budget [nodes=...]`
+and the sweep goes on; the script then exits 3, as the CLI does.
 
     python scripts/decomposition_grid.py --max-n 12
 """
@@ -12,6 +13,7 @@ import argparse
 import sys
 import time
 
+from ucycle.core import BudgetExceeded
 from ucycle.decomp import Impossible, decompose_equal
 
 
@@ -20,6 +22,7 @@ def main():
     ap.add_argument("--max-n", type=int, default=10)
     args = ap.parse_args()
 
+    budget_hit = False
     for n in range(1, args.max_n + 1):
         for d in range(1, n * n + 1):
             if (n * n) % d:
@@ -30,9 +33,12 @@ def main():
                 status = f"{len(dec.trails)} trails ({dec.route})"
             except Impossible as exc:
                 status = f"impossible [{exc.reason}]"
+            except BudgetExceeded as exc:
+                status = f"budget [nodes={exc.nodes}]"
+                budget_hit = True
             print(f"n={n:2d} d={d:3d}  {status}  {time.time() - t0:6.2f}s",
                   flush=True)
-    return 0
+    return 3 if budget_hit else 0
 
 
 if __name__ == "__main__":

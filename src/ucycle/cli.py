@@ -11,6 +11,7 @@ Exit codes: 0 verified result (including proven negative verdicts),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -365,7 +366,10 @@ def _add_common(sp, budgets=()):
         sp.add_argument("--budget-secs", type=float, default=None)
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The argparse tree, built once and reused by every `main` call: each
+    parse starts from a new namespace and no default is mutable."""
     ap = argparse.ArgumentParser(
         prog="ucycle",
         description="generalized de Bruijn cycles: build, search, verify")

@@ -63,9 +63,9 @@ class CyclicString:
             raise ValueError("alphabet size must be >= 2")
         if not self.symbols:
             raise ValueError("cyclic string must be nonempty")
-        for s in self.symbols:
-            if not 0 <= s < self.q:
-                raise ValueError(f"symbol {s} out of range for q={self.q}")
+        if min(self.symbols) < 0 or max(self.symbols) >= self.q:
+            s = next(s for s in self.symbols if not 0 <= s < self.q)
+            raise ValueError(f"symbol {s} out of range for q={self.q}")
 
     def __len__(self):
         return len(self.symbols)
@@ -85,9 +85,7 @@ class CyclicString:
 
     def text(self):
         """Cycle text format: digits for q <= 10, comma-separated otherwise."""
-        if self.q <= 10:
-            return "".join(str(s) for s in self.symbols)
-        return ",".join(str(s) for s in self.symbols)
+        return ("" if self.q <= 10 else ",").join(map(str, self.symbols))
 
     @classmethod
     def from_text(cls, text, q):
@@ -184,21 +182,6 @@ def normalize_index_set(I, L):
     return tuple(reduced)
 
 
-def word_code(word, q):
-    c = 0
-    for s in word:
-        c = c * q + s
-    return c
-
-
-def code_word(code, q, n):
-    out = []
-    for _ in range(n):
-        out.append(code % q)
-        code //= q
-    return tuple(reversed(out))
-
-
 # ---------------------------------------------------------------------------
 # windows and the coverage verifier
 # ---------------------------------------------------------------------------
@@ -226,8 +209,8 @@ def windows(symbols, I):
 class CoverageReport:
     """Verdict of the independent verifier.
 
-    ``hits`` maps each achieved word, in word order, to the first translate
-    that reads it.
+    ``first`` maps each achieved word to the first translate that reads it,
+    in scan order; ``hits`` is the same map in word order, sorted on demand.
     """
 
     complete: bool
@@ -236,13 +219,19 @@ class CoverageReport:
     n: int
     index_set: tuple
     missing: list
-    hits: dict
+    first: dict
+
+    @property
+    def hits(self):
+        return dict(sorted(self.first.items()))
 
     def to_json_dict(self, witness_sample=8):
-        sample = {}
-        for word, t in list(self.hits.items())[:witness_sample]:
-            key = ",".join(str(s) for s in word)
-            sample[key] = t
+        # the least achieved words: walk the words in order until enough
+        # are found, instead of sorting every word read
+        achieved = (w for w in product(range(self.q), repeat=self.n)
+                    if w in self.first)
+        sample = {",".join(map(str, w)): self.first[w] for w in
+                  islice(achieved, min(witness_sample, len(self.first)))}
         return {
             "schema": 1,
             "complete": self.complete,
@@ -260,9 +249,13 @@ def verify_cover(chi: CyclicString, params, I, reduced=False):
 
     `params` is a CycleParams (strict modulus) or a plain (q, n) pair, in
     which case the string may have any length (approximate cycles).  In the
-    reduced case the all-zeroes word is not required.  Completeness is
-    equivalent (by counting) to the translate-to-word map being a bijection
-    onto the required words, but this function checks coverage directly.
+    reduced case the all-zeroes word is not required.
+
+    One pass over the windows records the first translate of each word.
+    Every word read is a q-ary n-word, so the string is complete exactly
+    when it reads all q**n of them (q**n - 1 besides the all-zeroes word in
+    the reduced case); the words themselves are listed only to name the
+    missing ones.
     """
     if isinstance(params, CycleParams):
         q, n = params.q, params.n
@@ -278,19 +271,27 @@ def verify_cover(chi: CyclicString, params, I, reduced=False):
             raise ValueError("reduced verification needs CycleParams")
     if chi.q != q:
         raise ValueError("alphabet mismatch between string and params")
+    # the count below is sound only for words over 0..q-1
+    if not set(chi.symbols) <= set(range(q)):
+        raise ValueError(f"string has a symbol outside 0..{q - 1}")
     I = normalize_index_set(I, N)
     if len(I) != n:
         raise ValueError(f"index set size {len(I)} != window size {n}")
 
-    hits = {}
+    first = {}
     for t, word in enumerate(windows(chi.symbols, I)):
-        if word not in hits:
-            hits[word] = t
+        if word not in first:
+            first[word] = t
 
-    required = product(range(q), repeat=n)
-    if reduced:
-        next(required)  # the all-zeroes word comes first
-    missing = [w for w in required if w not in hits]
+    found = len(first)
+    if reduced and (0,) * n in first:
+        found -= 1
+    missing = []
+    if found < q ** n - reduced:
+        required = product(range(q), repeat=n)
+        if reduced:
+            next(required)  # the all-zeroes word comes first
+        missing = [w for w in required if w not in first]
     return CoverageReport(
         complete=not missing,
         reduced=reduced,
@@ -298,7 +299,7 @@ def verify_cover(chi: CyclicString, params, I, reduced=False):
         n=n,
         index_set=I,
         missing=missing,
-        hits=dict(sorted(hits.items())),
+        first=first,
     )
 
 

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from ucycle.cli import load_golden, main
+from ucycle.cli import build_parser, load_golden, main
 from ucycle.core import CyclicString, verify_cover
 
 REF_27 = "021210210210102021102210210"
@@ -303,6 +303,33 @@ class TestAtlasAndGolden:
         assert rows[0] == (0, 1, 2, 3, 12)
         assert rows[-1] == (0, 4, 8, 16, 24)
         assert len(rows) == len(set(rows))
+
+
+class TestParserReuse:
+    APPROX = ["approx", "--q", "2", "--n", "3", "--set", "0,1,2",
+              "--format", "json"]
+    CALLS = [
+        ["decompose", "--n", "6", "--d", "9", "--budget-nodes", "1"],
+        APPROX + ["--type", "2", "--seed", "5"],
+        APPROX + ["--type", "2"],
+        APPROX + ["--type", "3"],  # argparse rejects the choice
+        APPROX + ["--type", "1"],
+        ["decompose", "--n", "6", "--d", "9"],
+    ]
+
+    def test_calls_in_turn_match_a_fresh_parser_each(self, capsys):
+        # one parser serves every main() call; no default or parsed value
+        # may leak from one call into the next
+        build_parser.cache_clear()
+        in_turn = [run_cli(capsys, *argv) for argv in self.CALLS]
+        assert build_parser.cache_info().misses == 1
+        assert [code for code, _, _ in in_turn] == [3, 0, 0, 2, 0, 0]
+        assert in_turn[1][1] != in_turn[2][1]  # seed 5, then the default 0
+        # references in reverse order, so that state carried from one call
+        # to the next meets different neighbours
+        for argv, got in reversed(list(zip(self.CALLS, in_turn))):
+            build_parser.cache_clear()
+            assert run_cli(capsys, *argv) == got, argv
 
 
 class TestSubprocessEntry:

@@ -14,7 +14,6 @@ from ucycle.core import (
     affine_class_representatives,
     affine_orbit,
     canonicalize_affine,
-    code_word,
     debruijn_digraph,
     equal_up_to_rotation,
     equal_up_to_rotation_and_translate,
@@ -25,7 +24,6 @@ from ucycle.core import (
     verify_cover,
     window,
     windows,
-    word_code,
 )
 
 REF_27 = "021210210210102021102210210"  # known {0,3,6}-cycle, q=3
@@ -211,6 +209,64 @@ class TestVerifyCover:
             assert rep.complete
 
 
+class TestVerifierAgainstWindowOracle:
+    """`verify_cover` against `window` read at every translate, on seeded
+    random strings: strict and reduced moduli, lengths other than q**n,
+    complete and incomplete strings."""
+
+    @staticmethod
+    def oracle(chi, q, n, I, reduced):
+        first = {}
+        for t in range(len(chi)):
+            first.setdefault(window(chi, I, t), t)
+        required = set(itertools.product(range(q), repeat=n))
+        if reduced:
+            required.discard((0,) * n)
+        return sorted(required - first.keys()), sorted(first.items())
+
+    def cases(self, rng):
+        """(kind, chi, params, I, reduced) for 150 strings of each kind."""
+        for kind in ("strict", "reduced", "shorter", "longer"):
+            for _ in range(150):
+                q, n = rng.choice([(2, 2), (2, 3), (3, 2), (2, 4)])
+                full = q ** n
+                reduced = kind == "reduced"
+                N = {"strict": full, "reduced": full - 1,
+                     "shorter": rng.randrange(n, full),
+                     "longer": rng.randrange(full + 1, 4 * full)}[kind]
+                params = (CycleParams(q, n, N)
+                          if kind in ("strict", "reduced") else (q, n))
+                chi = CyclicString(
+                    q, tuple(rng.randrange(q) for _ in range(N)))
+                I = tuple(sorted(rng.sample(range(min(N, 3 * n)), n)))
+                yield kind, chi, params, I, reduced
+
+    def test_matches_the_window_oracle(self):
+        seen = set()
+        for kind, chi, params, I, reduced in self.cases(random.Random(8)):
+            q, n = chi.q, len(I)
+            missing, hits = self.oracle(chi, q, n, I, reduced)
+            rep = verify_cover(chi, params, I, reduced=reduced)
+            assert rep.missing == missing, (kind, chi, I)
+            assert rep.complete == (not missing)
+            assert list(rep.hits.items()) == hits
+            sample = rep.to_json_dict()["witness_sample"]
+            assert list(sample.items()) == [
+                (",".join(map(str, w)), t) for w, t in hits[:8]]
+            seen.add((kind, rep.complete))
+        assert seen == {("strict", True), ("strict", False),
+                        ("reduced", True), ("reduced", False),
+                        ("shorter", False),
+                        ("longer", True), ("longer", False)}
+
+    def test_symbol_outside_the_alphabet_rejected(self):
+        # 0.5 passes the range check of CyclicString but is no word symbol,
+        # so the count could not decide completeness
+        chi = CyclicString(2, (0, 0.5))
+        with pytest.raises(ValueError):
+            verify_cover(chi, (2, 1), (0,))
+
+
 class TestAffine:
     def test_translate_canonical(self):
         assert canonicalize_affine((1, 10, 19), 27).canonical == (0, 9, 18)
@@ -309,6 +365,15 @@ class TestAffineWalkAgainstBruteForce:
 
 
 class TestDigraph:
+    @staticmethod
+    def code(word, q):
+        """A word as its radix-q vertex number, first symbol most
+        significant."""
+        c = 0
+        for s in word:
+            c = c * q + s
+        return c
+
     def test_complete_loop_digraph(self):
         g = debruijn_digraph(2, 1)
         assert g.num_vertices == 2
@@ -326,10 +391,10 @@ class TestDigraph:
         for x in words:
             for y in words:
                 if x[1:] == y[:-1]:
-                    expect.add((word_code(x, 2), word_code(y, 2)))
+                    expect.add((self.code(x, 2), self.code(y, 2)))
         assert set(g.edges()) == expect
         assert g.num_vertices == 4 and g.num_edges == 8
-        assert g.loops() == [word_code((0, 0), 2), word_code((1, 1), 2)]
+        assert g.loops() == [self.code((0, 0), 2), self.code((1, 1), 2)]
 
     def test_degrees(self):
         g = debruijn_digraph(3, 2)
@@ -357,9 +422,13 @@ class TestStrings:
         assert not equal_up_to_rotation_and_translate(
             a, CyclicString(3, (0, 0, 0, 0)))
 
-    def test_word_codes(self):
-        assert word_code((1, 0, 2), 3) == 11
-        assert code_word(11, 3, 3) == (1, 0, 2)
+    @pytest.mark.parametrize("symbols, first_bad", [
+        ((0, 3, -1), 3), ((0, -1, 5), -1), ((2, 1, 0, 4), 4)])
+    def test_out_of_range_symbol_names_the_first_one(self, symbols,
+                                                     first_bad):
+        with pytest.raises(ValueError,
+                           match=rf"^symbol {first_bad} out of range for q=3$"):
+            CyclicString(3, symbols)
 
     def test_normalize_rejects_collisions(self):
         with pytest.raises(ValueError):

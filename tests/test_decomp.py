@@ -1,5 +1,8 @@
 """Trail decompositions of complete loop-digraphs."""
 
+import importlib.util
+import pathlib
+import sys
 import time
 
 import pytest
@@ -150,6 +153,31 @@ class TestEqualDecomposition:
     def test_loopless_budget_propagates_from_the_packing_route(self):
         with pytest.raises(BudgetExceeded):
             decompose_equal(10, 10, node_limit=5)
+
+
+class TestGridScript:
+    def test_budget_row_is_reported_and_the_sweep_finishes(
+            self, monkeypatch, capsys):
+        path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / \
+            "decomposition_grid.py"
+        spec = importlib.util.spec_from_file_location("decomposition_grid",
+                                                      path)
+        grid = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(grid)
+
+        def decompose(n, d):
+            if (n, d) == (2, 2):
+                raise BudgetExceeded("trail split budget exceeded", 17)
+            return decompose_equal(n, d)
+
+        monkeypatch.setattr(grid, "decompose_equal", decompose)
+        monkeypatch.setattr(sys, "argv", ["decomposition_grid.py",
+                                          "--max-n", "3"])
+        assert grid.main() == 3
+        rows = capsys.readouterr().out.splitlines()
+        assert "budget [nodes=17]" in rows[2]  # n=2: d=1, d=2, d=4
+        assert len(rows) == 1 + 3 + 3  # the divisors of 1, 4 and 9
+        assert rows[-1].startswith("n= 3 d=  9")
 
 
 class TestLoopless:
