@@ -3,8 +3,8 @@
 
 For every n up to --max-n and every divisor d of n*n, report whether the
 decomposition exists, which route produced it (as `decompose_equal`
-records it, so an exact-search fallback shows as "exact"), and how long it
-took.  A row that runs out of its node budget prints `budget [nodes=...]`
+records it: "euler", "families", "latin", "hub" or "search"), and how long
+it took.  A row that runs out of its node budget prints `budget [nodes=...]`
 and the sweep goes on; the script then exits 3, as the CLI does.
 
     python scripts/decomposition_grid.py --max-n 12

@@ -13,37 +13,26 @@ Routes, by target length:
 * d = 3             K~_3's three trails blown up by a Latin square;
 * d in {5, 7}       hub gadgets plus a prescribed-length split of the
                     loopless complete digraph;
-* d = 6 or d >= 8   the same idea with a two-vertex hub {a, b}: per-vertex
-                    gadgets G_j = {(j,j), j<->a, j<->b} and the hub square
-                    are broken into balanced atoms and packed into exact
-                    d-edge connected groups by backtracking, each group then
-                    serialized as one Euler trail.
+* d = 6 or d >= 8   the validity search for a {0, n^2/d}-cycle over n
+                    symbols: its n^2 windows are the n^2 edges, and each
+                    residue class mod n^2/d walks one closed trail of
+                    length d, the inverse of `chi_from_decomposition`.
 
-When the packing search exhausts or passes its node cap, the dispatcher
-falls back to exact search over the whole loop-digraph; any other failure
-propagates.  The route taken is recorded on the returned decomposition.
-
-The prescribed-length split of the loopless digraph is an exact backtracking
-search; `Impossible` from it is a refutation by exhaustion.  Every emitted
-decomposition re-verifies through `check_decomposition` before being
-returned.
-
-The atom packing cuts subtrees by forward checking (Haralick and Elliott,
-AIJ 1980): every group is connected, so an unused atom smaller than d needs
-another unused atom sharing one of its vertices, and a node that strands
-one fails.  The rule only fails a node whose subtree holds no packing, and
-the branching order is untouched, so the packer returns the same first
-packing with or without it.
+The route taken is recorded on the returned decomposition.  The
+prescribed-length split and the search are exact; `Impossible` from either
+is a refutation by exhaustion, and running out of budget raises
+`BudgetExceeded`.  Every emitted decomposition re-verifies through
+`check_decomposition` before being returned.
 """
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 
 from .core import (BudgetExceeded, CyclicString, CycleParams, UcycleError,
                    VerificationError, euler_circuit, least_rotation,
                    verify_cover)
+from .search import decide_valid
 
 
 class Impossible(UcycleError):
@@ -86,7 +75,7 @@ class TrailDecomposition:
     d: int
     trails: list
     # which construction built the trails: "euler", "families", "latin",
-    # "hub", "packing" or "exact"; left out of the JSON document
+    # "hub" or "search"; left out of the JSON document
     route: str = field(compare=False)
 
     def __post_init__(self):
@@ -135,32 +124,6 @@ def euler_trail(edges):
     return ClosedTrail(trail_edges)
 
 
-def is_eulerian(edges):
-    """Balanced in/out degrees and one connected component."""
-    outd, ind = {}, {}
-    verts = set()
-    for u, v in edges:
-        outd[u] = outd.get(u, 0) + 1
-        ind[v] = ind.get(v, 0) + 1
-        verts |= {u, v}
-    if any(outd.get(v, 0) != ind.get(v, 0) for v in verts):
-        return False
-    start = next(iter(verts))
-    reach = {start}
-    frontier = [start]
-    adj = {}
-    for u, v in edges:
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    while frontier:
-        x = frontier.pop()
-        for y in adj.get(x, ()):
-            if y not in reach:
-                reach.add(y)
-                frontier.append(y)
-    return reach == verts
-
-
 # ---------------------------------------------------------------------------
 # prescribed-length split of the loopless complete digraph
 # ---------------------------------------------------------------------------
@@ -183,7 +146,7 @@ def decompose_loopless(m, lengths, node_limit=2_000_000, vertices=None):
         raise ValueError(f"lengths sum {sum(lengths)} != m(m-1) = {m*(m-1)}")
     if any(L < 2 for L in lengths):
         raise ValueError("every length must be >= 2")
-    result = _split_trails(verts, lengths, False, node_limit)
+    result = _split_trails(verts, lengths, node_limit)
     if result is not None:
         return result
     raise Impossible(
@@ -191,12 +154,12 @@ def decompose_loopless(m, lengths, node_limit=2_000_000, vertices=None):
         f"{lengths} exists (search exhausted)", reason="exhausted")
 
 
-def _split_trails(verts, lengths, loops, node_limit):
-    """Edge-disjoint closed trails of the given lengths covering every edge
-    over `verts`, loops (u, u) only when `loops` is set; None when the
-    search exhausts.  Each distinct remaining length is tried once per
-    anchor; more than `node_limit` extension steps raise BudgetExceeded."""
-    edges = sorted((u, v) for u in verts for v in verts if loops or u != v)
+def _split_trails(verts, lengths, node_limit):
+    """Edge-disjoint closed trails of the given lengths covering every
+    loopless edge over `verts`; None when the search exhausts.  Each
+    distinct remaining length is tried once per anchor; more than
+    `node_limit` extension steps raise BudgetExceeded."""
+    edges = sorted((u, v) for u in verts for v in verts if u != v)
     free = set(edges)
     nodes = 0
     t0 = time.monotonic()
@@ -233,11 +196,9 @@ def _split_trails(verts, lengths, loops, node_limit):
         walk.pop()
         free.add(anchor)
 
-    result = []
-
-    def solve(remaining):
-        if not remaining:
-            return True
+    def branches(remaining):
+        """(walk, lengths left) for every first trail of `remaining`; the
+        anchor is read when the generator first runs."""
         anchor = next(e for e in edges if e in free)
         tried = set()
         for idx, L in enumerate(remaining):
@@ -248,13 +209,25 @@ def _split_trails(verts, lengths, loops, node_limit):
             # the walk's edges stay out of `free` while trail_walks is
             # suspended at its yield; trail_walks frees them as it backtracks
             for walk in trail_walks(anchor, L):
-                result.append(ClosedTrail(tuple(walk)))
-                if solve(rest):
-                    return True
-                result.pop()
-        return False
+                yield walk, rest
 
-    return result if solve(lengths) else None
+    if not lengths:
+        return []
+    # stack[k] branches on trail k, and result[k] is its current walk
+    result = []
+    stack = [branches(lengths)]
+    while stack:
+        step = next(stack[-1], None)
+        del result[len(stack) - 1:]
+        if step is None:
+            stack.pop()
+            continue
+        walk, rest = step
+        result.append(ClosedTrail(tuple(walk)))
+        if not rest:
+            return result
+        stack.append(branches(rest))
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -365,152 +338,24 @@ def _prop18_trails(n, d, node_limit):
 
 
 # ---------------------------------------------------------------------------
-# packing route for d = 6 and d >= 8
+# search route and the dispatcher
 # ---------------------------------------------------------------------------
 
 
-def _assemble_groups(t_pieces, inner, a, b, d, node_cap=400_000):
-    """Pack leftover trails, per-vertex gadget atoms, and hub atoms into
-    connected groups of exactly d edges (exact backtracking search).
-
-    Atoms are individually balanced, and a group only ever grows through a
-    shared vertex, so each finished group is Eulerian by construction.
-    Connectivity also means an atom smaller than d shares a vertex with
-    another atom of its group, so a closed group that strands one fails.
-    None when the search exhausts or passes `node_cap` nodes.
-    """
-    atoms = []
-    for idx, t in enumerate(t_pieces):
-        atoms.append((("t", idx), len(t.edges), frozenset(t.vertices()),
-                      tuple(t.edges)))
-    for j in inner:
-        atoms.append((("loop", j), 1, frozenset({j}), ((j, j),)))
-        atoms.append((("pa", j), 2, frozenset({j, a}), ((j, a), (a, j))))
-        atoms.append((("pb", j), 2, frozenset({j, b}), ((j, b), (b, j))))
-    atoms.append((("ha",), 1, frozenset({a}), ((a, a),)))
-    atoms.append((("hb",), 1, frozenset({b}), ((b, b),)))
-    atoms.append((("hab",), 2, frozenset({a, b}), ((a, b), (b, a))))
-
-    total = sum(size for _, size, _, _ in atoms)
-    if total % d:
-        raise VerificationError("atom supply not a multiple of d")
-    n_groups = total // d
-    marked = {j for t in t_pieces for j in t.vertices()}
-    order = {atom[0]: i for i, atom in enumerate(atoms)}
-    unused = set(order.values())
-    nodes = [0]
-
-    groups = []
-
-    def fresh_js():
-        """Inner vertices untouched so far, mutually interchangeable."""
-        out = []
-        for j in inner:
-            if j in marked:
-                continue
-            if all(order[(kind, j)] in unused for kind in ("loop", "pa", "pb")):
-                out.append(j)
-        return out
-
-    def stranded():
-        """Some unused atom smaller than d shares no vertex with any other
-        unused atom, so no connected group can hold it."""
-        seen = Counter(v for i in unused for v in atoms[i][2])
-        return any(atoms[i][1] < d and all(seen[v] == 1 for v in atoms[i][2])
-                   for i in unused)
-
-    def dfs(cur, cur_size, cur_verts):
-        nodes[0] += 1
-        if nodes[0] > node_cap:
-            return False  # over the cap: unwind as if exhausted
-        if cur_size == d:
-            groups.append(list(cur))
-            if not unused:
-                return True
-            if not stranded() and dfs([], 0, frozenset()):
-                return True
-            groups.pop()
-            return False
-        room = d - cur_size
-        fresh = fresh_js()
-        skip_fresh = set(fresh[1:])
-        cands = []
-        for i in sorted(unused):
-            key, size, verts, _ = atoms[i]
-            if size > room:
-                continue
-            if cur and not (verts & cur_verts):
-                continue
-            if key[0] in ("loop", "pa", "pb") and key[1] in skip_fresh:
-                continue
-            if not cur and key[0] != "t" and any(
-                    atoms[k][0][0] == "t" for k in unused):
-                continue  # leftover trails seed their own groups
-            cands.append((-size, i))
-        if not cur and cands:
-            cands = cands[:1]  # seeding is canonical: groups are unordered
-        for _, i in sorted(cands):
-            key, size, verts, _ = atoms[i]
-            unused.discard(i)
-            was_fresh = key[0] in ("loop", "pa", "pb") and key[1] in fresh
-            if was_fresh:
-                marked.add(key[1])
-            if dfs(cur + [i], cur_size + size, cur_verts | verts):
-                return True
-            if was_fresh:
-                marked.discard(key[1])
-            unused.add(i)
-        return False
-
-    if not dfs([], 0, frozenset()):
-        return None
-    out = []
-    for g in groups:
-        edges = []
-        for i in g:
-            edges.extend(atoms[i][3])
-        if not is_eulerian(edges):
-            raise VerificationError("assembled group is not Eulerian")
-        out.append(euler_trail(edges))
-    if len(out) != n_groups:
-        raise VerificationError(
-            f"packed {len(out)} groups, expected {n_groups}")
-    return out
-
-
-def _prop16_trails(n, d, node_limit):
-    """The packing route's trails, or None when the atoms do not pack."""
-    a, b = n - 1, n
-    inner = list(range(1, n - 1))
-    eg = (n - 2) * (n - 3)
-    r = eg % d or d
-    if r == 1:
-        K = (eg - 1) // d
-        lengths = [d] * (K - 1) + [d - 1, 2]
-    else:
-        K = (eg - r) // d
-        lengths = [d] * K + [r]
-    parts = decompose_loopless(n - 2, lengths, node_limit, vertices=inner)
-    trails = [t for t in parts if len(t) == d]
-    t_pieces = [t for t in parts if len(t) != d]
-    groups = _assemble_groups(t_pieces, inner, a, b, d)
-    return None if groups is None else trails + groups
-
-
-# ---------------------------------------------------------------------------
-# exact fallback and the dispatcher
-# ---------------------------------------------------------------------------
-
-
-def decompose_exact(n, d, node_limit=2_000_000):
-    """Peel length-d closed trails off the whole loop-digraph by direct
-    backtracking; last-resort route for small residual cases."""
-    result = _split_trails(list(range(1, n + 1)), [d] * (n * n // d), True,
-                           node_limit)
-    if result is not None:
-        return result
-    raise Impossible(f"no equal split of K~_{n} into length-{d} trails",
-                     reason="exhausted")
+def _search_trails(n, d, node_limit):
+    """Length-d trails read off a {0, D}-cycle over n symbols, D = n*n/d:
+    its windows are the n*n edges, and trail a visits x[a], x[a + D], ..."""
+    D = n * n // d
+    cert = decide_valid(n, 2, (0, D), node_limit=node_limit)
+    if not cert.valid:
+        raise Impossible(f"no {{0, {D}}}-cycle over {n} symbols exists",
+                         reason="exhausted")
+    x = cert.witness.symbols
+    trails = []
+    for a in range(D):
+        seq = [x[a + b * D] + 1 for b in range(d)]
+        trails.append(ClosedTrail(tuple(zip(seq, seq[1:] + seq[:1]))))
+    return trails
 
 
 def decompose_equal(n, d, node_limit=2_000_000):
@@ -534,7 +379,6 @@ def decompose_equal(n, d, node_limit=2_000_000):
         raise Impossible(
             "length-2 trails are digon pairs and can never cover a loop",
             reason="counting")
-    trails = None
     if d == n * n:
         all_edges = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1)]
         trails, route = [euler_trail(all_edges)], "euler"
@@ -544,10 +388,8 @@ def decompose_equal(n, d, node_limit=2_000_000):
         trails, route = _triple_trails(n), "latin"
     elif d in (5, 7):
         trails, route = _prop18_trails(n, d, node_limit), "hub"
-    elif d == 6 or d >= 8:
-        trails, route = _prop16_trails(n, d, node_limit), "packing"
-    if trails is None:
-        trails, route = decompose_exact(n, d, node_limit), "exact"
+    else:
+        trails, route = _search_trails(n, d, node_limit), "search"
     return TrailDecomposition(n, d, trails, route)
 
 

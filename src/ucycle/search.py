@@ -36,6 +36,7 @@ stabilizer bound exhausts the tree at its root); running out of budget raises
 """
 from __future__ import annotations
 
+import heapq
 import os
 import time
 from contextlib import ExitStack
@@ -91,7 +92,8 @@ def _stabilizer_counting_bound(q, n, I, N):
     or None when the stabilizer is trivial."""
     iset = set(I)
     s_min = 0
-    for s in range(1, N):
+    # a shift that fixes I maps I[0] onto another element of I
+    for s in sorted((i - I[0]) % N for i in I[1:]):
         if all((i + s) % N in iset for i in I):
             s_min = s
             break
@@ -165,6 +167,10 @@ def _greedy_completion_order(N, I, q):
     position dominates one missing two, and so on); ties go to the
     smallest position.  Keeps the duplicate-word pruning firing as early
     as possible on stride-heavy index sets.
+
+    Scores only grow, so the best position comes off a heap keyed
+    p - score*N, stale keys skipped; each pick updates n*n keys, so for
+    |I| = 2 the order costs O(N log N) and serves sets past N = 4096.
     """
     n = len(I)
     pos_windows = [[] for _ in range(N)]
@@ -175,19 +181,19 @@ def _greedy_completion_order(N, I, q):
     # weight[r] scores a window with r unassigned positions; scaled by
     # q**(n-1) so a window one symbol short outweighs any number of laggards
     weight = [0] + [q ** (n - 1 - (r - 1)) for r in range(1, n + 1)]
-    score = [0] * N
-    for p in range(N):
-        score[p] = sum(weight[rem[t]] for t in pos_windows[p])
+    score = [n * weight[n]] * N
+    heap = [p - score[p] * N for p in range(N)]  # sorted, so a heap
     assigned = bytearray(N)
     order = []
     for step in range(N):
         if step < n:
             best = I[step]
         else:
-            best, best_score = -1, -1
-            for p in range(N):
-                if not assigned[p] and score[p] > best_score:
-                    best, best_score = p, score[p]
+            while True:
+                key = heapq.heappop(heap)
+                best = key % N
+                if not assigned[best] and key == best - score[best] * N:
+                    break
         assigned[best] = 1
         order.append(best)
         for t in pos_windows[best]:
@@ -199,6 +205,7 @@ def _greedy_completion_order(N, I, q):
                     p2 = (i + t) % N
                     if not assigned[p2]:
                         score[p2] += delta
+                        heapq.heappush(heap, p2 - score[p2] * N)
     return order
 
 
@@ -252,7 +259,10 @@ def decide_valid(q, n, I, node_limit=None, time_limit=None):
 
 def _dfs(q, n, I, N, node_limit, time_limit, start):
     target = q ** (n - 1)
-    if N <= 4096:
+    # with |I| = 2 the greedy order stays cheap at any N, and on {0, D} it
+    # completes one trail of the decomposition reading after another, where
+    # the first-need order grows all of them at once and stalls
+    if N <= 4096 or n == 2:
         order = _greedy_completion_order(N, I, q)
     else:
         order = _first_need_order(N, I)

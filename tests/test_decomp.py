@@ -4,6 +4,7 @@ import importlib.util
 import pathlib
 import sys
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,10 +17,8 @@ from ucycle.decomp import (
     check_decomposition,
     chi_from_decomposition,
     decompose_equal,
-    decompose_exact,
     decompose_loopless,
     euler_trail,
-    is_eulerian,
     prop17_trails,
 )
 from ucycle.search import two_element_validity
@@ -61,11 +60,6 @@ class TestEuler:
     def test_disconnected_rejected(self):
         with pytest.raises(VerificationError):
             euler_trail([(1, 1), (2, 2)])
-
-    def test_is_eulerian_helper(self):
-        assert is_eulerian([(1, 2), (2, 1)])
-        assert not is_eulerian([(1, 2)])
-        assert not is_eulerian([(1, 1), (2, 2)])
 
 
 class TestEqualDecomposition:
@@ -117,17 +111,44 @@ class TestEqualDecomposition:
             assert len(set(edges)) == n * n
             assert all(len(t) == 4 for t in trails)
 
-    def test_exact_fallback_small(self):
-        trails = decompose_exact(3, 3)
-        check_decomposition(3, 3, trails)
-
     def test_route_names_the_construction(self):
         for (n, d), route in [((1, 1), "euler"), ((3, 9), "euler"),
                               ((6, 4), "families"), ((6, 3), "latin"),
                               ((9, 3), "latin"), ((10, 5), "hub"),
-                              ((10, 10), "packing"), ((30, 18), "packing"),
-                              ((24, 16), "packing")]:
+                              ((10, 10), "search"), ((30, 18), "search"),
+                              ((24, 16), "search")]:
             assert decompose_equal(n, d).route == route
+
+    def test_hub_split_runs_without_recursion_per_trail(self):
+        # the loopless split under (90, 5) and (100, 5) holds over a
+        # thousand trails, more than Python's recursion limit allows frames
+        for n in (90, 100):
+            assert decompose_equal(n, 5).route == "hub"
+
+    def test_every_length_up_to_30_is_built_or_searched_fast(self):
+        # every feasible (n, d) with n <= 30 takes a closed form or the
+        # cycle search, about 1 s of CPU in all
+        t0 = time.process_time()
+        routes = set()
+        for n in range(1, 31):
+            for d in range(3, n * n + 1):
+                if (n * n) % d == 0:
+                    routes.add(decompose_equal(n, d).route)
+        assert routes == {"euler", "families", "latin", "hub", "search"}
+        assert time.process_time() - t0 < 10.0
+
+    def test_search_route_past_the_first_need_threshold(self):
+        # N = 72 * 72 > 4096, where sets of more than two positions switch
+        # to the first-need order; {0, 864} keeps the greedy one
+        dec = decompose_equal(72, 6)
+        assert dec.route == "search" and len(dec.trails) == 864
+
+    def test_search_route_reports_an_exhausted_search(self, monkeypatch):
+        cert = SimpleNamespace(valid=False)
+        monkeypatch.setattr(decomp, "decide_valid", lambda *a, **k: cert)
+        with pytest.raises(Impossible) as exc:
+            decompose_equal(6, 6)
+        assert exc.value.reason == "exhausted"
 
     def test_length3_trails_by_construction(self):
         # the length-3 route builds, never searches: every n = 3k up to 150
@@ -139,18 +160,7 @@ class TestEqualDecomposition:
         assert rep.complete and len(chi) == 36 * 36
         assert time.process_time() - t0 < 1.0
 
-    def test_unpacked_atoms_fall_back_to_exact_search(self, monkeypatch):
-        monkeypatch.setattr(decomp, "_assemble_groups", lambda *a, **k: None)
-        dec = decompose_equal(6, 6)
-        assert dec.route == "exact"
-        assert dec.trails == decompose_exact(6, 6)
-
-    def test_broken_packing_is_not_hidden_by_the_fallback(self, monkeypatch):
-        monkeypatch.setattr(decomp, "is_eulerian", lambda edges: False)
-        with pytest.raises(VerificationError):
-            decompose_equal(10, 10)
-
-    def test_loopless_budget_propagates_from_the_packing_route(self):
+    def test_budget_propagates_from_the_search_route(self):
         with pytest.raises(BudgetExceeded):
             decompose_equal(10, 10, node_limit=5)
 
@@ -258,128 +268,3 @@ class TestSerialization:
         assert all(len(t) == 3 for t in obj["trails"])
         assert all(len(pair) == 2 for t in obj["trails"] for pair in t)
         assert "route" not in obj
-
-
-# ---------------------------------------------------------------------------
-# differential test: the atom packer against the same packer without its
-# stranding rule, which must agree exactly, since pruning keeps the
-# branching order
-# ---------------------------------------------------------------------------
-
-
-def _unpruned_assemble_groups(t_pieces, inner, a, b, d, node_cap=400_000):
-    """Pack leftover trails, per-vertex gadget atoms, and hub atoms into
-    connected groups of exactly d edges (exact backtracking search).
-
-    Atoms are individually balanced, and a group only ever grows through a
-    shared vertex, so each finished group is Eulerian by construction.
-    None when the search exhausts or passes `node_cap` nodes.
-    """
-    atoms = []
-    for idx, t in enumerate(t_pieces):
-        atoms.append((("t", idx), len(t.edges), frozenset(t.vertices()),
-                      tuple(t.edges)))
-    for j in inner:
-        atoms.append((("loop", j), 1, frozenset({j}), ((j, j),)))
-        atoms.append((("pa", j), 2, frozenset({j, a}), ((j, a), (a, j))))
-        atoms.append((("pb", j), 2, frozenset({j, b}), ((j, b), (b, j))))
-    atoms.append((("ha",), 1, frozenset({a}), ((a, a),)))
-    atoms.append((("hb",), 1, frozenset({b}), ((b, b),)))
-    atoms.append((("hab",), 2, frozenset({a, b}), ((a, b), (b, a))))
-
-    total = sum(size for _, size, _, _ in atoms)
-    if total % d:
-        raise VerificationError("atom supply not a multiple of d")
-    n_groups = total // d
-    marked = {j for t in t_pieces for j in t.vertices()}
-    order = {atom[0]: i for i, atom in enumerate(atoms)}
-    unused = set(order.values())
-    nodes = [0]
-
-    groups = []
-
-    def fresh_js():
-        """Inner vertices untouched so far, mutually interchangeable."""
-        out = []
-        for j in inner:
-            if j in marked:
-                continue
-            if all(order[(kind, j)] in unused for kind in ("loop", "pa", "pb")):
-                out.append(j)
-        return out
-
-    def dfs(cur, cur_size, cur_verts):
-        nodes[0] += 1
-        if nodes[0] > node_cap:
-            return False  # over the cap: unwind as if exhausted
-        if cur_size == d:
-            groups.append(list(cur))
-            if not unused:
-                return True
-            if dfs([], 0, frozenset()):
-                return True
-            groups.pop()
-            return False
-        room = d - cur_size
-        fresh = fresh_js()
-        skip_fresh = set(fresh[1:])
-        cands = []
-        for i in sorted(unused):
-            key, size, verts, _ = atoms[i]
-            if size > room:
-                continue
-            if cur and not (verts & cur_verts):
-                continue
-            if key[0] in ("loop", "pa", "pb") and key[1] in skip_fresh:
-                continue
-            if not cur and key[0] != "t" and any(
-                    atoms[k][0][0] == "t" for k in unused):
-                continue  # leftover trails seed their own groups
-            cands.append((-size, i))
-        if not cur and cands:
-            cands = cands[:1]  # seeding is canonical: groups are unordered
-        for _, i in sorted(cands):
-            key, size, verts, _ = atoms[i]
-            unused.discard(i)
-            was_fresh = key[0] in ("loop", "pa", "pb") and key[1] in fresh
-            if was_fresh:
-                marked.add(key[1])
-            if dfs(cur + [i], cur_size + size, cur_verts | verts):
-                return True
-            if was_fresh:
-                marked.discard(key[1])
-            unused.add(i)
-        return False
-
-    if not dfs([], 0, frozenset()):
-        return None
-    out = []
-    for g in groups:
-        edges = []
-        for i in g:
-            edges.extend(atoms[i][3])
-        if not is_eulerian(edges):
-            raise VerificationError("assembled group is not Eulerian")
-        out.append(euler_trail(edges))
-    assert len(out) == n_groups
-    return out
-
-
-
-class TestPruningAgainstUnprunedSearch:
-    def test_every_packing_route_case(self, monkeypatch):
-        pruned = decomp._assemble_groups
-        packed = []
-
-        def both(t_pieces, inner, a, b, d):
-            got = pruned(t_pieces, inner, a, b, d)
-            assert got == _unpruned_assemble_groups(t_pieces, inner, a, b, d)
-            packed.append(d)
-            return got
-
-        monkeypatch.setattr(decomp, "_assemble_groups", both)
-        cases = [(n, d) for n in range(2, 17) for d in range(6, n * n)
-                 if (n * n) % d == 0 and (d == 6 or d >= 8)]
-        for n, d in cases:
-            decompose_equal(n, d)
-        assert len(packed) == len(cases)

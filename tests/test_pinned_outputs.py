@@ -4,9 +4,12 @@
 shared primitives (window scan, least rotation, Euler circuit, closed-trail
 backtracker) feed.  The digest was computed before those routes were moved
 onto the shared primitives; a change to any emitted cycle, decomposition or
-coverage report changes it.  It was re-pinned once, when length-3 trails
-moved from a search to the Latin-square construction: only the (9, 3)
-trails and their reading changed.
+coverage report changes it.  It was re-pinned twice.  When length-3 trails
+moved from a search to the Latin-square construction, only the (9, 3)
+trails and their reading changed.  When trail lengths 6 and >= 8 moved from
+the atom packer to the {0, n*n/d}-cycle search, only the (6, 6), (8, 8),
+(10, 20) and (12, 9) trails and their readings changed, and the strings of
+the deleted exact-search route were dropped.
 
 `GALOIS_SHA256` covers the galois layer: field tables, the explicit-modulus
 path, subfield bases, brute-force classification, reduced cycles, the
@@ -32,7 +35,6 @@ from ucycle.core import CycleParams, CyclicString, verify_cover
 from ucycle.decomp import (
     chi_from_decomposition,
     decompose_equal,
-    decompose_exact,
     decompose_loopless,
 )
 from ucycle.galois import (
@@ -49,7 +51,7 @@ from ucycle.galois import (
 from ucycle.lift import de_bruijn_sequence, double_ap3, splice_ap_cycle
 
 PINNED_SHA256 = (
-    "82ff1e412bc783331bae3914aa5c1b6812cd0bc7a7c6457a0f02a1c9ec9f3078")
+    "8c83836267e54aba84ef7dafd99af0529a5e6e70b9a14a82b5bf6c6257720b03")
 GALOIS_SHA256 = (
     "147f0abafb3ba9c52ea93c56f46498672a7d365450763f6792ae141aa9408efb")
 
@@ -75,16 +77,12 @@ def pinned_outputs():
         chi, _ = double_ap3(chi, d)
         out.append(chi.text())
 
-    # Euler, d = 4, Latin square (3), hub (5, 7) and packing (6, >= 8) routes
+    # Euler, d = 4, Latin square (3), hub (5, 7) and search (6, >= 8) routes
     for n, d in [(3, 9), (4, 16), (6, 4), (8, 4), (7, 7), (9, 3), (10, 5),
                  (6, 6), (8, 8), (10, 20), (12, 9)]:
         dec = decompose_equal(n, d)
         out.append(_trails(dec.trails))
         out.append(chi_from_decomposition(n, dec)[0].text())
-    for n, d in [(3, 3), (4, 8), (5, 5), (6, 9), (6, 12)]:
-        trails = decompose_exact(n, d)
-        out.append(_trails(trails))
-        out.append(chi_from_decomposition(n, trails)[0].text())
     out.append(_trails(decompose_loopless(5, [5, 5, 5, 5])))
     out.append(_trails(decompose_loopless(6, [4, 4, 4, 3, 3, 3, 3, 3, 3])))
 

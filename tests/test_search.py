@@ -3,6 +3,7 @@
 import itertools
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -17,6 +18,7 @@ from ucycle.core import (
     canonicalize_affine,
     verify_cover,
 )
+from ucycle import search
 from ucycle.search import (
     INVALID,
     VALID,
@@ -141,6 +143,117 @@ class TestPruningSoundness:
         cert = decide_valid(2, 4, I)
         assert cert.method == "stabilizer-count"
         assert (cert.verdict == VALID) == brute_force_valid(2, 4, I)
+
+
+def _scan_greedy_completion_order(N, I, q):
+    """Oracle: the greedy completion order by a full O(N) scan per pick."""
+    n = len(I)
+    pos_windows = [[] for _ in range(N)]
+    for i in I:
+        for t in range(N):
+            pos_windows[(i + t) % N].append(t)
+    rem = [n] * N
+    weight = [0] + [q ** (n - 1 - (r - 1)) for r in range(1, n + 1)]
+    score = [0] * N
+    for p in range(N):
+        score[p] = sum(weight[rem[t]] for t in pos_windows[p])
+    assigned = bytearray(N)
+    order = []
+    for step in range(N):
+        if step < n:
+            best = I[step]
+        else:
+            best, best_score = -1, -1
+            for p in range(N):
+                if not assigned[p] and score[p] > best_score:
+                    best, best_score = p, score[p]
+        assigned[best] = 1
+        order.append(best)
+        for t in pos_windows[best]:
+            old = rem[t]
+            rem[t] = old - 1
+            delta = weight[old - 1] - weight[old]
+            if old > 1:
+                for i in I:
+                    p2 = (i + t) % N
+                    if not assigned[p2]:
+                        score[p2] += delta
+    return order
+
+
+def _full_scan_stabilizer_bound(q, n, I, N):
+    """Oracle: the stabilizer counting bound, trying every shift 1..N-1
+    (each as a rotation of I's N-bit mask)."""
+    mask = sum(1 << i for i in I)
+    full = (1 << N) - 1
+    s_min = next((s for s in range(1, N)
+                  if ((mask << s) | (mask >> (N - s))) & full == mask), 0)
+    if s_min == 0:
+        return None
+    h = N // s_min
+    index_of = {i: j for j, i in enumerate(I)}
+    free = 0
+    for e in search._divisors(h):
+        mu = search._mobius(e)
+        if mu == 0:
+            continue
+        s_e = s_min * (h // e)
+        if s_e % N == 0:
+            cycles = n
+        else:
+            perm = [index_of[(i + s_e) % N] for i in I]
+            cycles = search._cycle_count(perm)
+        free += mu * q ** cycles
+    return free
+
+
+class TestOrderAgainstScans:
+    """The heap-driven greedy order and the trimmed stabilizer scan must
+    give what the scans they replaced give, so search results stay byte
+    for byte the same."""
+
+    def test_greedy_order_on_random_sets(self):
+        # every (q, n) with N <= 1024 and q <= 32; n = 1 reads one position
+        # per window at any q
+        rng = random.Random(2024)
+        for q in range(2, 33):
+            n = 1
+            while q ** n <= 1024:
+                N = q ** n
+                for _ in range(2):
+                    I = tuple(sorted(rng.sample(range(N), n)))
+                    assert search._greedy_completion_order(N, I, q) == \
+                        _scan_greedy_completion_order(N, I, q), (q, n, I)
+                n += 1
+
+    def test_greedy_order_on_decomposition_sets(self):
+        # every {0, D} with D | n*n over n <= 30 symbols: the sets the
+        # decomposition search route asks for
+        for q in range(2, 31):
+            N = q * q
+            for D in range(1, N):
+                if N % D == 0:
+                    assert search._greedy_completion_order(N, (0, D), q) == \
+                        _scan_greedy_completion_order(N, (0, D), q), (q, D)
+
+    def test_trimmed_stabilizer_scan(self):
+        # every set with N <= 32, wrap-around progressions such as
+        # (0, 4, 8, 12) mod 16 among them
+        stabilized = 0
+        for q, n in [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (4, 2),
+                     (5, 2)]:
+            N = q ** n
+            for I in itertools.combinations(range(N), n):
+                got = search._stabilizer_counting_bound(q, n, I, N)
+                assert got == _full_scan_stabilizer_bound(q, n, I, N), I
+                stabilized += got is not None
+        assert stabilized > 0
+
+    def test_two_positions_past_4096_take_the_greedy_order(self):
+        # N = 65 * 65 > 4096; under the first-need order this {0, D} ran
+        # out of the decomposition route's default 2M-node budget
+        cert = decide_valid(65, 2, (0, 65), node_limit=2_000_000)
+        assert cert.verdict == VALID
 
 
 class TestInvariants:
