@@ -3,7 +3,8 @@
 
 For every n up to --max-n and every divisor d of n*n, report whether the
 decomposition exists, which route produced it (as `decompose_equal`
-records it: "euler", "families", "latin", "hub" or "search"), and how long
+records it: "euler" for d = n*n, "blowup" when K~_m's trails for a divisor
+m < n of n with d | m*m are blown up, and "search" otherwise), and how long
 it took.  A row that runs out of its node budget prints `budget [nodes=...]`
 and the sweep goes on; the script then exits 3, as the CLI does.
 

@@ -61,11 +61,14 @@ class CyclicString:
     def __post_init__(self):
         if self.q < 2:
             raise ValueError("alphabet size must be >= 2")
-        if not self.symbols:
+        symbols = tuple(self.symbols)
+        if not symbols:
             raise ValueError("cyclic string must be nonempty")
-        if min(self.symbols) < 0 or max(self.symbols) >= self.q:
-            s = next(s for s in self.symbols if not 0 <= s < self.q)
+        alphabet = range(self.q)
+        if not set(symbols).issubset(alphabet):
+            s = next(s for s in symbols if s not in alphabet)
             raise ValueError(f"symbol {s} out of range for q={self.q}")
+        object.__setattr__(self, "symbols", symbols)
 
     def __len__(self):
         return len(self.symbols)
@@ -252,10 +255,10 @@ def verify_cover(chi: CyclicString, params, I, reduced=False):
     reduced case the all-zeroes word is not required.
 
     One pass over the windows records the first translate of each word.
-    Every word read is a q-ary n-word, so the string is complete exactly
-    when it reads all q**n of them (q**n - 1 besides the all-zeroes word in
-    the reduced case); the words themselves are listed only to name the
-    missing ones.
+    Every word read is a q-ary n-word (a CyclicString holds only symbols in
+    range(q)), so the string is complete exactly when it reads all q**n of
+    them (q**n - 1 besides the all-zeroes word in the reduced case); the
+    words themselves are listed only to name the missing ones.
     """
     if isinstance(params, CycleParams):
         q, n = params.q, params.n
@@ -271,9 +274,6 @@ def verify_cover(chi: CyclicString, params, I, reduced=False):
             raise ValueError("reduced verification needs CycleParams")
     if chi.q != q:
         raise ValueError("alphabet mismatch between string and params")
-    # the count below is sound only for words over 0..q-1
-    if not set(chi.symbols) <= set(range(q)):
-        raise ValueError(f"string has a symbol outside 0..{q - 1}")
     I = normalize_index_set(I, N)
     if len(I) != n:
         raise ValueError(f"index set size {len(I)} != window size {n}")

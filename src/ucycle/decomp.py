@@ -6,32 +6,36 @@ trails of length d ("closed trail": chained edges, all distinct, vertices
 free to repeat); d = 1 fails for n >= 2 because only n loops exist, and
 d = 2 fails because loops cannot sit on a 2-trail.
 
-Routes, by target length:
+Routes, tried in this order:
 
-* d = n^2           one Euler circuit;
-* d = 4, n even     explicit 4-cycle families;
-* d = 3             K~_3's three trails blown up by a Latin square;
-* d in {5, 7}       hub gadgets plus a prescribed-length split of the
-                    loopless complete digraph;
-* d = 6 or d >= 8   the validity search for a {0, n^2/d}-cycle over n
-                    symbols: its n^2 windows are the n^2 edges, and each
-                    residue class mod n^2/d walks one closed trail of
-                    length d, the inverse of `chi_from_decomposition`.
+* euler    d = n^2: one Euler circuit;
+* blowup   the least m with 2 <= m < n, m | n and d | m^2 exists: K~_m's
+           length-d trails, each vertex blown up into n/m copies (see
+           `_blowup_trails`);
+* search   otherwise: the validity search for a {0, n^2/d}-cycle over n
+           symbols.  Its n^2 windows are the n^2 edges, and each residue
+           class mod n^2/d walks one closed trail of length d, the inverse
+           of `chi_from_decomposition`.
 
-The route taken is recorded on the returned decomposition.  The
-prescribed-length split and the search are exact; `Impossible` from either
-is a refutation by exhaustion, and running out of budget raises
-`BudgetExceeded`.  Every emitted decomposition re-verifies through
-`check_decomposition` before being returned.
+By the minimality of m, the base K~_m of a blow-up is itself an euler or a
+search row.
+
+The route taken is recorded on the returned decomposition.  The search and
+the prescribed-length split of the loopless complete digraph
+(`decompose_loopless`) are exact; `Impossible` from either is a refutation
+by exhaustion, and running out of budget raises `BudgetExceeded`.  Every
+emitted decomposition re-verifies through `check_decomposition` before
+being returned.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
 
-from .core import (BudgetExceeded, CyclicString, CycleParams, UcycleError,
+from .core import (BudgetExceeded, CycleParams, UcycleError,
                    VerificationError, euler_circuit, least_rotation,
                    verify_cover)
+from .lift import chi_to_trail_symbols, trails_to_chi
 from .search import decide_valid
 
 
@@ -74,8 +78,8 @@ class TrailDecomposition:
     n: int
     d: int
     trails: list
-    # which construction built the trails: "euler", "families", "latin",
-    # "hub" or "search"; left out of the JSON document
+    # which construction built the trails: "euler", "blowup" or "search";
+    # left out of the JSON document
     route: str = field(compare=False)
 
     def __post_init__(self):
@@ -129,7 +133,7 @@ def euler_trail(edges):
 # ---------------------------------------------------------------------------
 
 
-def decompose_loopless(m, lengths, node_limit=2_000_000, vertices=None):
+def decompose_loopless(m, lengths, node_limit=2_000_000):
     """Edge-disjoint closed trails of the prescribed lengths covering the
     loopless complete digraph on m vertices.
 
@@ -138,15 +142,12 @@ def decompose_loopless(m, lengths, node_limit=2_000_000, vertices=None):
     scale is six vertices into all 3-cycles, refuted by exhausting the
     search.
     """
-    verts = list(vertices) if vertices is not None else list(range(1, m + 1))
-    if len(verts) != m:
-        raise ValueError("vertex list size mismatch")
     lengths = sorted(lengths, reverse=True)
     if sum(lengths) != m * (m - 1):
         raise ValueError(f"lengths sum {sum(lengths)} != m(m-1) = {m*(m-1)}")
     if any(L < 2 for L in lengths):
         raise ValueError("every length must be >= 2")
-    result = _split_trails(verts, lengths, node_limit)
+    result = _split_trails(list(range(1, m + 1)), lengths, node_limit)
     if result is not None:
         return result
     raise Impossible(
@@ -165,36 +166,38 @@ def _split_trails(verts, lengths, node_limit):
     t0 = time.monotonic()
 
     def trail_walks(anchor, length):
-        """Closed trails of `length` free edges starting with `anchor`."""
+        """Closed trails of `length` free edges starting with `anchor`.
+        heads[k] holds the heads still to try after walk[k], so a trail of
+        any length needs no recursion."""
+        nonlocal nodes
         u0 = anchor[0]
         walk = [anchor]
         free.discard(anchor)
-
-        def extend(v, left):
-            nonlocal nodes
+        heads = []
+        while True:
             nodes += 1
             if nodes > node_limit:
                 raise BudgetExceeded("trail split budget exceeded", nodes,
                                      time.monotonic() - t0)
+            v, left = walk[-1][1], length - len(walk)
             if left == 0:
                 if v == u0:
                     yield list(walk)
-                return
-            if left == 1:
-                cand = [u0] if (v, u0) in free else []
+                cand = ()
+            elif left == 1:
+                cand = (u0,) if (v, u0) in free else ()
             else:
                 cand = [w for w in verts if (v, w) in free]
-            for w in cand:
-                e = (v, w)
-                free.discard(e)
-                walk.append(e)
-                yield from extend(w, left - 1)
-                walk.pop()
-                free.add(e)
-
-        yield from extend(anchor[1], length - 1)
-        walk.pop()
-        free.add(anchor)
+            heads.append(iter(cand))
+            # take the next untried edge, backing out of exhausted heads
+            while (w := next(heads[-1], None)) is None:
+                heads.pop()
+                free.add(walk.pop())
+                if not heads:
+                    return
+            e = (walk[-1][1], w)
+            free.discard(e)
+            walk.append(e)
 
     def branches(remaining):
         """(walk, lengths left) for every first trail of `remaining`; the
@@ -231,115 +234,30 @@ def _split_trails(verts, lengths, node_limit):
 
 
 # ---------------------------------------------------------------------------
-# closed-form families and hub constructions
+# blow-up and search routes, and the dispatcher
 # ---------------------------------------------------------------------------
 
 
-def _wrap(v, n):
-    return (v - 1) % n + 1
+def _blowup_trails(base, k):
+    """Length-d trails of K~_{mk} from the length-d trails `base` of K~_m.
 
-
-def prop17_trails(n):
-    """Length-4 trails covering K~_n for even n, as explicit families."""
-    if n % 2:
-        raise ValueError("n must be even")
-    h = n // 2
-    trails = []
-    for j in range(1, h + 1):
-        a, b = j, _wrap(j + h, n)
-        trails.append(ClosedTrail(((a, a), (a, b), (b, b), (b, a))))
-    if n % 4 == 2:
-        for j in range(1, n + 1):
-            for k in range(1, (n - 2) // 4 + 1):
-                x, y = _wrap(j + 2 * k - 1, n), _wrap(j + 2 * k, n)
-                trails.append(ClosedTrail(((j, x), (x, j), (j, y), (y, j))))
-    else:
-        for j in range(1, n + 1):
-            for k in range(1, n // 4):
-                x, y = _wrap(j + 2 * k, n), _wrap(j + 2 * k + 1, n)
-                trails.append(ClosedTrail(((j, x), (x, j), (j, y), (y, j))))
-        for j in range(1, h + 1):
-            u, x, y = 2 * j, _wrap(2 * j - 1, n), _wrap(2 * j + 1, n)
-            trails.append(ClosedTrail(((u, x), (x, u), (u, y), (y, u))))
-    return trails
-
-
-def _triple_trails(n):
-    """Length-3 trails covering K~_n for 3 | n.
-
-    K~_3 splits into the three trails x -> x -> x+1 -> x (x mod 3).  Blow
-    vertex x up into the k = n/3 vertices (x, i), numbered x*k + i + 1, and
-    its trail into the k*k trails (x,i) -> (x,j) -> (x+1,l) -> (x,i) with
-    l = i + j mod k, a Latin square.  Any two of i, j, l fix the third, so
-    each arc within block x, from x to x+1, and from x+1 to x lies on
-    exactly one trail; i = j puts the loop at (x,i) on its trail.
+    Vertex v becomes the k vertices (v, i), numbered (v - 1)*k + i + 1, and
+    base trail v_0 ... v_{d-1} the k*k trails through (v_a, f_a(i, j)) with
+    f_0 = i, f_a = j for odd a and f_a = i + j mod k for even a >= 2.  Each
+    cyclically consecutive pair (f_a, f_{a+1}) is (i, j), (j, i + j),
+    (i + j, j), (j, i) or (i + j, i), of determinant +-1 and so a bijection
+    of Z_k^2: every arc from block v_a to block v_{a+1}, loops included,
+    lies on exactly one trail.
     """
-    k = n // 3
+    fs = [(i, j, (i + j) % k) for i in range(k) for j in range(k)]
     trails = []
-    for x in range(3):
-        y = (x + 1) % 3
-        for i in range(k):
-            for j in range(k):
-                u, v, w = x * k + i + 1, x * k + j + 1, y * k + (i + j) % k + 1
-                trails.append(ClosedTrail(((u, v), (v, w), (w, u))))
+    for t in base:
+        # cols[a] lists vertex a of each of the k*k trails of t
+        cols = [[(v - 1) * k + 1 + f[1 if a % 2 else 2 if a else 0]
+                 for f in fs] for a, v in enumerate(t.vertex_sequence())]
+        arcs = [zip(c, c2) for c, c2 in zip(cols, cols[1:] + cols[:1])]
+        trails.extend(map(ClosedTrail, zip(*arcs)))
     return trails
-
-
-def _gadget_edges(j, hubs):
-    edges = [(j, j)]
-    for h in hubs:
-        edges.extend([(j, h), (h, j)])
-    return edges
-
-
-def _prop18_trails(n, d, node_limit):
-    if n % d:
-        raise ValueError("this route needs d | n")
-    if d == 5:
-        a, b = n - 1, n
-        inner = list(range(1, n - 1))
-        K = ((n - 2) * (n - 3) - 6) // 5
-        parts = decompose_loopless(n - 2, [5] * K + [4, 2], node_limit,
-                                   vertices=inner)
-        t4 = next(t for t in parts if len(t) == 4)
-        t2 = next(t for t in parts if len(t) == 2)
-        trails = [t for t in parts if len(t) == 5]
-        u = min(t4.vertices())
-        x = min(t2.vertices() - {u})
-        trails.append(euler_trail(list(t4.edges) + [(u, u)]))
-        trails.append(euler_trail(
-            [(u, a), (a, u), (u, b), (b, u), (a, a)]))
-        trails.append(euler_trail(list(t2.edges) + [(x, b), (b, x), (b, b)]))
-        trails.append(euler_trail(
-            [(x, x), (x, a), (a, x), (a, b), (b, a)]))
-        for j in inner:
-            if j not in (u, x):
-                trails.append(euler_trail(_gadget_edges(j, [a, b])))
-        return trails
-    if d == 7:
-        a, b, c = n - 2, n - 1, n
-        inner = list(range(1, n - 2))
-        K = ((n - 3) * (n - 4) - 5) // 7
-        parts = decompose_loopless(n - 3, [7] * K + [5], node_limit,
-                                   vertices=inner)
-        t5 = next(t for t in parts if len(t) == 5)
-        trails = [t for t in parts if len(t) == 7]
-        u = min(t5.vertices())
-        trails.append(euler_trail(list(t5.edges) + [(u, a), (a, u)]))
-        trails.append(euler_trail(
-            [(u, u), (u, b), (b, u), (u, c), (c, u), (a, b), (b, a)]))
-        hub = [(a, a), (b, b), (c, c), (a, c), (c, a), (b, c), (c, b)]
-        trails.append(euler_trail(hub))
-        for j in inner:
-            if j != u:
-                trails.append(euler_trail(_gadget_edges(j, [a, b, c])))
-        return trails
-    raise ValueError("route only covers d in {5, 7}")
-
-
-# ---------------------------------------------------------------------------
-# search route and the dispatcher
-# ---------------------------------------------------------------------------
 
 
 def _search_trails(n, d, node_limit):
@@ -350,10 +268,9 @@ def _search_trails(n, d, node_limit):
     if not cert.valid:
         raise Impossible(f"no {{0, {D}}}-cycle over {n} symbols exists",
                          reason="exhausted")
-    x = cert.witness.symbols
     trails = []
-    for a in range(D):
-        seq = [x[a + b * D] + 1 for b in range(d)]
+    for syms in chi_to_trail_symbols(cert.witness, D):
+        seq = [x + 1 for x in syms]
         trails.append(ClosedTrail(tuple(zip(seq, seq[1:] + seq[:1]))))
     return trails
 
@@ -379,15 +296,14 @@ def decompose_equal(n, d, node_limit=2_000_000):
         raise Impossible(
             "length-2 trails are digon pairs and can never cover a loop",
             reason="counting")
+    m = next((m for m in range(2, n) if n % m == 0 and (m * m) % d == 0),
+             None)
     if d == n * n:
         all_edges = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1)]
         trails, route = [euler_trail(all_edges)], "euler"
-    elif d == 4 and n % 2 == 0:
-        trails, route = prop17_trails(n), "families"
-    elif d == 3:
-        trails, route = _triple_trails(n), "latin"
-    elif d in (5, 7):
-        trails, route = _prop18_trails(n, d, node_limit), "hub"
+    elif m is not None:
+        base = decompose_equal(m, d, node_limit).trails
+        trails, route = _blowup_trails(base, n // m), "blowup"
     else:
         trails, route = _search_trails(n, d, node_limit), "search"
     return TrailDecomposition(n, d, trails, route)
@@ -408,11 +324,7 @@ def chi_from_decomposition(q, decomposition):
         if any(not (1 <= u <= q) for e in t.edges for u in e):
             raise ValueError("trail vertices must lie in 1..q")
     norm = sorted(least_rotation(t.vertex_sequence()) for t in trails)
-    out = [0] * (q * q)
-    for a, seq in enumerate(norm):
-        for bpos in range(L):
-            out[a + bpos * d] = seq[bpos] - 1
-    chi = CyclicString(q, tuple(out))
+    chi = trails_to_chi([[v - 1 for v in seq] for seq in norm], q)
     rep = verify_cover(chi, CycleParams.unreduced(q, 2), (0, d % (q * q)))
     if not rep.complete:
         raise VerificationError("decomposition reading failed verification")

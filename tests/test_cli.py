@@ -309,7 +309,7 @@ class TestParserReuse:
     APPROX = ["approx", "--q", "2", "--n", "3", "--set", "0,1,2",
               "--format", "json"]
     CALLS = [
-        ["decompose", "--n", "6", "--d", "9", "--budget-nodes", "1"],
+        ["decompose", "--n", "6", "--d", "6", "--budget-nodes", "1"],
         APPROX + ["--type", "2", "--seed", "5"],
         APPROX + ["--type", "2"],
         APPROX + ["--type", "3"],  # argparse rejects the choice

@@ -260,11 +260,10 @@ class TestVerifierAgainstWindowOracle:
                         ("longer", True), ("longer", False)}
 
     def test_symbol_outside_the_alphabet_rejected(self):
-        # 0.5 passes the range check of CyclicString but is no word symbol,
-        # so the count could not decide completeness
-        chi = CyclicString(2, (0, 0.5))
-        with pytest.raises(ValueError):
-            verify_cover(chi, (2, 1), (0,))
+        # 0.5 lies between 0 and q but is no word symbol, so the count in
+        # verify_cover could not decide completeness
+        with pytest.raises(ValueError, match="symbol 0.5 out of range"):
+            CyclicString(2, (0, 0.5))
 
 
 class TestAffine:
@@ -414,6 +413,12 @@ class TestStrings:
         chi = CyclicString(16, (0, 11, 15, 3))
         assert chi.text() == "0,11,15,3"
         assert CyclicString.from_text(chi.text(), 16) == chi
+
+    def test_symbol_list_is_stored_as_a_tuple(self):
+        symbols = [0, 1, 1]
+        chi = CyclicString(2, symbols)
+        symbols[0] = 5
+        assert chi.symbols == (0, 1, 1)
 
     def test_rotation_translate_equality(self):
         a = CyclicString(3, (0, 1, 2, 0))

@@ -19,7 +19,6 @@ from ucycle.decomp import (
     decompose_equal,
     decompose_loopless,
     euler_trail,
-    prop17_trails,
 )
 from ucycle.search import two_element_validity
 
@@ -103,45 +102,41 @@ class TestEqualDecomposition:
             dec = decompose_equal(n, d)  # checker runs in the constructor
             assert len(dec.trails) == n * n // d
 
-    def test_prop17_families_exact_cover_up_to_12(self):
-        for n in range(2, 13, 2):
-            trails = prop17_trails(n)
-            edges = [e for t in trails for e in t.edges]
-            assert len(edges) == n * n
-            assert len(set(edges)) == n * n
-            assert all(len(t) == 4 for t in trails)
-
     def test_route_names_the_construction(self):
+        # blowup takes the least divisor m of n with d | m*m; search is
+        # left for the rows where no such m < n exists
         for (n, d), route in [((1, 1), "euler"), ((3, 9), "euler"),
-                              ((6, 4), "families"), ((6, 3), "latin"),
-                              ((9, 3), "latin"), ((10, 5), "hub"),
-                              ((10, 10), "search"), ((30, 18), "search"),
-                              ((24, 16), "search")]:
+                              ((6, 4), "blowup"), ((9, 3), "blowup"),
+                              ((10, 5), "blowup"), ((24, 16), "blowup"),
+                              ((30, 18), "blowup"), ((3, 3), "search"),
+                              ((7, 7), "search"), ((10, 10), "search"),
+                              ((10, 20), "search")]:
             assert decompose_equal(n, d).route == route
 
-    def test_hub_split_runs_without_recursion_per_trail(self):
-        # the loopless split under (90, 5) and (100, 5) holds over a
-        # thousand trails, more than Python's recursion limit allows frames
-        for n in (90, 100):
-            assert decompose_equal(n, 5).route == "hub"
+    def test_blowup_builds_large_n_fast(self):
+        # each row blows up a base of at most five vertices
+        t0 = time.process_time()
+        for n, d in [(90, 5), (100, 5), (99, 3), (100, 4)]:
+            assert decompose_equal(n, d).route == "blowup"
+        assert time.process_time() - t0 < 1.0
 
-    def test_every_length_up_to_30_is_built_or_searched_fast(self):
-        # every feasible (n, d) with n <= 30 takes a closed form or the
-        # cycle search, about 1 s of CPU in all
+    def test_every_length_up_to_40_is_built_or_searched_fast(self):
+        # every feasible (n, d) with n <= 40 takes one of the three routes,
+        # about 1.5 s of CPU in all
         t0 = time.process_time()
         routes = set()
-        for n in range(1, 31):
+        for n in range(1, 41):
             for d in range(3, n * n + 1):
                 if (n * n) % d == 0:
                     routes.add(decompose_equal(n, d).route)
-        assert routes == {"euler", "families", "latin", "hub", "search"}
+        assert routes == {"euler", "blowup", "search"}
         assert time.process_time() - t0 < 10.0
 
     def test_search_route_past_the_first_need_threshold(self):
-        # N = 72 * 72 > 4096, where sets of more than two positions switch
-        # to the first-need order; {0, 864} keeps the greedy one
-        dec = decompose_equal(72, 6)
-        assert dec.route == "search" and len(dec.trails) == 864
+        # N = 65 * 65 > 4096, where sets of more than two positions switch
+        # to the first-need order; {0, 65} keeps the greedy one
+        dec = decompose_equal(65, 65)
+        assert dec.route == "search" and len(dec.trails) == 65
 
     def test_search_route_reports_an_exhausted_search(self, monkeypatch):
         cert = SimpleNamespace(valid=False)
@@ -151,11 +146,12 @@ class TestEqualDecomposition:
         assert exc.value.reason == "exhausted"
 
     def test_length3_trails_by_construction(self):
-        # the length-3 route builds, never searches: every n = 3k up to 150
-        # and the stride-3 reading at n = 36 take well under a second of CPU
+        # past n = 3, length 3 is blown up from K~_3's three trails: every
+        # n = 3k from 6 to 150 and the stride-3 reading at n = 36 take well
+        # under a second of CPU
         t0 = time.process_time()
-        for n in range(3, 151, 3):
-            assert decompose_equal(n, 3).route == "latin"
+        for n in range(6, 151, 3):
+            assert decompose_equal(n, 3).route == "blowup"
         chi, rep = chi_from_decomposition(36, decompose_equal(36, 3))
         assert rep.complete and len(chi) == 36 * 36
         assert time.process_time() - t0 < 1.0
@@ -215,6 +211,15 @@ class TestLoopless:
         edges = [e for t in trails for e in t.edges]
         assert sorted(edges) == sorted(
             (u, v) for u in range(1, 7) for v in range(1, 7) if u != v)
+
+    def test_one_long_trail_needs_no_recursion_per_edge(self):
+        # 1056 edges in one trail, more than Python's recursion limit
+        # allows frames if the walk took one per edge
+        try:
+            trails = decompose_loopless(33, [1056], node_limit=2000)
+        except BudgetExceeded:
+            return
+        assert [len(t) for t in trails] == [1056]
 
     def test_sum_mismatch_rejected(self):
         with pytest.raises(ValueError):
