@@ -65,8 +65,11 @@ class CyclicString:
         if not symbols:
             raise ValueError("cyclic string must be nonempty")
         alphabet = range(self.q)
-        if not set(symbols).issubset(alphabet):
-            s = next(s for s in symbols if s not in alphabet)
+        # 1.0 and True equal 1, so a range check alone lets them in
+        if not (set(symbols).issubset(alphabet)
+                and {type(s) for s in symbols} == {int}):
+            s = next(s for s in symbols
+                     if type(s) is not int or s not in alphabet)
             raise ValueError(f"symbol {s} out of range for q={self.q}")
         object.__setattr__(self, "symbols", symbols)
 

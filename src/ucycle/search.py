@@ -1,24 +1,57 @@
 """Validity decisions for index sets by pruned exhaustive search, plus the
 affine-class atlas machinery.
 
-A set I of n residues mod q**n is valid when some cyclic string achieves
-every n-word on a translate of I.  Because there are exactly q**n translates
-and q**n words, a complete string makes the translate-to-word map a
-bijection, and the search below branches on symbols while rejecting any
-assignment that repeats a completed window word ("bijection pruning").
+A set I of n residues mod N = q**n is valid when some cyclic string achieves
+every n-word on a translate of I.  There are exactly N translates and N
+words, so a complete string makes the translate-to-word map a bijection.
+
+Exact cover.  For n >= 3 the search treats that bijection as an exact cover
+with colours (Knuth, TAOCP 4B, 7.2.2.1, Algorithm C): the translates and
+the words are the items, each matched exactly once, and the option (t, w)
+colours the positions t + I with the symbols of w.
+
+* Live sets.  A translate with some but not all of its positions fixed is
+  on the frontier; its live set is the bitmask of the words that agree
+  with those positions.  Fixing a position ANDs one coordinate mask into
+  the n translates through it.  A translate whose last position is fixed
+  closes at once on its word, and the node fails if a closed translate
+  already reads that word.
+* Most constrained item (MRV; Haralick and Elliott, AIJ 1980).  Each node
+  branches on the frontier translate with the fewest live unused words,
+  the least translate on ties, trying words in ascending order.  A
+  translate with no live word fails the node and one with a single word
+  is forced.  Once at most one translate is untouched, one pass over the
+  frontier also finds the words with no candidate translate, which fail
+  the node, and those with exactly one, which are forced; before that,
+  every word still has two untouched candidates.  Forced moves reach the
+  same state in any order, so the witness does not depend on which one
+  goes first.
+
+Sets with |I| <= 2 are searched depth-first over positions in a fixed
+greedy order that finishes nearly complete windows first (`_dfs`).  That
+order serves the {0, D} sets of the decomposition route up to N = 127**2,
+where N live masks of N bits each would be costly.
 
 Symmetry breaking.  Rotating a string and relabeling its symbols both map
 complete strings to complete strings, so the search explores one member of
 each orbit:
 
 * rotation - a complete string has exactly one translate reading 0**n, and
-  rotating the string moves that translate to 0.  So the search assigns
-  I's positions first and pins each to 0 (a lex-leader rule for the cyclic
+  rotating the string moves that translate to 0.  So the search fixes I's
+  positions to 0 before anything else (a lex-leader rule for the cyclic
   group, after Crawford, Ginsberg, Luks and Roy, KR 1996);
-* relabeling - a symbol may be used only after every smaller symbol has
-  occurred in assignment order.  Putting a string that reads 0 on I into
-  first-occurrence order keeps 0 fixed, because I's positions come first,
-  so the two rules together still reach every orbit.
+* relabeling - symbols that no position holds yet are interchangeable: a
+  permutation of them fixes every fixed position, every closed word and
+  every symbol count, so it maps the subtree below one option onto the
+  subtree below another (Van Hentenryck, Flener, Pearson and Agren, IJCAI
+  2003).  So the exact-cover search, branching on a translate, keeps only
+  the words whose new symbols are the least unused ones in first-occurrence
+  order along the coordinates, and `_dfs` uses a symbol only after every
+  smaller one.  Neither argument depends on the order of the branching, so
+  both stay sound under a dynamic order.  The permutation leaves 0 fixed,
+  because the rotation rule places 0 first, so the two rules together
+  still reach every orbit.  A word with one candidate translate is never
+  filtered: relabeling it would name another word.
 
 Two further sound rules:
 
@@ -141,23 +174,6 @@ def _cycle_count(perm):
     return count
 
 
-def _first_need_order(N, I):
-    # positions in the order translates 0, 1, 2, ... first require them, so
-    # I's own positions (pinned to 0 by the search) come first; equals plain
-    # position order for contiguous index sets containing 0
-    order = []
-    seen = bytearray(N)
-    for t in range(N):
-        for i in I:
-            p = (i + t) % N
-            if not seen[p]:
-                seen[p] = 1
-                order.append(p)
-        if len(order) == N:
-            break
-    return order
-
-
 def _greedy_completion_order(N, I, q):
     """Assignment order that finishes nearly-complete windows first.
 
@@ -170,7 +186,7 @@ def _greedy_completion_order(N, I, q):
 
     Scores only grow, so the best position comes off a heap keyed
     p - score*N, stale keys skipped; each pick updates n*n keys, so for
-    |I| = 2 the order costs O(N log N) and serves sets past N = 4096.
+    |I| = 2 the order costs O(N log N) and serves {0, D} up to N = 127**2.
     """
     n = len(I)
     pos_windows = [[] for _ in range(N)]
@@ -218,11 +234,18 @@ def default_budget():
 def decide_valid(q, n, I, node_limit=None, time_limit=None):
     """Decide q-validity of I with a verified witness or a refutation.
 
-    Deterministic: fixed assignment order, symbols tried ascending, symbol
-    relabeling broken by first-occurrence order, and translate 0 pinned to
-    the word 0**n (see the module docstring).  The reported witness is the
-    least string under the search order among those that read 0 at every
-    position of I.
+    For |I| >= 3 this is the exact-cover search of the module docstring:
+    each node branches on the most constrained translate or word, and
+    `nodes_explored` counts the options it tried, forced ones included.
+    For |I| <= 2 it is the depth-first search over positions in a fixed
+    greedy order, and `nodes_explored` counts symbol assignments.
+
+    Deterministic: translate 0 is pinned to the word 0**n, ties go to the
+    least translate, words and symbols are tried in ascending order, and
+    relabeling is broken by first occurrence.  The witness is the first
+    complete string in that order; it reads 0 at every position of I and
+    passes `verify_cover` before it is returned.  A node or time budget
+    that runs out raises `BudgetExceeded` and reports no verdict.
     """
     N = q ** n
     if N > 2 ** 24:
@@ -240,7 +263,8 @@ def decide_valid(q, n, I, node_limit=None, time_limit=None):
             method="stabilizer-count",
         )
 
-    found, chi_syms, nodes = _dfs(q, n, I, N, node_limit, time_limit, start)
+    search = _dfs if n <= 2 else _cover_search
+    found, chi_syms, nodes = search(q, n, I, N, node_limit, time_limit, start)
     elapsed = time.monotonic() - start
     if found:
         witness = CyclicString(q, tuple(chi_syms))
@@ -259,13 +283,7 @@ def decide_valid(q, n, I, node_limit=None, time_limit=None):
 
 def _dfs(q, n, I, N, node_limit, time_limit, start):
     target = q ** (n - 1)
-    # with |I| = 2 the greedy order stays cheap at any N, and on {0, D} it
-    # completes one trail of the decomposition reading after another, where
-    # the first-need order grows all of them at once and stalls
-    if N <= 4096 or n == 2:
-        order = _greedy_completion_order(N, I, q)
-    else:
-        order = _first_need_order(N, I)
+    order = _greedy_completion_order(N, I, q)
     # highest symbol allowed at each depth: 0 on I (translate 0 reads 0**n),
     # then any symbol the first-occurrence relabeling admits
     top = [0] * n + [q - 1] * (N - n)
@@ -368,6 +386,207 @@ def _dfs(q, n, I, N, node_limit, time_limit, start):
             wrem[t] += w
         chi[p2] = -1
         counts[s2] -= 1
+
+
+def _bits(m):
+    """The set bits of m, ascending."""
+    out = []
+    while m:
+        low = m & -m
+        m ^= low
+        out.append(low.bit_length() - 1)
+    return out
+
+
+def _least_new_symbols(words, q, powers, counts):
+    """The words whose unused symbols (counts[c] == 0) first occur along
+    the coordinates as the least unused ones, in ascending order: one word
+    of each orbit under the permutations of the unused symbols."""
+    unused = [c for c in range(q) if not counts[c]]
+    if len(unused) < 2:
+        return words
+    rank = {c: r for r, c in enumerate(unused)}
+    kept = []
+    for w in words:
+        k = 0
+        for d in powers:
+            r = rank.get(w // d % q, -1)
+            if r > k:
+                break
+            if r == k:
+                k += 1
+        else:
+            kept.append(w)
+    return kept
+
+
+def _periodic(block, period, N):
+    """The N-bit mask that repeats the `period`-bit `block`, by doubling."""
+    while period < N:
+        block |= block << period
+        period *= 2
+    return block & ((1 << N) - 1)
+
+
+def _cover_search(q, n, I, N, node_limit, time_limit, start):
+    """The exact-cover search of the module docstring, for |I| >= 3:
+    (found, symbols, nodes) as `_dfs` returns them."""
+    target = q ** (n - 1)
+    full = (1 << N) - 1
+    powers = [q ** (n - 1 - j) for j in range(n)]
+    # cmask[c][j]: bitmask of the words whose coordinate j reads c
+    cmask = [tuple(_periodic(((1 << p) - 1) << c * p, q * p, N)
+                   for p in powers) for c in range(q)]
+    pos_tr = [tuple((p - i) % N for i in I) for p in range(N)]
+    tr_pos = [tuple((t + i) % N for i in I) for t in range(N)]
+    chi = [-1] * N
+    nfix = [0] * N        # fixed positions of each translate
+    live = [0] * N        # words consistent with them, on touched translates
+    frontier = set()      # open translates with a fixed position
+    counts = [0] * q
+    trail = []            # fixed positions, in order
+    olds = []             # the live masks each fix replaced, n per position
+    untouched = N
+    free = full           # words no closed translate reads
+    nodes = 0
+    stack = []            # frames [words, next, t, trail mark, free]
+    two_n = 2 * N
+
+    def place(t, w):
+        # fix the open positions of t + I to the digits of w; False when a
+        # symbol is over-used, a closed translate repeats a word or an open
+        # one loses its last live word
+        nonlocal untouched, free
+        ok = True
+        for p, d in zip(tr_pos[t], powers):
+            if chi[p] >= 0:
+                continue
+            c = w // d % q
+            chi[p] = c
+            counts[c] += 1
+            trail.append(p)
+            if counts[c] > target:
+                ok = False
+            for u, m in zip(pos_tr[p], cmask[c]):
+                k = nfix[u]
+                if k:
+                    old = live[u]
+                    lv = old & m
+                else:
+                    old = lv = m
+                    untouched -= 1
+                    frontier.add(u)
+                olds.append(old)
+                live[u] = lv
+                k += 1
+                nfix[u] = k
+                if k == n:
+                    frontier.discard(u)
+                    if lv & free:
+                        free ^= lv
+                    else:
+                        ok = False
+                elif not lv & free:
+                    ok = False
+            if not ok:
+                return False
+        return True
+
+    def undo(mark):
+        nonlocal untouched
+        while len(trail) > mark:
+            p = trail.pop()
+            c = chi[p]
+            chi[p] = -1
+            counts[c] -= 1
+            for u in reversed(pos_tr[p]):
+                k = nfix[u]
+                if k == n:
+                    frontier.add(u)
+                elif k == 1:
+                    frontier.discard(u)
+                    untouched += 1
+                nfix[u] = k - 1
+                live[u] = olds.pop()
+
+    def branch():
+        # the item to branch on, as a translate and its words to try
+        best = two_n * N
+        for t in frontier:
+            key = (live[t] & free).bit_count() * N + t
+            if key < best:
+                best = key
+                if key < two_n:
+                    break
+        if best < N:
+            return 0, ()
+        if best < two_n:
+            t = best - N
+            return t, ((live[t] & free).bit_length() - 1,)
+        if not frontier:
+            # I lies in a proper subgroup and the cosets begun are done:
+            # open the least untouched translate
+            t = nfix.index(0)
+            return t, _least_new_symbols(_bits(free), q, powers, counts)
+        if untouched < 2:
+            # the words with no or one candidate translate; an untouched
+            # translate is a candidate for every word
+            once = twice = 0
+            for t in frontier:
+                m = live[t] & free
+                twice |= once & m
+                once |= m
+            if untouched:
+                twice |= once
+                once = free
+            if once != free:
+                return 0, ()
+            if once != twice:
+                single = once ^ twice
+                w = (single & -single).bit_length() - 1
+                for t in frontier:
+                    if live[t] >> w & 1:
+                        return t, (w,)
+                return nfix.index(0), (w,)
+        t = best % N
+        m = live[t] & free
+        return t, _least_new_symbols(_bits(m), q, powers, counts)
+
+    # rotation rule: translate 0 reads 0**n
+    if not place(0, 0):
+        return False, None, nodes
+    while True:
+        if not frontier and not untouched:
+            return True, chi, nodes
+        t, opts = branch()
+        # a lone option is forced and gets no frame: when it fails, the
+        # innermost real branch moves on
+        if len(opts) > 1:
+            stack.append([opts, 1, t, len(trail), free])
+        w = opts[0] if opts else None
+        while True:
+            if w is not None:
+                nodes += 1
+                if node_limit is not None and nodes > node_limit:
+                    raise BudgetExceeded("node budget exceeded", nodes,
+                                         time.monotonic() - start)
+                if time_limit is not None and not nodes & 1023:
+                    if time.monotonic() - start > time_limit:
+                        raise BudgetExceeded("time budget exceeded", nodes,
+                                             time.monotonic() - start)
+                if place(t, w):
+                    break
+            if not stack:
+                return False, None, nodes
+            frame = stack[-1]
+            opts, i, t, mark, free = frame
+            undo(mark)
+            if i < len(opts):
+                frame[1] = i + 1
+                w = opts[i]
+            else:
+                stack.pop()
+                w = None
 
 
 def two_element_validity(q, d):

@@ -83,8 +83,8 @@ def test_c03_atlas_2_5_smoke():
 
 
 def test_c03_atlas_2_5_full():
-    # the whole 454-class atlas: 127 s of search on one core of a 2-core
-    # x86 VM, 66 s on both
+    # the whole 454-class atlas: 27 s of search on one core of a 2-core
+    # x86 VM
     import multiprocessing
 
     jobs = min(multiprocessing.cpu_count(), 4)

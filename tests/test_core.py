@@ -265,6 +265,14 @@ class TestVerifierAgainstWindowOracle:
         with pytest.raises(ValueError, match="symbol 0.5 out of range"):
             CyclicString(2, (0, 0.5))
 
+    @pytest.mark.parametrize("symbols, bad", [
+        ((0, 1.0, True), "1.0"), ((0, 1, True), "True"), ((1, 0, 0.0), "0.0")])
+    def test_symbol_equal_to_an_int_rejected(self, symbols, bad):
+        # 1.0 and True compare equal to 1, so a range check alone took them
+        # and text() wrote "01.0True", which from_text cannot read back
+        with pytest.raises(ValueError, match=rf"^symbol {bad} out of range"):
+            CyclicString(2, symbols)
+
 
 class TestAffine:
     def test_translate_canonical(self):

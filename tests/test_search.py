@@ -64,6 +64,39 @@ class TestDecideValid:
         w2 = decide_valid(2, 4, (0, 1, 3, 7)).witness
         assert w1 == w2
 
+    def test_search_order_3_4_witness(self):
+        # 908,823 nodes under the static position order, a few thousand
+        # under the most-constrained-item order
+        cert = decide_valid(3, 4, (0, 1, 7, 8), node_limit=100_000)
+        assert cert.verdict == VALID
+        assert verify_cover(cert.witness, CycleParams.unreduced(3, 4),
+                            (0, 1, 7, 8)).complete
+
+    @pytest.mark.parametrize("q,n", [(2, 13), (4, 5)])
+    def test_contiguous_window_at_large_n(self, q, n):
+        # the classical de Bruijn window: the frontier stays near the
+        # fixed positions, so a few nodes per translate suffice
+        cert = decide_valid(q, n, range(n), node_limit=4 * q ** n)
+        assert cert.verdict == VALID
+
+    def test_time_budget_raises_not_a_verdict(self):
+        # undecided within 2M nodes, so 0.3 s cannot decide it
+        with pytest.raises(BudgetExceeded, match="time budget") as info:
+            decide_valid(3, 4, (0, 1, 3, 35), time_limit=0.3)
+        assert 0.3 <= info.value.elapsed < 10
+        assert info.value.nodes > 0
+
+    def test_position_search_serves_only_two_positions(self, monkeypatch):
+        calls = []
+        dfs = search._dfs
+        monkeypatch.setattr(search, "_dfs",
+                            lambda *a: calls.append(a[1]) or dfs(*a))
+        decide_valid(2, 4, (0, 1, 2, 6))
+        decide_valid(3, 3, (0, 1, 3))
+        decide_valid(3, 2, (0, 1))
+        decide_valid(2, 1, (0,))
+        assert calls == [2, 1]
+
     def test_budget_raises_not_invalid(self):
         with pytest.raises(BudgetExceeded):
             decide_valid(2, 5, (0, 1, 2, 3, 12), node_limit=100)
@@ -131,10 +164,53 @@ class TestPruningSoundness:
                 assert all(cert.witness.symbols[i] == 0 for i in rep), rep
 
     def test_rotation_rule_cuts_refutation_nodes(self):
-        # about 4.65M nodes without the rotation rule, about 212k with it
+        # about 1.61M nodes without the rotation rule, about 33k with it
         cert = decide_valid(2, 5, (0, 1, 2, 6, 26))
         assert cert.verdict == INVALID
         assert cert.nodes_explored < 1_000_000
+
+    @pytest.mark.parametrize("q,n", [(3, 3), (2, 4)])
+    def test_cover_search_matches_position_search(self, q, n):
+        # every 3-subset of Z_27 and every 4-subset of Z_16 that holds 0,
+        # without the stabilizer bound: the exact-cover search against the
+        # position-order search, which still runs any |I|
+        N = q ** n
+        verdicts = set()
+        for rest in itertools.combinations(range(1, N), n - 1):
+            I = (0,) + rest
+            found, syms, _ = search._cover_search(q, n, I, N, None, None, 0)
+            assert found == search._dfs(q, n, I, N, None, None, 0)[0], I
+            if found:
+                assert verify_cover(CyclicString(q, tuple(syms)),
+                                    CycleParams.unreduced(q, n), I).complete
+            verdicts.add(found)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("q", [3, 4])
+    def test_relabeling_keeps_one_word_per_orbit(self, q):
+        # the exact-cover search keeps only these words on a translate
+        # branch; sound and not redundant when each orbit of the words
+        # under the permutations of the unused symbols keeps exactly one
+        n = 3
+        powers = [q ** (n - 1 - j) for j in range(n)]
+        words = list(range(q ** n))
+        for r in range(1, q + 1):
+            for used in itertools.combinations(range(q), r):
+                counts = [int(c in used) for c in range(q)]
+                unused = [c for c in range(q) if c not in used]
+                kept = set(search._least_new_symbols(words, q, powers,
+                                                     counts))
+                orbits = {}
+                for w in words:
+                    digits = [w // d % q for d in powers]
+                    images = []
+                    for perm in itertools.permutations(unused):
+                        to = dict(zip(unused, perm))
+                        images.append(sum(to.get(x, x) * d
+                                          for x, d in zip(digits, powers)))
+                    orbits.setdefault(min(images), set()).add(w)
+                for orbit in orbits.values():
+                    assert len(orbit & kept) == 1, (used, sorted(orbit))
 
     @pytest.mark.parametrize("I", [(0, 4, 8, 12), (0, 2, 8, 10),
                                    (1, 5, 9, 13), (0, 1, 8, 9)])
@@ -250,8 +326,8 @@ class TestOrderAgainstScans:
         assert stabilized > 0
 
     def test_two_positions_past_4096_take_the_greedy_order(self):
-        # N = 65 * 65 > 4096; under the first-need order this {0, D} ran
-        # out of the decomposition route's default 2M-node budget
+        # N = 65 * 65 > 4096; under a first-need order (since deleted) this
+        # {0, D} ran out of the decomposition route's default 2M-node budget
         cert = decide_valid(65, 2, (0, 65), node_limit=2_000_000)
         assert cert.verdict == VALID
 
