@@ -5,10 +5,10 @@ A set I of n residues mod N = q**n is valid when some cyclic string achieves
 every n-word on a translate of I.  There are exactly N translates and N
 words, so a complete string makes the translate-to-word map a bijection.
 
-Exact cover.  For n >= 3 the search treats that bijection as an exact cover
-with colours (Knuth, TAOCP 4B, 7.2.2.1, Algorithm C): the translates and
-the words are the items, each matched exactly once, and the option (t, w)
-colours the positions t + I with the symbols of w.
+Exact cover.  For n >= 3 and N <= 4096 the search treats that bijection as
+an exact cover with colours (Knuth, TAOCP 4B, 7.2.2.1, Algorithm C): the
+translates and the words are the items, each matched exactly once, and the
+option (t, w) colours the positions t + I with the symbols of w.
 
 * Live sets.  A translate with some but not all of its positions fixed is
   on the frontier; its live set is the bitmask of the words that agree
@@ -17,20 +17,27 @@ colours the positions t + I with the symbols of w.
   closes at once on its word, and the node fails if a closed translate
   already reads that word.
 * Most constrained item (MRV; Haralick and Elliott, AIJ 1980).  Each node
-  branches on the frontier translate with the fewest live unused words,
-  the least translate on ties, trying words in ascending order.  A
-  translate with no live word fails the node and one with a single word
-  is forced.  Once at most one translate is untouched, one pass over the
-  frontier also finds the words with no candidate translate, which fail
-  the node, and those with exactly one, which are forced; before that,
-  every word still has two untouched candidates.  Forced moves reach the
-  same state in any order, so the witness does not depend on which one
-  goes first.
+  scans the frontier for the translate with the fewest live unused words.
+  The scan stops at the first translate it meets with at most one: with
+  none the node fails, with one that word is forced.  Otherwise the node
+  branches on the least translate among those with the fewest, trying
+  words in ascending order.  Once at most one translate is untouched, one
+  pass over the frontier also finds the words with no candidate translate,
+  which fail the node, and those with exactly one, which are forced;
+  before that, every word still has two untouched candidates.  Forced
+  moves reach the same state in any order, so the verdict and the witness
+  do not depend on which one the scan meets first.  Only `nodes_explored`
+  does: it follows the frontier's iteration order, which is the same on
+  every run.
 
-Sets with |I| <= 2 are searched depth-first over positions in a fixed
-greedy order that finishes nearly complete windows first (`_dfs`).  That
-order serves the {0, D} sets of the decomposition route up to N = 127**2,
-where N live masks of N bits each would be costly.
+The live masks are N-bit ints and the trail keeps n of them per fixed
+position, so the exact cover's memory grows as n*N**2 bits and its time per
+node with N.  Sets with |I| <= 2, and sets past N = 4096, are searched
+depth-first over positions instead (`_dfs`), in O(n*N) memory.  With
+|I| <= 2 the positions come in a greedy order that finishes nearly complete
+windows first, which serves the {0, D} sets of the decomposition route up to
+N = 127**2; with |I| >= 3 past N = 4096, in the order that translates
+0, 1, 2, ... first need them.
 
 Symmetry breaking.  Rotating a string and relabeling its symbols both map
 complete strings to complete strings, so the search explores one member of
@@ -87,6 +94,11 @@ from .core import (
 
 VALID = "valid"
 INVALID = "invalid"
+
+# Largest N for the exact-cover search.  Its live masks are N-bit ints and
+# its trail keeps n of them per fixed position, so time per node and memory
+# grow with N; past 4096 the position search wins on both.
+_COVER_MAX_N = 4096
 
 
 @dataclass
@@ -174,6 +186,23 @@ def _cycle_count(perm):
     return count
 
 
+def _first_need_order(N, I):
+    # positions in the order translates 0, 1, 2, ... first require them, so
+    # I's own positions (pinned to 0 by the search) come first; equals plain
+    # position order for contiguous index sets containing 0
+    order = []
+    seen = bytearray(N)
+    for t in range(N):
+        for i in I:
+            p = (i + t) % N
+            if not seen[p]:
+                seen[p] = 1
+                order.append(p)
+        if len(order) == N:
+            break
+    return order
+
+
 def _greedy_completion_order(N, I, q):
     """Assignment order that finishes nearly-complete windows first.
 
@@ -234,18 +263,21 @@ def default_budget():
 def decide_valid(q, n, I, node_limit=None, time_limit=None):
     """Decide q-validity of I with a verified witness or a refutation.
 
-    For |I| >= 3 this is the exact-cover search of the module docstring:
-    each node branches on the most constrained translate or word, and
-    `nodes_explored` counts the options it tried, forced ones included.
-    For |I| <= 2 it is the depth-first search over positions in a fixed
-    greedy order, and `nodes_explored` counts symbol assignments.
+    For |I| >= 3 and N <= 4096 this is the exact-cover search of the
+    module docstring: each node branches on the most constrained translate
+    or word, and `nodes_explored` counts the options it tried, forced ones
+    included.  Otherwise it is the depth-first search over positions, and
+    `nodes_explored` counts symbol assignments.
 
-    Deterministic: translate 0 is pinned to the word 0**n, ties go to the
-    least translate, words and symbols are tried in ascending order, and
-    relabeling is broken by first occurrence.  The witness is the first
-    complete string in that order; it reads 0 at every position of I and
-    passes `verify_cover` before it is returned.  A node or time budget
-    that runs out raises `BudgetExceeded` and reports no verdict.
+    Deterministic: translate 0 is pinned to the word 0**n, a real branch
+    goes to the least translate among the most constrained, words and
+    symbols are tried in ascending order, and relabeling is broken by
+    first occurrence.  Forced moves are taken in the frontier's iteration
+    order, which moves `nodes_explored` but not the witness.  The witness
+    is the first complete string in that order; it reads 0 at every
+    position of I and passes `verify_cover` before it is returned.  A node
+    or time budget that runs out raises `BudgetExceeded` and reports no
+    verdict.
     """
     N = q ** n
     if N > 2 ** 24:
@@ -263,7 +295,7 @@ def decide_valid(q, n, I, node_limit=None, time_limit=None):
             method="stabilizer-count",
         )
 
-    search = _dfs if n <= 2 else _cover_search
+    search = _cover_search if n >= 3 and N <= _COVER_MAX_N else _dfs
     found, chi_syms, nodes = search(q, n, I, N, node_limit, time_limit, start)
     elapsed = time.monotonic() - start
     if found:
@@ -283,7 +315,13 @@ def decide_valid(q, n, I, node_limit=None, time_limit=None):
 
 def _dfs(q, n, I, N, node_limit, time_limit, start):
     target = q ** (n - 1)
-    order = _greedy_completion_order(N, I, q)
+    # with |I| = 2 the greedy order stays cheap at any N, and on {0, D} it
+    # completes one trail of the decomposition reading after another, where
+    # the first-need order grows all of them at once and stalls
+    if N <= 4096 or n == 2:
+        order = _greedy_completion_order(N, I, q)
+    else:
+        order = _first_need_order(N, I)
     # highest symbol allowed at each depth: 0 on I (translate 0 reads 0**n),
     # then any symbol the first-occurrence relabeling admits
     top = [0] * n + [q - 1] * (N - n)
@@ -429,8 +467,8 @@ def _periodic(block, period, N):
 
 
 def _cover_search(q, n, I, N, node_limit, time_limit, start):
-    """The exact-cover search of the module docstring, for |I| >= 3:
-    (found, symbols, nodes) as `_dfs` returns them."""
+    """The exact-cover search of the module docstring, for |I| >= 3 and
+    N <= 4096: (found, symbols, nodes) as `_dfs` returns them."""
     target = q ** (n - 1)
     full = (1 << N) - 1
     powers = [q ** (n - 1 - j) for j in range(n)]
@@ -510,7 +548,8 @@ def _cover_search(q, n, I, N, node_limit, time_limit, start):
                 live[u] = olds.pop()
 
     def branch():
-        # the item to branch on, as a translate and its words to try
+        # the item to branch on, as a translate and its words to try; the
+        # scan stops at the first translate with at most one live word
         best = two_n * N
         for t in frontier:
             key = (live[t] & free).bit_count() * N + t

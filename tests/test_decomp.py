@@ -133,8 +133,8 @@ class TestEqualDecomposition:
         assert time.process_time() - t0 < 10.0
 
     def test_search_route_past_the_first_need_threshold(self):
-        # N = 65 * 65 > 4096: two-position sets take the greedy position
-        # order at every N (a first-need order once ran out of budget here)
+        # N = 65 * 65 > 4096, where sets of more than two positions switch
+        # to the first-need order; {0, 65} keeps the greedy one
         dec = decompose_equal(65, 65)
         assert dec.route == "search" and len(dec.trails) == 65
 

@@ -74,10 +74,35 @@ class TestDecideValid:
 
     @pytest.mark.parametrize("q,n", [(2, 13), (4, 5)])
     def test_contiguous_window_at_large_n(self, q, n):
-        # the classical de Bruijn window: the frontier stays near the
-        # fixed positions, so a few nodes per translate suffice
+        # the classical de Bruijn window: (4,5) takes the exact cover, whose
+        # frontier stays near the fixed positions, and (2,13), past
+        # N = 4096, the position search; each needs a few nodes per word
         cert = decide_valid(q, n, range(n), node_limit=4 * q ** n)
         assert cert.verdict == VALID
+
+    def test_large_n_memory_stays_linear(self):
+        # at (2,16) the exact cover would keep n live masks of N bits per
+        # fixed position, several GB; the position search peaks near
+        # 140 MB.  The child runs under a 1 GB address-space cap, so memory
+        # that grows with N**2 fails fast instead of filling the machine.
+        import ucycle
+
+        src = str(pathlib.Path(ucycle.__file__).resolve().parents[1])
+        code = (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from ucycle.search import decide_valid\n"
+            "c = decide_valid(2, 16, range(16), node_limit=4 * 2 ** 16)\n"
+            "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "print(c.verdict, peak // 1024)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        verdict, peak_mb = proc.stdout.split()
+        assert verdict == VALID
+        assert int(peak_mb) < 512
 
     def test_time_budget_raises_not_a_verdict(self):
         # undecided within 2M nodes, so 0.3 s cannot decide it
@@ -86,16 +111,19 @@ class TestDecideValid:
         assert 0.3 <= info.value.elapsed < 10
         assert info.value.nodes > 0
 
-    def test_position_search_serves_only_two_positions(self, monkeypatch):
+    def test_position_search_serves_two_positions_and_large_n(
+            self, monkeypatch):
         calls = []
         dfs = search._dfs
         monkeypatch.setattr(search, "_dfs",
-                            lambda *a: calls.append(a[1]) or dfs(*a))
+                            lambda *a: calls.append(a[:2]) or dfs(*a))
         decide_valid(2, 4, (0, 1, 2, 6))
         decide_valid(3, 3, (0, 1, 3))
         decide_valid(3, 2, (0, 1))
         decide_valid(2, 1, (0,))
-        assert calls == [2, 1]
+        decide_valid(2, 12, range(12))
+        decide_valid(2, 13, range(13))
+        assert calls == [(3, 2), (2, 1), (2, 13)]
 
     def test_budget_raises_not_invalid(self):
         with pytest.raises(BudgetExceeded):
@@ -326,8 +354,8 @@ class TestOrderAgainstScans:
         assert stabilized > 0
 
     def test_two_positions_past_4096_take_the_greedy_order(self):
-        # N = 65 * 65 > 4096; under a first-need order (since deleted) this
-        # {0, D} ran out of the decomposition route's default 2M-node budget
+        # N = 65 * 65 > 4096; under the first-need order this {0, D} ran
+        # out of the decomposition route's default 2M-node budget
         cert = decide_valid(65, 2, (0, 65), node_limit=2_000_000)
         assert cert.verdict == VALID
 
