@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 from importlib import resources
@@ -56,13 +55,8 @@ class RunConfig:
 
     @classmethod
     def from_args(cls, args):
-        node_env, time_env = search_mod.default_budget()
         node = getattr(args, "budget_nodes", None)
         secs = getattr(args, "budget_secs", None)
-        if node is None:
-            node = node_env
-        if secs is None:
-            secs = time_env
         if node is not None and node <= 0:
             raise ValueError("node budget must be positive")
         if secs is not None and secs <= 0:
@@ -215,11 +209,7 @@ def cmd_classify(args):
         lines.append(f"# dependent for every generator; "
                      f"{len(verdict.dependencies)} dependencies recorded")
     if args.n == 3 and len(I) == 3:
-        uni, exi = galois_mod.triple_readings(*I, args.q)
-        doc["triple_criterion"] = {"universal": uni, "existential": exi}
-        if uni != exi:
-            lines.append("# note: triple-criterion readings disagree; "
-                         "brute force is authoritative")
+        doc["triple_criterion"] = galois_mod.exceptional_triple(*I, args.q)
     _emit(cfg, doc, lines)
     return EXIT_OK
 
@@ -281,7 +271,7 @@ def cmd_verify(args):
     with open(args.file) as fh:
         chi = CyclicString.from_text(fh.read(), args.q)
     q, n = args.q, args.n
-    if args.reduced or len(chi) == q ** n - 1 and len(chi) != q ** n:
+    if args.reduced or len(chi) == q ** n - 1:
         params = CycleParams.reduced(q, n)
         report = verify_cover(chi, params, I, reduced=True)
     elif len(chi) == q ** n:

@@ -423,12 +423,25 @@ def min_poly(sb: SubfieldBasis, beta):
     return tuple(coeffs)
 
 
+def _frobenius_leaders(q, n):
+    """The least exponent u of each Frobenius orbit {u*q**j mod q**n - 1}
+    of generator exponents, ascending.  alpha**u and alpha**(u*q**j) are
+    conjugate over F_q: they share a minimal polynomial, and the q-th power
+    map is F_q-linear and bijective, so their powers at any index set are
+    independent together or not at all."""
+    order = q ** n - 1
+    return [u for u in units(order)
+            if all(u * q ** j % order >= u for j in range(1, n))]
+
+
 def is_exceptional_bruteforce(I, q, n):
-    """Classify I by sweeping every generator of the multiplicative group.
+    """Classify I by sweeping the generators of the multiplicative group,
+    one per Frobenius orbit (`_frobenius_leaders`).
 
     Ordinary verdicts come with a witnessing generator and its minimal
-    polynomial; exceptional verdicts carry one dependency vector per
-    generator exponent, each re-verifiable by direct evaluation.
+    polynomial: the first independent exponent, which is the least of its
+    orbit.  Exceptional verdicts carry one dependency vector per orbit's
+    least generator exponent, each re-verifiable by direct evaluation.
     """
     p, k = prime_power(q)
     ctx = build_field(p, k * n)
@@ -440,7 +453,7 @@ def is_exceptional_bruteforce(I, q, n):
     # the set is dependent for every generator; keep them as given
     I = tuple(sorted(i % order for i in I))
     deps = {}
-    for u in units(order):
+    for u in _frobenius_leaders(q, n):
         dep = _fq_dependency(sb, [ctx.exp[(u * i) % order] for i in I])
         if dep is None:
             beta = ctx.exp[u % order]
@@ -488,13 +501,12 @@ def _jacobi_table(q):
     return tuple(jacobi_log(build_field(p, 3 * k)))
 
 
-def exceptional_triple(i, j, k, q, reading="universal"):
+def exceptional_triple(i, j, k, q):
     """Three-exponent criterion via the Jacobi logarithm.
 
     True when Q = q*q + q + 1 divides one of the pairwise differences, or
-    when the logarithm condition holds for multipliers m coprime to
-    q**3 - 1; `reading` picks the quantifier over m ("universal" is the
-    generator-complete form, "existential" the weaker one)."""
+    when the logarithm condition holds for every multiplier m coprime to
+    q**3 - 1 (every generator alpha**m of the group)."""
     order = q ** 3 - 1
     i, j, k = i % order, j % order, k % order
     Q = q * q + q + 1
@@ -515,18 +527,7 @@ def exceptional_triple(i, j, k, q, reading="universal"):
                 return True
         return False
 
-    ms = units(order)
-    if reading == "universal":
-        return all(log_condition(m) for m in ms)
-    if reading == "existential":
-        return any(log_condition(m) for m in ms)
-    raise ValueError("reading must be 'universal' or 'existential'")
-
-
-def triple_readings(i, j, k, q):
-    """Both quantifier readings, for disagreement reports."""
-    return (exceptional_triple(i, j, k, q, "universal"),
-            exceptional_triple(i, j, k, q, "existential"))
+    return all(log_condition(m) for m in units(order))
 
 
 # ---------------------------------------------------------------------------
@@ -541,10 +542,8 @@ def build_reduced_cycle(I, q, n):
     Scans minimal polynomials of generators in ascending coefficient order
     and keeps the first whose root powers {alpha**i_j} are independent; the
     coordinate sequence of that root is the certificate, checked against the
-    reduced verifier before being returned.  The generators alpha**u and
-    alpha**(u*q**j) are Frobenius conjugates: they share a minimal polynomial,
-    and their root powers are independent together or not at all, so only
-    the least exponent of each Frobenius orbit is examined.
+    reduced verifier before being returned.  Only the least exponent of
+    each Frobenius orbit is examined (`_frobenius_leaders`).
     """
     p, k = prime_power(q)
     ctx = build_field(p, k * n)
@@ -554,9 +553,7 @@ def build_reduced_cycle(I, q, n):
     if len(set(I)) != n:
         raise ValueError(f"need {n} distinct exponents mod {order}")
     by_poly = {}
-    for u in units(order):
-        if any(u * q ** j % order < u for j in range(1, n)):
-            continue
+    for u in _frobenius_leaders(q, n):
         g = min_poly(sb, ctx.exp[u % order])
         beta_pows = [ctx.exp[(u * i) % order] for i in I]
         by_poly[g] = (u, _fq_dependency(sb, beta_pows) is None)

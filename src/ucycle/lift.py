@@ -7,10 +7,11 @@ de Bruijn cycle and interleaving its q constant translates at stride q yields
 a cycle achieving every n-word on translates of {0, q, ..., (n-1)q}.
 
 `double_ap3` converts a {0, d, 2d}-cycle over alphabet q into a
-{0, 8d, 16d}-cycle over alphabet 2q by splitting the doubled alphabet into
-even and odd symbols: the even-even and odd-odd pair graphs carry two copies
-of the input's trail decomposition, and the parity-mixing edges are covered
-by an explicit family of 4-cycles, regrouped into equal-length closed trails.
+{0, 8d, 16d}-cycle over alphabet 2q.  Each of the input's d residue-class
+trails is copied eight times, once per parity pattern j in F_2^3: symbol x at
+position i becomes 2x plus the parity <f_(i mod 4), j>, where f runs through
+e1, e2, e3, e1+e2+e3.  Any three cyclically consecutive f's form a basis, so
+every triple over [2q] lies on exactly one of the 8d trails.
 """
 from __future__ import annotations
 
@@ -200,96 +201,23 @@ def trails_to_chi(trail_symbol_lists, q):
     return CyclicString(q, tuple(out))
 
 
-def _walk_edges(symbols):
-    """Edges (consecutive triples) of the closed pair-walk with these
-    symbols."""
-    return list(windows(symbols, (0, 1, 2)))
-
-
-def _parity_cross_pieces(q):
-    """4-cycles covering every triple over [2q] that is neither all-even nor
-    all-odd, each exactly once.
-
-    Family one handles the four single-parity-change classes: for even a, b
-    and odd c the walk (a, b, c, a+b+c) works because each such triple has a
-    unique representation in one of its four phases.  Family two handles the
-    alternating classes (even,odd,even) and (odd,even,odd): walks
-    (x, y, z, w) with y + w = x + z + 4 taken once per rotation-by-two class;
-    the pairing has no fixed quad when q is even (and 8 | q**3/d forces q
-    even), so every alternating triple lands in exactly one walk.
-    """
-    pieces = []
-    evens = [2 * a for a in range(q)]
-    odds = [2 * a + 1 for a in range(q)]
-    M = 2 * q
-    for a in evens:
-        for b in evens:
-            for c in odds:
-                pieces.append((a, b, c, (a + b + c) % M))
-    seen = set()
-    for x in evens:
-        for y in odds:
-            for z in evens:
-                w = (x + z + 4 - y) % M
-                key = min((x, y, z, w), (z, w, x, y))
-                if key in seen:
-                    continue
-                seen.add(key)
-                pieces.append(key)
-    return pieces
-
-
-def _group_pieces(pieces, per_group):
-    """Partition 4-symbol pieces into connected groups of `per_group` pieces.
-
-    Greedy growth by shared vertices, least piece first; deterministic.
-    Raises VerificationError when a group finds no piece to grow by.
-    """
-    def verts(piece):
-        r = len(piece)
-        return {(piece[i], piece[(i + 1) % r]) for i in range(r)}
-
-    order = sorted(range(len(pieces)), key=lambda i: pieces[i])
-    unused = set(order)
-    vertex_index = {}
-    for i in order:
-        for v in verts(pieces[i]):
-            vertex_index.setdefault(v, []).append(i)
-
-    groups = []
-    for start in order:
-        if start not in unused:
-            continue
-        unused.discard(start)
-        group = [start]
-        gverts = set(verts(pieces[start]))
-        while len(group) < per_group:
-            cands = [i for v in gverts for i in vertex_index[v] if i in unused]
-            if not cands:
-                raise VerificationError("piece grouping failed")
-            nxt = min(cands, key=lambda i: pieces[i])
-            unused.discard(nxt)
-            group.append(nxt)
-            gverts |= verts(pieces[nxt])
-        groups.append(group)
-    return [[pieces[i] for i in g] for g in groups]
-
-
-def _euler_symbols_from_triples(triples):
-    """Merge edge-disjoint closed pair-walks (given as triples) into one
-    closed walk; Hierholzer over pair-vertices, smallest next edge first."""
-    succ = {}
-    for x, y, z in triples:
-        succ.setdefault((x, y), []).append((y, z))
-    path = euler_circuit(succ, min(succ))
-    # path vertices: v0, v1, ..., vL (vL == v0); symbols are first components
-    return tuple(v[0] for v in path[:-1])
+_PARITY = (1, 2, 4, 7)  # e1, e2, e3, e1 + e2 + e3 in F_2^3, as bitmasks
 
 
 def double_ap3(chi: CyclicString, d):
-    """From a verified {0, d, 2d}-cycle over q with 8 | q**3/d, build a
+    """From a verified {0, d, 2d}-cycle over q with 8 | k = q**3/d, build a
     verified {0, 8d, 16d}-cycle over 2q (length 8 q**3); returns it with the
-    CoverageReport that verified it."""
+    CoverageReport that verified it.
+
+    Class a of the input is a closed walk x_0 ... x_(k-1) in the pair
+    digraph on [q], and the d walks use every triple once.  Trail j*d + a of
+    the output, j = 0 .. 7, reads 2 x_i + <f_(i mod 4), j> with f = _PARITY.
+    It uses each triple over [2q] exactly once: the halves of the triple
+    fix a and i, and its parities fix j, because any three cyclically
+    consecutive f's are a basis of F_2^3.  As 4 | k each trail closes.
+    j = 0 and j = 7 are the all-even and all-odd copies of the input.  The
+    paper asks 8 | k; 4 | k would do.
+    """
     q = chi.q
     N = q ** 3
     if len(chi) != N:
@@ -303,36 +231,14 @@ def double_ap3(chi: CyclicString, d):
     if not rep.complete:
         raise InvalidInput("input fails verification as a {0,d,2d}-cycle")
 
-    q2 = 2 * q
+    base = chi_to_trail_symbols(chi, d)
     trails = []
-    # two embedded copies of the input decomposition: even and odd symbols
-    for syms in chi_to_trail_symbols(chi, d):
-        trails.append(tuple(2 * s for s in syms))
-    for syms in chi_to_trail_symbols(chi, d):
-        trails.append(tuple(2 * s + 1 for s in syms))
-
-    pieces = _parity_cross_pieces(q)
-    # exact accounting: pieces must partition the parity-mixing triples
-    covered = []
-    for piece in pieces:
-        covered.extend(_walk_edges(piece))
-    expected = 8 * q ** 3 - 2 * q ** 3
-    if len(covered) != expected or len(set(covered)) != expected:
-        raise VerificationError("parity-cross pieces do not partition")
-    for x, y, z in covered:
-        if x % 2 == y % 2 == z % 2:
-            raise VerificationError("piece edge inside a parity block")
-
-    for group in _group_pieces(pieces, k // 4):
-        triples = []
-        for piece in group:
-            triples.extend(_walk_edges(piece))
-        trails.append(_euler_symbols_from_triples(triples))
-
-    if len(trails) != 8 * d or any(len(t) != k for t in trails):
-        raise VerificationError("trail pool has wrong shape")
-    out = trails_to_chi(trails, q2)
-    report = verify_cover(out, CycleParams.unreduced(q2, 3),
+    for j in range(8):
+        bits = [bin(f & j).count("1") % 2 for f in _PARITY] * (k // 4)
+        trails.extend(tuple(2 * x + b for x, b in zip(syms, bits))
+                      for syms in base)
+    out = trails_to_chi(trails, 2 * q)
+    report = verify_cover(out, CycleParams.unreduced(2 * q, 3),
                           ap_index_set(3, 8 * d))
     if not report.complete:
         raise VerificationError("doubled cycle failed verification")

@@ -254,12 +254,6 @@ def _greedy_completion_order(N, I, q):
     return order
 
 
-def default_budget():
-    nodes = os.environ.get("UCYCLE_BUDGET_NODES")
-    secs = os.environ.get("UCYCLE_BUDGET_SECS")
-    return (int(nodes) if nodes else None, float(secs) if secs else None)
-
-
 def decide_valid(q, n, I, node_limit=None, time_limit=None):
     """Decide q-validity of I with a verified witness or a refutation.
 

@@ -65,15 +65,19 @@ class TestSearchCommand:
         assert code == 2
         assert "unrecognized arguments" in err
 
-    def test_env_budget_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("UCYCLE_BUDGET_NODES", "10")
-        code, _, err = run_cli(capsys, "search", "--q", "2", "--n", "5",
-                               "--set", "0,1,2,3,12")
-        assert code == 3
-        assert "inconclusive" in err
-
 
 class TestVerifyCommand:
+    def test_budget_environment_is_not_read(self, tmp_path, capsys,
+                                            monkeypatch):
+        # budgets come from flags only; a stray variable changes nothing
+        monkeypatch.setenv("UCYCLE_BUDGET_NODES", "abc")
+        f = tmp_path / "cycle.txt"
+        f.write_text(REF_27 + "\n")
+        code, out, _ = run_cli(capsys, "verify", "--file", str(f), "--q", "3",
+                               "--n", "3", "--set", "0,3,6")
+        assert code == 0
+        assert "complete=True" in out
+
     def test_reference_string(self, tmp_path, capsys):
         f = tmp_path / "cycle.txt"
         f.write_text(REF_27 + "\n")
@@ -139,6 +143,24 @@ class TestGenerationCommands:
                                "--set", "0,1", "--format", "json")
         doc = json.loads(out)
         assert code == 0 and doc["verdict"] == "ordinary"
+
+    def test_classify_triple_criterion_is_one_verdict(self, capsys):
+        # (0, 1, 3) over F_3 is ordinary, and the criterion agrees
+        code, out, _ = run_cli(capsys, "classify", "--q", "3", "--n", "3",
+                               "--set", "0,1,3", "--format", "json")
+        doc = json.loads(out)
+        assert code == 0 and doc["verdict"] == "ordinary"
+        assert doc["triple_criterion"] is False
+
+    def test_classify_exceptional_one_dependency_per_orbit(self, capsys):
+        # the six generators of F_8* form two Frobenius orbits, {1, 2, 4}
+        # and {3, 6, 5}
+        code, out, _ = run_cli(capsys, "classify", "--q", "2", "--n", "3",
+                               "--set", "0,1,7")
+        assert code == 0
+        assert out.splitlines() == [
+            "exceptional",
+            "# dependent for every generator; 2 dependencies recorded"]
 
     def test_gen_reduced_over_f2(self, capsys):
         code, out, _ = run_cli(capsys, "gen-reduced", "--q", "2", "--n", "1",

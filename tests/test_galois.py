@@ -4,11 +4,12 @@ import itertools
 
 import pytest
 
-from ucycle.core import CycleParams, equal_up_to_rotation, verify_cover
+from ucycle.core import CycleParams, equal_up_to_rotation, units, verify_cover
 from ucycle.galois import (
     EXCEPTIONAL,
     ORDINARY,
     ExceptionalInput,
+    _fq_dependency,
     build_field,
     build_reduced_cycle,
     exceptional_triple,
@@ -20,7 +21,6 @@ from ucycle.galois import (
     prime_power,
     psi_map,
     subfield_basis,
-    triple_readings,
     two_element_ordinary,
 )
 
@@ -173,6 +173,33 @@ class TestPairCriterion:
             assert any(c for c in coeffs)
 
 
+class TestFrobeniusOrbits:
+    @pytest.mark.parametrize("q,n", [(2, 3), (3, 2), (4, 2), (2, 4), (3, 3),
+                                     (5, 2)])
+    def test_least_of_each_orbit_decides_like_every_generator(self, q, n):
+        # sweeping every generator exponent (no orbit rule) gives the same
+        # verdict and witness; an exceptional set keeps one dependency per
+        # orbit, at the orbit's least exponent
+        p, k = prime_power(q)
+        ctx = build_field(p, k * n)
+        sb = subfield_basis(ctx, k)
+        order = q ** n - 1
+        least = sorted({min(u * q ** j % order for j in range(n))
+                        for u in units(order)})
+        sets = [(0,) + c
+                for c in itertools.combinations(range(1, order), n - 1)]
+        for I in sets[:80]:
+            indep = [u for u in units(order) if _fq_dependency(
+                sb, [ctx.exp[u * i % order] for i in I]) is None]
+            v = is_exceptional_bruteforce(I, q, n)
+            assert v.ordinary == bool(indep), (q, n, I)
+            if indep:
+                assert v.witness_generator == ctx.exp[indep[0]]
+                assert indep[0] in least
+            else:
+                assert sorted(v.dependencies) == least
+
+
 class TestTripleCriterion:
     @pytest.mark.parametrize("q", [2, 3])
     def test_exhaustive_agreement(self, q):
@@ -188,11 +215,6 @@ class TestTripleCriterion:
 
     def test_ordinary_progression(self):
         assert exceptional_triple(0, 1, 2, 2) is False
-
-    def test_readings_can_differ(self):
-        uni, exi = triple_readings(0, 1, 3, 3)
-        assert uni is False  # matches brute force
-        assert exi is True   # the weaker reading over-reports
 
 
 class TestOrdinaryFamilies:

@@ -25,6 +25,7 @@ from ucycle.lift import (
     splice_ap_cycle,
     trails_to_chi,
 )
+from ucycle.search import decide_valid
 
 REF_SEED = "001122021"
 REF_LIFT = "100021200"
@@ -170,47 +171,45 @@ class TestDoubleAp3:
         rep = verify_cover(step2, CycleParams.unreduced(8, 3), (0, 64, 128))
         assert rep.complete
 
-    def test_larger_group_packing(self):
-        # d=1 at q=4 forces 16-piece groups instead of pairs
+    def test_chain_to_32768(self):
+        # q = 2 -> 4 -> 8 -> 16 -> 32; the last step doubles 512 trails
+        chi = de_bruijn_sequence(2, 3)
+        for d in (1, 8, 64, 512):
+            chi, _ = double_ap3(chi, d)
+        assert len(chi) == 32768 and chi.q == 32
+        rep = verify_cover(chi, CycleParams.unreduced(32, 3), (0, 4096, 8192))
+        assert rep.complete
+
+    def test_single_trail_input_doubles(self):
+        # d = 1 at q = 4: one input trail of length 64 becomes eight
         chi = de_bruijn_sequence(4, 3)
         doubled, _ = double_ap3(chi, 1)
         assert len(doubled) == 512 and doubled.q == 8
         rep = verify_cover(doubled, CycleParams.unreduced(8, 3), (0, 8, 16))
         assert rep.complete
 
-    def test_edge_partition_accounting(self):
-        # pieces must partition the parity-mixing triples exactly
-        from ucycle.lift import _parity_cross_pieces, _walk_edges
-        for q in (2, 4):
-            pieces = _parity_cross_pieces(q)
-            edges = []
-            for piece in pieces:
-                edges.extend(_walk_edges(piece))
-            assert len(edges) == 6 * q ** 3
-            assert len(set(edges)) == 6 * q ** 3
-            for x, y, z in edges:
-                assert not (x % 2 == y % 2 == z % 2)
+    @pytest.mark.parametrize("q,d", [(4, 1), (4, 2), (4, 4), (4, 8), (6, 1),
+                                     (6, 3), (6, 9)])
+    def test_searched_witness_doubles(self, q, d):
+        # inputs found by the search rather than built by a construction
+        cert = decide_valid(q, 3, (0, d, 2 * d), node_limit=200_000)
+        assert cert.verdict == "valid"
+        doubled, _ = double_ap3(cert.witness, d)
+        assert len(doubled) == 8 * q ** 3 and doubled.q == 2 * q
+        rep = verify_cover(doubled, CycleParams.unreduced(2 * q, 3),
+                           (0, 8 * d, 16 * d))
+        assert rep.complete
 
-    def test_piece_groups_partition_into_connected_groups(self):
-        # the greedy grouping never gets stuck for any valid (q, d) with
-        # q <= 8: the groups partition the pieces, and within a group every
-        # piece reaches every other through shared pair-vertices
-        from ucycle.lift import _group_pieces, _parity_cross_pieces
-        for q in (2, 4, 6, 8):
-            pieces = _parity_cross_pieces(q)
-            for d in range(1, q ** 3 + 1):
-                k, rem = divmod(q ** 3, d)
-                if rem or k % 8:
-                    continue
-                groups = _group_pieces(pieces, k // 4)
-                assert sorted(p for g in groups for p in g) == sorted(pieces)
-                assert all(len(g) == k // 4 for g in groups)
-                for g in groups:
-                    pairs = [set(zip(p, p[1:] + p[:1])) for p in g]
-                    reached, todo = set(pairs[0]), pairs[1:]
-                    while todo:
-                        near = [s for s in todo if s & reached]
-                        assert near, (q, d)
-                        for s in near:
-                            reached |= s
-                            todo.remove(s)
+    def test_trail_j_adds_the_parities_of_j(self):
+        # trail j*d + a is class a of the input, doubled, plus the parity
+        # <f_(i mod 4), j> at position i, f = (e1, e2, e3, e1 + e2 + e3)
+        chi = de_bruijn_sequence(2, 3)
+        doubled, _ = double_ap3(chi, 1)
+        trails = chi_to_trail_symbols(doubled, 8)
+        base = chi.symbols
+        assert trails[0] == tuple(2 * x for x in base)
+        assert trails[7] == tuple(2 * x + 1 for x in base)
+        for j, trail in enumerate(trails):
+            bits = [bin(f & j).count("1") % 2 for f in (1, 2, 4, 7)]
+            assert trail == tuple(2 * x + bits[i % 4]
+                                  for i, x in enumerate(base))

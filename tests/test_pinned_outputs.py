@@ -4,7 +4,7 @@
 shared primitives (window scan, least rotation, Euler circuit, closed-trail
 backtracker) feed.  The digest was computed before those routes were moved
 onto the shared primitives; a change to any emitted cycle, decomposition or
-coverage report changes it.  It was re-pinned three times.  When length-3
+coverage report changes it.  It was re-pinned four times.  When length-3
 trails moved from a search to the Latin-square construction, only the
 (9, 3) trails and their reading changed.  When trail lengths 6 and >= 8
 moved from the atom packer to the {0, n*n/d}-cycle search, only the (6, 6),
@@ -12,19 +12,29 @@ moved from the atom packer to the {0, n*n/d}-cycle search, only the (6, 6),
 strings of the deleted exact-search route were dropped.  When the blow-up
 replaced the 4-cycle families, the Latin square and the hub gadgets, only
 the (6, 4), (8, 4), (7, 7), (9, 3), (10, 5), (8, 8) and (12, 9) trails and
-their readings changed.
+their readings changed.  When `double_ap3` replaced its parity-mixing
+4-cycles by the eight parity patterns of F_2^3, only the three doubled
+cycles (q = 4, 8, 16) changed.
 
 `GALOIS_SHA256` covers the galois layer: field tables, the explicit-modulus
 path, subfield bases, brute-force classification, reduced cycles, the
 triple criterion and Jacobi logarithms.  It was computed before field
-construction became a single walk over the powers of x.
+construction became a single walk over the powers of x.  It was re-pinned
+once, when the triple criterion kept only its universal reading (each
+triple line holds one bool, not a pair: 255 lines) and brute-force
+classification began to test one exponent per Frobenius orbit (each
+exceptional line keeps only the dependencies of the orbits' least
+exponents: 81 lines); verdicts, witnesses, fields and reduced cycles did
+not change.
 
 `CLI_SHA256` covers the text and JSON bytes the CLI writes for the commands
 whose builders verify their own output.  It was computed while the CLI still
 re-ran `verify_cover` after each of those builders, so it pins that emitting
 the builder's own report leaves every byte unchanged.  It was re-pinned
-once, when `gen-ap --q 4 --n 2` began to read its (4, 4) decomposition off
-the blow-up of K~_2's Euler circuit: only those two outputs changed."""
+twice: when `gen-ap --q 4 --n 2` began to read its (4, 4) decomposition off
+the blow-up of K~_2's Euler circuit, only those two outputs changed; when
+`double_ap3` moved to the parity patterns, only the four double-ap3 outputs
+(text and JSON of both steps) changed."""
 
 import hashlib
 import itertools
@@ -46,19 +56,19 @@ from ucycle.galois import (
     ORDINARY,
     build_field,
     build_reduced_cycle,
+    exceptional_triple,
     is_exceptional_bruteforce,
     jacobi_log,
     prime_power,
     psi_map,
     subfield_basis,
-    triple_readings,
 )
 from ucycle.lift import de_bruijn_sequence, double_ap3, splice_ap_cycle
 
 PINNED_SHA256 = (
-    "45dc6cdf3d6552894ff2dafc1673a990097c956611594fd7efbd706825245ad2")
+    "303b70fdb15b0f6fe706d101f78c96628655ef6483e202b0c13ebc930911a1ea")
 GALOIS_SHA256 = (
-    "147f0abafb3ba9c52ea93c56f46498672a7d365450763f6792ae141aa9408efb")
+    "4a1dd61d270b76f9f2e07da1548e9fb278eef2e0dfaa4d52ff9bf06ceae40aba")
 
 
 def _report_lines(chi, params, I, reduced=False):
@@ -168,7 +178,7 @@ def galois_outputs():
     for q in (2, 3, 4):
         order = q ** 3 - 1
         for j, k in list(itertools.combinations(range(1, order), 2))[:120]:
-            out.append(repr((q, j, k, triple_readings(0, j, k, q))))
+            out.append(repr((q, j, k, exceptional_triple(0, j, k, q))))
     for p, m in [(2, 3), (2, 6), (3, 2), (3, 3), (5, 3)]:
         out.append(repr(jacobi_log(build_field(p, m))))
     return out
@@ -180,7 +190,7 @@ def test_galois_outputs_match_pinned_digest():
 
 
 CLI_SHA256 = (
-    "3885d450a5d8253821edf2f4604c00d093dc7ed434f8f1fac140a91f0bf46f3b")
+    "4d656a7284e851a46d2976b98c9a98c02f62c7eadef38f2b1556cc3f2f31c4f5")
 
 
 def cli_outputs(tmp_path):
@@ -212,9 +222,7 @@ def cli_outputs(tmp_path):
     return out
 
 
-def test_cli_outputs_match_pinned_digest(tmp_path, monkeypatch):
-    monkeypatch.delenv("UCYCLE_BUDGET_NODES", raising=False)
-    monkeypatch.delenv("UCYCLE_BUDGET_SECS", raising=False)
+def test_cli_outputs_match_pinned_digest(tmp_path):
     digest = hashlib.sha256("\n".join(cli_outputs(tmp_path)).encode()
                             ).hexdigest()
     assert digest == CLI_SHA256, digest
