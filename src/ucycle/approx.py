@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .core import (CoverageReport, CyclicString, UcycleError,
-                   VerificationError, verify_cover, windows)
+                   VerificationError, is_prime, verify_cover, windows)
 
 RNG_ALGORITHM = "MT19937 (random.Random)"
 
@@ -61,10 +61,9 @@ class ApproxResult:
 
 def smallest_prime_above(x):
     n = x + 1
-    while True:
-        if n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1)):
-            return n
+    while not is_prime(n):
         n += 1
+    return n
 
 
 def _min_circular_gap(residues, p):

@@ -274,8 +274,6 @@ def cmd_verify(args):
     if args.reduced or len(chi) == q ** n - 1:
         params = CycleParams.reduced(q, n)
         report = verify_cover(chi, params, I, reduced=True)
-    elif len(chi) == q ** n:
-        report = verify_cover(chi, CycleParams.unreduced(q, n), I)
     else:
         report = verify_cover(chi, (q, n), I)
     doc = report.to_json_dict()

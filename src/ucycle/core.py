@@ -326,6 +326,18 @@ def units(L):
     return [k for k in range(1, max(L, 2)) if gcd(k, L) == 1]
 
 
+def is_prime(n):
+    """Trial division: whether n is a prime."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
 def _zero_images(I, L):
     """Yield (k, b, k*I + b as a sorted tuple) for every image that contains
     0, i.e. b = -k*x for some x in I; k ascending, then b ascending.

@@ -100,17 +100,21 @@ def check_decomposition(n, d, trails):
     if len(trails) != n * n // d:
         raise VerificationError(
             f"expected {n * n // d} trails, got {len(trails)}")
-    seen = set()
     for t in trails:
         if len(t) != d:
             raise VerificationError(f"trail length {len(t)} != {d}")
-        for u, v in t.edges:
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise VerificationError(f"edge ({u},{v}) out of range")
+    edges = [e for t in trails for e in t.edges]
+    distinct = dict.fromkeys(edges)  # trail order: name the first bad edge
+    if len(distinct) != len(edges):
+        seen = set()
+        for u, v in edges:
             if (u, v) in seen:
                 raise VerificationError(f"edge ({u},{v}) covered twice")
             seen.add((u, v))
-    if len(seen) != n * n:
+    for u, v in distinct:
+        if not (1 <= u <= n and 1 <= v <= n):
+            raise VerificationError(f"edge ({u},{v}) out of range")
+    if len(distinct) != n * n:
         raise VerificationError("edges left uncovered")
 
 

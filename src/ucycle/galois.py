@@ -11,6 +11,14 @@ of the k-fold Frobenius; its elements are enumerated by coefficient vectors
 against powers of a fixed subfield generator, which pins down the symbol
 alphabet 0..q-1 once and for all.
 
+One Gauss-Jordan elimination over F_p (`_reduce_mod_p`) does all the linear
+algebra.  With g the subfield generator, 1, g, ..., g**(k-1) is an F_p-basis
+of F_q, so elements e_1..e_r are F_q-independent exactly when the k*r
+elements g**i * e_j are F_p-independent, and an F_p-dependency c among them
+is the F_q-dependency with coefficients sum_i c[j*k + i] * g**i, whose
+symbol is sum_i c[j*k + i] * p**i.  The same routine inverts the F_p matrix
+behind the coordinates of a subfield basis.
+
 An index set I = {i_1..i_n} (exponents mod q**n - 1) is *ordinary* when some
 generator alpha of the multiplicative group makes {alpha**i_j} linearly
 independent over F_q, and *exceptional* when every generator gives a
@@ -25,7 +33,7 @@ import operator
 from dataclasses import dataclass
 
 from .core import (CycleParams, CyclicString, UcycleError, VerificationError,
-                   units, verify_cover, windows)
+                   is_prime, units, verify_cover, windows)
 
 ORDINARY = "ordinary"
 EXCEPTIONAL = "exceptional"
@@ -33,17 +41,6 @@ EXCEPTIONAL = "exceptional"
 
 class ExceptionalInput(UcycleError):
     """The index set is exceptional, so this construction cannot apply."""
-
-
-def is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def prime_power(q):
@@ -110,9 +107,6 @@ class FieldCtx:
             x //= p
             mult *= p
         return out
-
-    def sub(self, x, y):
-        return self.add(x, self.neg(y))
 
     def mul(self, x, y):
         if x == 0 or y == 0:
@@ -242,27 +236,40 @@ class SubfieldBasis:
         return tuple(out)
 
 
-def _invert_matrix_mod_p(cols, p):
-    """Invert the matrix whose columns are `cols` (F_p vectors); returns the
-    rows of the inverse, or None when singular."""
-    m = len(cols)
-    aug = [[cols[j][i] for j in range(m)] + [1 if t == i else 0
-                                             for t in range(m)]
-           for i in range(m)]
-    row = 0
-    for col in range(m):
-        piv = next((r for r in range(row, m) if aug[r][col] % p), None)
-        if piv is None:
-            return None
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = pow(aug[row][col], -1, p)
-        aug[row] = [v * inv % p for v in aug[row]]
-        for r in range(m):
-            if r != row and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [(a - f * b) % p for a, b in zip(aug[r], aug[row])]
-        row += 1
-    return tuple(tuple(r[m:]) for r in aug)
+def _reduce_mod_p(vectors, p):
+    """Gauss-Jordan elimination over F_p, one vector at a time, each carried
+    with its combination of the inputs (a unit vector to start).
+
+    Returns (dependency, None) when a vector reduces to zero against the
+    ones before it: its combination has coefficient 1 at that vector and 0
+    past it, so it is the same whatever the column order.  Otherwise
+    returns (None, rows), the combinations in pivot-column order; for a
+    square input they are the rows of the inverse of the matrix whose rows
+    are the vectors.
+    """
+    size = len(vectors)
+    reduced = []   # (pivot column, vector, combination), kept fully reduced
+    for idx, vec in enumerate(vectors):
+        vec = [x % p for x in vec]
+        combo = [int(t == idx) for t in range(size)]
+        for col, row, rc in reduced:
+            f = vec[col]
+            if f:
+                vec = [(a - f * b) % p for a, b in zip(vec, row)]
+                combo = [(a - f * b) % p for a, b in zip(combo, rc)]
+        col = next((c for c, x in enumerate(vec) if x), None)
+        if col is None:
+            return tuple(combo), None
+        inv = pow(vec[col], -1, p)
+        vec = [x * inv % p for x in vec]
+        combo = [x * inv % p for x in combo]
+        for t, (c, row, rc) in enumerate(reduced):
+            f = row[col]
+            if f:
+                reduced[t] = (c, [(a - f * b) % p for a, b in zip(row, vec)],
+                              [(a - f * b) % p for a, b in zip(rc, combo)])
+        reduced.append((col, vec, combo))
+    return None, tuple(tuple(rc) for _, _, rc in sorted(reduced))
 
 
 def subfield_generator(ctx, k):
@@ -301,15 +308,12 @@ def subfield_basis(ctx, k, generator=None):
 
     a = generator if generator is not None else ctx.alpha
     basis = tuple(ctx.pow(a, j) for j in range(n))
-    cols = []
-    for b in basis:
-        for i in range(k):
-            cols.append(ctx.digits(ctx.mul(ctx.pow(g, i), b)))
-    inverse = _invert_matrix_mod_p(cols, p)
-    if inverse is None:
+    dep, rows = _reduce_mod_p([ctx.digits(ctx.mul(ctx.pow(g, i), b))
+                               for b in basis for i in range(k)], p)
+    if dep is not None:
         raise ValueError("not a basis over the subfield")
     return SubfieldBasis(ctx=ctx, k=k, basis=basis, sym_elem=tuple(sym_elem),
-                         elem_sym=elem_sym, inverse_rows=inverse)
+                         elem_sym=elem_sym, inverse_rows=tuple(zip(*rows)))
 
 
 @dataclass
@@ -366,41 +370,21 @@ class ExceptionalVerdict:
 
 def _fq_dependency(sb, elements):
     """None when the elements are F_q-independent; otherwise a nonzero
-    F_q-coefficient vector (as symbols) combining them to zero."""
-    ctx = sb.ctx
-    n = len(elements)
-    rows = []
-    for idx, e in enumerate(elements):
-        coords = [sb.sym_elem[c] for c in sb.coords(e)]
-        combo = [sb.sym_elem[1 if t == idx else 0] for t in range(n)]
-        rows.append((coords, combo))
-    lead = 0
-    for col in range(sb.n):
-        piv = next((r for r in range(lead, len(rows))
-                    if rows[r][0][col] != 0), None)
-        if piv is None:
-            continue
-        rows[lead], rows[piv] = rows[piv], rows[lead]
-        pc, pcombo = rows[lead]
-        pinv = ctx.inv(pc[col])
-        pc = [ctx.mul(x, pinv) for x in pc]
-        pcombo = [ctx.mul(x, pinv) for x in pcombo]
-        rows[lead] = (pc, pcombo)
-        for r in range(len(rows)):
-            if r != lead and rows[r][0][col] != 0:
-                f = rows[r][0][col]
-                rc = [ctx.sub(x, ctx.mul(f, y))
-                      for x, y in zip(rows[r][0], pc)]
-                rcombo = [ctx.sub(x, ctx.mul(f, y))
-                          for x, y in zip(rows[r][1], pcombo)]
-                rows[r] = (rc, rcombo)
-        lead += 1
-        if lead == len(rows):
-            break
-    for coords, combo in rows:
-        if all(c == 0 for c in coords):
-            return tuple(sb.elem_sym[c] for c in combo)
-    return None
+    F_q-coefficient vector (as symbols) combining them to zero.
+
+    The elements g**i * e (g the subfield generator, i < k) go through the
+    F_p elimination; a dependency c among them reads off as the symbols
+    s_j = sum_i c[j*k + i] * p**i, the encoding of `sym_elem`.
+    """
+    ctx, k, p = sb.ctx, sb.k, sb.ctx.p
+    g = subfield_generator(ctx, k)
+    g_pows = [ctx.pow(g, i) for i in range(k)]
+    dep, _ = _reduce_mod_p([ctx.digits(ctx.mul(gi, e))
+                            for e in elements for gi in g_pows], p)
+    if dep is None:
+        return None
+    return tuple(sum(dep[j * k + i] * p ** i for i in range(k))
+                 for j in range(len(elements)))
 
 
 def min_poly(sb: SubfieldBasis, beta):
@@ -552,14 +536,10 @@ def build_reduced_cycle(I, q, n):
     I = tuple(sorted(i % order for i in I))
     if len(set(I)) != n:
         raise ValueError(f"need {n} distinct exponents mod {order}")
-    by_poly = {}
-    for u in _frobenius_leaders(q, n):
-        g = min_poly(sb, ctx.exp[u % order])
+    for u in sorted(_frobenius_leaders(q, n),
+                    key=lambda u: min_poly(sb, ctx.exp[u % order])):
         beta_pows = [ctx.exp[(u * i) % order] for i in I]
-        by_poly[g] = (u, _fq_dependency(sb, beta_pows) is None)
-    for g in sorted(by_poly):
-        u, independent = by_poly[g]
-        if not independent:
+        if _fq_dependency(sb, beta_pows) is not None:
             continue
         beta = ctx.exp[u % order]
         basis_sb = subfield_basis(ctx, k, generator=beta)

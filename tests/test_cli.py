@@ -7,7 +7,8 @@ import sys
 import pytest
 
 from ucycle.cli import build_parser, load_golden, main
-from ucycle.core import CyclicString, verify_cover
+from ucycle.core import CycleParams, CyclicString, verify_cover
+from ucycle.lift import de_bruijn_sequence
 
 REF_27 = "021210210210102021102210210"
 
@@ -104,6 +105,46 @@ class TestVerifyCommand:
         assert code == 0
 
 
+    @pytest.mark.parametrize("flags", [["--reduced"], []])
+    def test_reduced_cycle_with_and_without_flag(self, tmp_path, capsys,
+                                                 flags):
+        # length q**n - 1 is read as reduced whether or not it is asked for
+        code, out, _ = run_cli(capsys, "gen-reduced", "--q", "3", "--n", "3",
+                               "--set", "0,1,3")
+        assert code == 0
+        f = tmp_path / "reduced.txt"
+        f.write_text(out.splitlines()[0] + "\n")
+        code, out, _ = run_cli(capsys, "verify", "--file", str(f), "--q", "3",
+                               "--n", "3", "--set", "0,1,3",
+                               "--format", "json", *flags)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["complete"] and doc["reduced"]
+
+    def test_any_length_cover(self, tmp_path, capsys):
+        code, out, _ = run_cli(capsys, "approx", "--q", "2", "--n", "4",
+                               "--set", "0,1,2,3", "--type", "1",
+                               "--seed", "11")
+        assert code == 0
+        cycle = out.splitlines()[0]
+        assert len(cycle) not in (15, 16)
+        f = tmp_path / "approx.txt"
+        f.write_text(cycle + "\n")
+        code, out, _ = run_cli(capsys, "verify", "--file", str(f), "--q", "2",
+                               "--n", "4", "--set", "0,1,2,3")
+        assert code == 0
+        assert "complete=True" in out
+
+    def test_truncated_string_reports_missing(self, tmp_path, capsys):
+        f = tmp_path / "cycle.txt"
+        f.write_text(REF_27[:20] + "\n")
+        code, out, _ = run_cli(capsys, "verify", "--file", str(f), "--q", "3",
+                               "--n", "3", "--set", "0,3,6")
+        assert code == 1
+        assert "complete=False" in out
+        assert "# missing" in out
+
+
 class TestGenerationCommands:
     def test_gen_ap_even_q_n2_uses_decomposition(self, capsys):
         code, out, _ = run_cli(capsys, "gen-ap", "--q", "4", "--n", "2",
@@ -116,6 +157,27 @@ class TestGenerationCommands:
     def test_gen_ap_q2_n2_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "gen-ap", "--q", "2", "--n", "2")
         assert code == 2
+
+    def test_gen_ap_seed_cycle(self, tmp_path, capsys):
+        seed = de_bruijn_sequence(3, 2).text()
+        f = tmp_path / "seed.txt"
+        f.write_text(seed[4:] + seed[:4] + "\n")
+        code, out, _ = run_cli(capsys, "gen-ap", "--q", "3", "--n", "3",
+                               "--seed-cycle", str(f), "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["route"] == "lift-splice"
+        chi = CyclicString.from_text(doc["cycle"], 3)
+        assert verify_cover(chi, CycleParams.unreduced(3, 3),
+                            (0, 3, 6)).complete
+
+    def test_gen_ap_seed_cycle_wrong_length(self, tmp_path, capsys):
+        f = tmp_path / "seed.txt"
+        f.write_text(de_bruijn_sequence(3, 2).text()[:8] + "\n")
+        code, _, err = run_cli(capsys, "gen-ap", "--q", "3", "--n", "3",
+                               "--seed-cycle", str(f))
+        assert code == 2
+        assert "wrong length" in err
 
     def test_double_ap3_pipeline(self, tmp_path, capsys):
         code, out, _ = run_cli(capsys, "gen-ap", "--q", "2", "--n", "3")

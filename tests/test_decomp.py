@@ -48,6 +48,25 @@ class TestChecker:
         with pytest.raises(VerificationError):
             check_decomposition(2, 2, [ClosedTrail(((1, 1),))] * 2)
 
+    def test_names_the_first_repeated_edge(self):
+        trails = decompose_equal(3, 3).trails
+        with pytest.raises(VerificationError,
+                           match=rf"^edge \({trails[0].edges[0][0]},"
+                                 rf"{trails[0].edges[0][1]}\) covered twice$"):
+            check_decomposition(3, 3, [trails[0], trails[1], trails[0]])
+
+    def test_names_the_first_edge_out_of_range(self):
+        trail = ClosedTrail(((1, 1), (1, 3), (3, 3), (3, 1)))
+        with pytest.raises(VerificationError,
+                           match=r"^edge \(1,3\) out of range$"):
+            check_decomposition(2, 4, [trail])
+
+    def test_detects_uncovered_edges(self):
+        # one trail of length 3 cannot cover the four edges of K~_2
+        trail = ClosedTrail(((1, 1), (1, 2), (2, 1)))
+        with pytest.raises(VerificationError, match="edges left uncovered"):
+            check_decomposition(2, 3, [trail])
+
 
 class TestEuler:
     def test_k2_circuit(self):

@@ -1,6 +1,7 @@
 """Field tables, coordinate sequences, classification criteria."""
 
 import itertools
+import random
 
 import pytest
 
@@ -171,6 +172,52 @@ class TestPairCriterion:
                 acc = ctx.add(acc, ctx.mul(sb.sym_elem[c], e))
             assert acc == 0
             assert any(c for c in coeffs)
+
+
+class TestFqDependency:
+    @pytest.mark.parametrize("q,n", [(2, 3), (3, 2), (4, 2), (2, 4), (3, 3)])
+    def test_agrees_with_brute_force(self, q, n):
+        # None exactly when none of the q**n - 1 nonzero coefficient vectors
+        # combines the elements to 0; a returned vector does, with 1 at its
+        # last nonzero place and independent elements before that place
+        p, k = prime_power(q)
+        ctx = build_field(p, k * n)
+        sb = subfield_basis(ctx, k)
+        order = q ** n - 1
+        rng = random.Random(100 * q + n)
+
+        def value(vec, elems):
+            acc = 0
+            for s, e in zip(vec, elems):
+                acc = ctx.add(acc, ctx.mul(sb.sym_elem[s], e))
+            return acc
+
+        outcomes = set()
+        for t in range(40):
+            if t % 5:
+                I = (0,) + tuple(rng.sample(range(1, order), n - 1))
+            else:  # any n-tuple, so exponents may collide
+                I = tuple(rng.randrange(order) for _ in range(n))
+            u = rng.choice(units(order))
+            elems = [ctx.exp[u * i % order] for i in I]
+            dependent = any(
+                value(vec, elems) == 0
+                for vec in itertools.product(range(q), repeat=n) if any(vec))
+            dep = _fq_dependency(sb, elems)
+            assert (dep is not None) == dependent, (q, n, I, u)
+            outcomes.add(dependent)
+            if dep is not None:
+                last = max(j for j, s in enumerate(dep) if s)
+                assert value(dep, elems) == 0 and dep[last] == 1
+                assert _fq_dependency(sb, elems[:last]) is None
+        assert outcomes == {True, False}
+
+    def test_coefficient_one_at_first_dependent_element(self):
+        # the second alpha is the first element that depends on the ones
+        # before it, so it gets coefficient 1: -alpha + alpha + 0 = 0
+        ctx = build_field(3, 2)
+        sb = subfield_basis(ctx, 1)
+        assert _fq_dependency(sb, [ctx.alpha, ctx.alpha, 1]) == (2, 1, 0)
 
 
 class TestFrobeniusOrbits:
