@@ -157,21 +157,24 @@ def cmd_atlas(args):
 def cmd_gen_ap(args):
     cfg = RunConfig.from_args(args)
     q, n = args.q, args.n
-    seed_cycle = None
-    if args.seed_cycle:
-        with open(args.seed_cycle) as fh:
-            seed_cycle = CyclicString.from_text(fh.read(), q)
-    route = "lift-splice"
     if n == 2 and q % 2 == 0:
         if q == 2:
             print("no {0,2}-cycle exists for q=2 (two-element criterion)",
                   file=sys.stderr)
             return EXIT_USAGE
+        if args.seed_cycle:
+            raise ValueError("--seed-cycle does not apply to even q at "
+                             "n = 2 (trail-decomposition route)")
         dec = decomp_mod.decompose_equal(q, q)
         chi, report = decomp_mod.chi_from_decomposition(q, dec)
         route = "trail-decomposition"
     else:
+        seed_cycle = None
+        if args.seed_cycle:
+            with open(args.seed_cycle) as fh:
+                seed_cycle = CyclicString.from_text(fh.read(), q)
         chi, report = lift_mod.splice_ap_cycle(q, n, seed=seed_cycle)
+        route = "lift-splice"
     _emit_cycle(cfg, chi, report, extra={"route": route})
     return EXIT_OK
 

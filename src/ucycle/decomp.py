@@ -49,28 +49,24 @@ class Impossible(UcycleError):
 
 @dataclass(frozen=True)
 class ClosedTrail:
-    """Cyclic edge sequence; head of each edge is the tail of the next."""
+    """Closed walk stored as its cyclic vertex tuple v_0 .. v_(L-1); its
+    edges are (v_a, v_(a+1 mod L)), so consecutive edges chain by
+    construction.  Edge-distinctness is a property of a whole decomposition
+    and is checked there (`check_decomposition`)."""
 
-    edges: tuple
+    vertices: tuple
 
     def __post_init__(self):
-        e = self.edges
-        if not e:
+        if not self.vertices:
             raise ValueError("empty trail")
-        if len(set(e)) != len(e):
-            raise ValueError("repeated edge in trail")
-        for i in range(len(e)):
-            if e[i][1] != e[(i + 1) % len(e)][0]:
-                raise ValueError("edges do not chain")
 
     def __len__(self):
-        return len(self.edges)
+        return len(self.vertices)
 
-    def vertices(self):
-        return {v for edge in self.edges for v in edge}
-
-    def vertex_sequence(self):
-        return [edge[0] for edge in self.edges]
+    @property
+    def edges(self):
+        v = self.vertices
+        return tuple(zip(v, v[1:] + v[:1]))
 
 
 @dataclass
@@ -95,8 +91,8 @@ class TrailDecomposition:
 
 
 def check_decomposition(n, d, trails):
-    """Independent certificate check: lengths, chaining, edge-disjointness,
-    and full coverage of the n*n edges."""
+    """Independent certificate check: lengths, edge-disjointness (within a
+    trail and across trails), and full coverage of the n*n edges."""
     if len(trails) != n * n // d:
         raise VerificationError(
             f"expected {n * n // d} trails, got {len(trails)}")
@@ -121,15 +117,15 @@ def check_decomposition(n, d, trails):
 def euler_trail(edges):
     """One closed trail through the given edges (Hierholzer, smallest next
     head first); requires balance and connectivity, which it verifies by
-    consuming everything."""
+    consuming everything and closing where it started."""
     succ = {}
     for u, v in edges:
         succ.setdefault(u, []).append(v)
     path = euler_circuit(succ, min(succ))
-    trail_edges = tuple(zip(path, path[1:]))
-    if len(trail_edges) != len(edges):
-        raise VerificationError("Euler walk did not use every edge")
-    return ClosedTrail(trail_edges)
+    if len(path) - 1 != len(edges) or path[0] != path[-1]:
+        raise VerificationError("Euler walk is not a closed trail through "
+                                "every edge")
+    return ClosedTrail(tuple(path[:-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +140,8 @@ def decompose_loopless(m, lengths, node_limit=2_000_000):
     Exact backtracking: each trail is anchored at the smallest unused edge,
     so the search space is canonical.  The one true obstruction at this
     scale is six vertices into all 3-cycles, refuted by exhausting the
-    search.
+    search.  A split is returned only once its trails are checked to cover
+    every loopless edge exactly once.
     """
     lengths = sorted(lengths, reverse=True)
     if sum(lengths) != m * (m - 1):
@@ -153,6 +150,11 @@ def decompose_loopless(m, lengths, node_limit=2_000_000):
         raise ValueError("every length must be >= 2")
     result = _split_trails(list(range(1, m + 1)), lengths, node_limit)
     if result is not None:
+        edges = sorted(e for t in result for e in t.edges)
+        if edges != [(u, v) for u in range(1, m + 1)
+                     for v in range(1, m + 1) if u != v]:
+            raise VerificationError("trail split does not cover every "
+                                    "loopless edge exactly once")
         return result
     raise Impossible(
         f"no split of the loopless digraph on {m} vertices into lengths "
@@ -230,7 +232,7 @@ def _split_trails(verts, lengths, node_limit):
             stack.pop()
             continue
         walk, rest = step
-        result.append(ClosedTrail(tuple(walk)))
+        result.append(ClosedTrail(tuple(u for u, _ in walk)))
         if not rest:
             return result
         stack.append(branches(rest))
@@ -258,9 +260,8 @@ def _blowup_trails(base, k):
     for t in base:
         # cols[a] lists vertex a of each of the k*k trails of t
         cols = [[(v - 1) * k + 1 + f[1 if a % 2 else 2 if a else 0]
-                 for f in fs] for a, v in enumerate(t.vertex_sequence())]
-        arcs = [zip(c, c2) for c, c2 in zip(cols, cols[1:] + cols[:1])]
-        trails.extend(map(ClosedTrail, zip(*arcs)))
+                 for f in fs] for a, v in enumerate(t.vertices)]
+        trails.extend(map(ClosedTrail, zip(*cols)))
     return trails
 
 
@@ -272,11 +273,8 @@ def _search_trails(n, d, node_limit):
     if not cert.valid:
         raise Impossible(f"no {{0, {D}}}-cycle over {n} symbols exists",
                          reason="exhausted")
-    trails = []
-    for syms in chi_to_trail_symbols(cert.witness, D):
-        seq = [x + 1 for x in syms]
-        trails.append(ClosedTrail(tuple(zip(seq, seq[1:] + seq[:1]))))
-    return trails
+    return [ClosedTrail(tuple(x + 1 for x in syms))
+            for syms in chi_to_trail_symbols(cert.witness, D)]
 
 
 def decompose_equal(n, d, node_limit=2_000_000):
@@ -291,7 +289,7 @@ def decompose_equal(n, d, node_limit=2_000_000):
     if (n * n) % d:
         raise ValueError(f"{d} does not divide n*n = {n * n}")
     if n == 1:
-        return TrailDecomposition(1, 1, [ClosedTrail(((1, 1),))], "euler")
+        return TrailDecomposition(1, 1, [ClosedTrail((1,))], "euler")
     if d == 1:
         raise Impossible(
             f"length 1 needs {n * n} loops but only {n} exist",
@@ -325,9 +323,9 @@ def chi_from_decomposition(q, decomposition):
     if any(len(t) != L for t in trails):
         raise ValueError("trails must all have length q*q/d")
     for t in trails:
-        if any(not (1 <= u <= q) for e in t.edges for u in e):
+        if any(not (1 <= u <= q) for u in t.vertices):
             raise ValueError("trail vertices must lie in 1..q")
-    norm = sorted(least_rotation(t.vertex_sequence()) for t in trails)
+    norm = sorted(least_rotation(t.vertices) for t in trails)
     chi = trails_to_chi([[v - 1 for v in seq] for seq in norm], q)
     rep = verify_cover(chi, CycleParams.unreduced(q, 2), (0, d % (q * q)))
     if not rep.complete:

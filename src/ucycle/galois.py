@@ -16,8 +16,12 @@ algebra.  With g the subfield generator, 1, g, ..., g**(k-1) is an F_p-basis
 of F_q, so elements e_1..e_r are F_q-independent exactly when the k*r
 elements g**i * e_j are F_p-independent, and an F_p-dependency c among them
 is the F_q-dependency with coefficients sum_i c[j*k + i] * g**i, whose
-symbol is sum_i c[j*k + i] * p**i.  The same routine inverts the F_p matrix
-behind the coordinates of a subfield basis.
+symbol is sum_i c[j*k + i] * p**i.
+
+Coordinate sequences need no coordinates: an F_q-linear functional of
+beta**j obeys the linear recurrence of beta's minimal polynomial (Lidl and
+Niederreiter, *Finite Fields*, ch. 8), so `lambda_sequence` costs n field
+operations per symbol once its first n symbols are read off the basis.
 
 An index set I = {i_1..i_n} (exponents mod q**n - 1) is *ordinary* when some
 generator alpha of the multiplicative group makes {alpha**i_j} linearly
@@ -113,11 +117,6 @@ class FieldCtx:
             return 0
         return self.exp[(self.log[x] + self.log[y]) % self.mult_order]
 
-    def inv(self, x):
-        if x == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return self.exp[(-self.log[x]) % self.mult_order]
-
     def pow(self, x, e):
         if x == 0:
             return 0 if e else 1
@@ -202,15 +201,15 @@ def build_field(p, m, modulus=None):
 
 @dataclass(frozen=True)
 class SubfieldBasis:
-    """Basis of F_{p**(k*n)} over the subfield F_q, q = p**k, with the
-    machinery to extract F_q-coordinates of any element."""
+    """Basis generator**0 .. generator**(n-1) of F_{p**(k*n)} over the
+    subfield F_q, q = p**k, with the symbol encoding of F_q."""
 
     ctx: FieldCtx
     k: int
-    basis: tuple          # n field elements
+    generator: int
+    basis: tuple          # n field elements, the powers of generator
     sym_elem: tuple       # symbol s -> subfield element
     elem_sym: dict        # inverse of sym_elem
-    inverse_rows: tuple   # (k*n) x (k*n) matrix over F_p, row-major
 
     @property
     def q(self):
@@ -220,32 +219,16 @@ class SubfieldBasis:
     def n(self):
         return self.ctx.m // self.k
 
-    def coords(self, gamma):
-        """F_q-coordinates of gamma against the basis, as symbols."""
-        ctx, p, k, n = self.ctx, self.ctx.p, self.k, self.n
-        vec = ctx.digits(gamma)
-        m = k * n
-        out = []
-        for j in range(n):
-            sym = 0
-            for i in range(k):
-                row = self.inverse_rows[j * k + i]
-                acc = sum(row[t] * vec[t] for t in range(m)) % p
-                sym += acc * p ** i
-            out.append(sym)
-        return tuple(out)
-
 
 def _reduce_mod_p(vectors, p):
-    """Gauss-Jordan elimination over F_p, one vector at a time, each carried
-    with its combination of the inputs (a unit vector to start).
+    """The first F_p-dependency among the vectors, or None when they are
+    independent.
 
-    Returns (dependency, None) when a vector reduces to zero against the
-    ones before it: its combination has coefficient 1 at that vector and 0
-    past it, so it is the same whatever the column order.  Otherwise
-    returns (None, rows), the combinations in pivot-column order; for a
-    square input they are the rows of the inverse of the matrix whose rows
-    are the vectors.
+    Gauss-Jordan elimination, one vector at a time, each carried with its
+    combination of the inputs (a unit vector to start).  The dependency is
+    the combination of the first vector that reduces to zero against the
+    ones before it: coefficient 1 at that vector and 0 past it, so it is the
+    same whatever the column order.
     """
     size = len(vectors)
     reduced = []   # (pivot column, vector, combination), kept fully reduced
@@ -259,7 +242,7 @@ def _reduce_mod_p(vectors, p):
                 combo = [(a - f * b) % p for a, b in zip(combo, rc)]
         col = next((c for c, x in enumerate(vec) if x), None)
         if col is None:
-            return tuple(combo), None
+            return tuple(combo)
         inv = pow(vec[col], -1, p)
         vec = [x * inv % p for x in vec]
         combo = [x * inv % p for x in combo]
@@ -269,7 +252,7 @@ def _reduce_mod_p(vectors, p):
                 reduced[t] = (c, [(a - f * b) % p for a, b in zip(row, vec)],
                               [(a - f * b) % p for a, b in zip(rc, combo)])
         reduced.append((col, vec, combo))
-    return None, tuple(tuple(rc) for _, _, rc in sorted(reduced))
+    return None
 
 
 def subfield_generator(ctx, k):
@@ -280,18 +263,11 @@ def subfield_generator(ctx, k):
 
 
 def subfield_basis(ctx, k, generator=None):
-    """Build the coordinate machinery for F_q = F_{p**k} inside ctx.
-
-    The basis is 1, alpha, ..., alpha**(n-1) for the table primitive alpha;
-    `generator` substitutes another element whose powers should form the
-    basis.
-    """
-    p = ctx.p
-    if ctx.m % k:
-        raise ValueError("k must divide m")
+    """The basis 1, a, ..., a**(n-1) of ctx over F_q = F_{p**k}, for a the
+    given `generator` or the table primitive alpha."""
+    p, g = ctx.p, subfield_generator(ctx, k)
     n = ctx.m // k
     q = p ** k
-    g = subfield_generator(ctx, k)
     sym_elem = []
     for s in range(q):
         acc = 0
@@ -308,18 +284,17 @@ def subfield_basis(ctx, k, generator=None):
 
     a = generator if generator is not None else ctx.alpha
     basis = tuple(ctx.pow(a, j) for j in range(n))
-    dep, rows = _reduce_mod_p([ctx.digits(ctx.mul(ctx.pow(g, i), b))
-                               for b in basis for i in range(k)], p)
-    if dep is not None:
+    if _reduce_mod_p([ctx.digits(ctx.mul(ctx.pow(g, i), b))
+                      for b in basis for i in range(k)], p) is not None:
         raise ValueError("not a basis over the subfield")
-    return SubfieldBasis(ctx=ctx, k=k, basis=basis, sym_elem=tuple(sym_elem),
-                         elem_sym=elem_sym, inverse_rows=tuple(zip(*rows)))
+    return SubfieldBasis(ctx=ctx, k=k, generator=a, basis=basis,
+                         sym_elem=tuple(sym_elem), elem_sym=elem_sym)
 
 
 @dataclass
 class LambdaSeq:
     """Coordinate sequence of successive generator powers: position j holds
-    v . coords(generator**j), a reduced-length cyclic string."""
+    v . (F_q-coordinates of generator**j), a reduced-length cyclic string."""
 
     chi: CyclicString
     generator: int
@@ -327,24 +302,27 @@ class LambdaSeq:
     v: tuple
 
 
-def lambda_sequence(sb: SubfieldBasis, v, generator=None):
-    """The length q**n - 1 string whose j-th symbol is v^T f_B(alpha**j)."""
+def lambda_sequence(sb: SubfieldBasis, v):
+    """The length q**n - 1 string whose j-th symbol is v . coords(g**j),
+    the F_q-coordinates of g**j against the basis, g = sb.generator.
+
+    This is the linear recurring sequence of g's minimal polynomial c:
+    s_j = v_j for j < n, since g**j is basis vector j, and then
+    s_(j+n) = -(c_0 s_j + ... + c_(n-1) s_(j+n-1)), computed in F_q.
+    """
     ctx = sb.ctx
     q, n = sb.q, sb.n
     if len(v) != n or all(s == 0 for s in v):
         raise ValueError("v must be a nonzero length-n symbol vector")
-    g0 = generator if generator is not None else ctx.alpha
-    v_elems = [sb.sym_elem[s] for s in v]
-    out = []
-    cur = 1
-    for _ in range(q ** n - 1):
-        coords = sb.coords(cur)
+    taps = [ctx.neg(sb.sym_elem[c]) for c in min_poly(sb, sb.generator)[:n]]
+    elems = [sb.sym_elem[s] for s in v]
+    for j in range(q ** n - 1 - n):
         acc = 0
-        for ve, cs in zip(v_elems, coords):
-            acc = ctx.add(acc, ctx.mul(ve, sb.sym_elem[cs]))
-        out.append(sb.elem_sym[acc])
-        cur = ctx.mul(cur, g0)
-    return LambdaSeq(chi=CyclicString(q, tuple(out)), generator=g0,
+        for t, x in zip(taps, elems[j:j + n]):
+            acc = ctx.add(acc, ctx.mul(t, x))
+        elems.append(acc)
+    out = tuple(sb.elem_sym[e] for e in elems[:q ** n - 1])
+    return LambdaSeq(chi=CyclicString(q, out), generator=sb.generator,
                      basis=sb.basis, v=tuple(v))
 
 
@@ -379,8 +357,8 @@ def _fq_dependency(sb, elements):
     ctx, k, p = sb.ctx, sb.k, sb.ctx.p
     g = subfield_generator(ctx, k)
     g_pows = [ctx.pow(g, i) for i in range(k)]
-    dep, _ = _reduce_mod_p([ctx.digits(ctx.mul(gi, e))
-                            for e in elements for gi in g_pows], p)
+    dep = _reduce_mod_p([ctx.digits(ctx.mul(gi, e))
+                         for e in elements for gi in g_pows], p)
     if dep is None:
         return None
     return tuple(sum(dep[j * k + i] * p ** i for i in range(k))
@@ -389,22 +367,17 @@ def _fq_dependency(sb, elements):
 
 def min_poly(sb: SubfieldBasis, beta):
     """Minimal polynomial of beta over F_q as ascending symbol coefficients,
-    monic; beta must generate the full extension (degree n)."""
+    monic; beta must generate the full extension (degree n).
+
+    The dependency among 1, beta, ..., beta**n is monic as it comes: the
+    first dependent F_p-vector is beta**n itself, with coefficient 1.
+    """
     ctx = sb.ctx
     n = sb.n
-    powers = []
-    cur = 1
-    for _ in range(n + 1):
-        powers.append(cur)
-        cur = ctx.mul(cur, beta)
-    dep = _fq_dependency(sb, powers)
+    dep = _fq_dependency(sb, [ctx.pow(beta, j) for j in range(n + 1)])
     if dep is None or dep[n] == 0:
         raise VerificationError("element does not have degree n")
-    lead_inv = ctx.inv(sb.sym_elem[dep[n]])
-    coeffs = []
-    for s in dep:
-        coeffs.append(sb.elem_sym[ctx.mul(sb.sym_elem[s], lead_inv)])
-    return tuple(coeffs)
+    return dep
 
 
 def _frobenius_leaders(q, n):
@@ -542,9 +515,8 @@ def build_reduced_cycle(I, q, n):
         if _fq_dependency(sb, beta_pows) is not None:
             continue
         beta = ctx.exp[u % order]
-        basis_sb = subfield_basis(ctx, k, generator=beta)
         v = tuple([1] + [0] * (n - 1))
-        seq = lambda_sequence(basis_sb, v, generator=beta)
+        seq = lambda_sequence(subfield_basis(ctx, k, generator=beta), v)
         report = verify_cover(seq.chi, CycleParams.reduced(q, n), I,
                               reduced=True)
         if not report.complete:

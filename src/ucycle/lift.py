@@ -222,6 +222,8 @@ def double_ap3(chi: CyclicString, d):
     N = q ** 3
     if len(chi) != N:
         raise InvalidInput(f"expected length q**3 = {N}, got {len(chi)}")
+    if d < 1:
+        raise ValueError(f"need d >= 1, got {d}")
     k, rem = divmod(N, d)
     if rem:
         raise ValueError(f"{d} does not divide q**3 = {N}")

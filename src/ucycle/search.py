@@ -719,6 +719,8 @@ def atlas(q, n, set_size, node_limit=None, time_limit=None, checkpoint=None,
     "set<TAB>verdict" lines) makes long runs resumable with byte-identical
     output.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be positive, got {jobs}")
     L = q ** n
     reps = affine_class_representatives(L, set_size)
     done = _parse_checkpoint(checkpoint, set(reps))

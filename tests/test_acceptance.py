@@ -228,7 +228,7 @@ def test_c11_additive_transport():
             v = tuple(rng.randrange(q) for _ in range(n))
             if all(s == 0 for s in v):
                 continue
-            seq = lambda_sequence(sb, v, generator=beta)
+            seq = lambda_sequence(sb, v)
             psi = psi_map(seq, sb, I)
             for g1 in range(q ** n):
                 for g2 in range(q ** n):

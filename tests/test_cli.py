@@ -171,6 +171,17 @@ class TestGenerationCommands:
         assert verify_cover(chi, CycleParams.unreduced(3, 3),
                             (0, 3, 6)).complete
 
+    def test_gen_ap_seed_cycle_on_decomposition_route_is_usage_error(
+            self, tmp_path, capsys):
+        # even q at n = 2 is built from trails; a seed it cannot read is
+        # refused rather than silently ignored
+        f = tmp_path / "seed.txt"
+        f.write_text(de_bruijn_sequence(4, 1).text() + "\n")
+        code, out, err = run_cli(capsys, "gen-ap", "--q", "4", "--n", "2",
+                                 "--seed-cycle", str(f))
+        assert code == 2 and out == ""
+        assert "--seed-cycle" in err
+
     def test_gen_ap_seed_cycle_wrong_length(self, tmp_path, capsys):
         f = tmp_path / "seed.txt"
         f.write_text(de_bruijn_sequence(3, 2).text()[:8] + "\n")
@@ -191,6 +202,16 @@ class TestGenerationCommands:
         doc = json.loads(out)
         assert doc["length"] == 64
         assert doc["verification"]["complete"]
+
+    @pytest.mark.parametrize("d", ["0", "-1"])
+    def test_double_ap3_nonpositive_d_is_usage_error(self, tmp_path, capsys,
+                                                      d):
+        f = tmp_path / "db.txt"
+        f.write_text("00010111\n")
+        code, out, err = run_cli(capsys, "double-ap3", "--input", str(f),
+                                 "--q", "2", "--d", d)
+        assert code == 2 and out == ""
+        assert "need d >= 1" in err
 
     def test_gen_reduced(self, capsys):
         code, out, _ = run_cli(capsys, "gen-reduced", "--q", "3", "--n", "3",
@@ -360,6 +381,13 @@ class TestAtlasAndGolden:
                                "--size", "3", "--resume", str(ck))
         assert code == 2
         assert "0,2,5\\tinvalid" in err
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_atlas_nonpositive_jobs_is_usage_error(self, capsys, jobs):
+        code, out, err = run_cli(capsys, "atlas", "--q", "2", "--n", "3",
+                                 "--size", "3", "--jobs", jobs)
+        assert code == 2 and out == ""
+        assert "jobs must be positive" in err
 
     def test_obs2_matches(self, tmp_path, capsys):
         out_file = tmp_path / "atlas24.tsv"

@@ -24,29 +24,35 @@ from ucycle.search import two_element_validity
 
 
 class TestClosedTrail:
-    def test_chaining_enforced(self):
-        with pytest.raises(ValueError):
-            ClosedTrail(((1, 2), (3, 1)))
-
-    def test_repeat_edge_rejected(self):
-        with pytest.raises(ValueError):
-            ClosedTrail(((1, 2), (2, 1), (1, 2), (2, 1)))
-
     def test_loop_is_a_trail(self):
-        t = ClosedTrail(((1, 1),))
-        assert len(t) == 1 and t.vertices() == {1}
+        t = ClosedTrail((1,))
+        assert len(t) == 1 and t.edges == ((1, 1),)
+
+    def test_edges_chain_cyclically(self):
+        t = ClosedTrail((1, 2, 2, 3))
+        assert t.edges == ((1, 2), (2, 2), (2, 3), (3, 1))
+
+    def test_empty_trail_rejected(self):
+        with pytest.raises(ValueError):
+            ClosedTrail(())
 
 
 class TestChecker:
     def test_detects_missing_edge(self):
         dec = decompose_equal(2, 4)
-        bad = [ClosedTrail(dec.trails[0].edges[:])]
+        bad = [ClosedTrail(dec.trails[0].vertices)]
         with pytest.raises(VerificationError):
             check_decomposition(2, 4, bad + bad)
 
+    def test_repeat_edge_rejected(self):
+        # 1 2 1 2 walks (1,2) and (2,1) twice within one trail
+        with pytest.raises(VerificationError,
+                           match=r"^edge \(1,2\) covered twice$"):
+            check_decomposition(2, 4, [ClosedTrail((1, 2, 1, 2))])
+
     def test_detects_wrong_length(self):
         with pytest.raises(VerificationError):
-            check_decomposition(2, 2, [ClosedTrail(((1, 1),))] * 2)
+            check_decomposition(2, 2, [ClosedTrail((1,))] * 2)
 
     def test_names_the_first_repeated_edge(self):
         trails = decompose_equal(3, 3).trails
@@ -56,14 +62,14 @@ class TestChecker:
             check_decomposition(3, 3, [trails[0], trails[1], trails[0]])
 
     def test_names_the_first_edge_out_of_range(self):
-        trail = ClosedTrail(((1, 1), (1, 3), (3, 3), (3, 1)))
+        trail = ClosedTrail((1, 1, 3, 3))
         with pytest.raises(VerificationError,
                            match=r"^edge \(1,3\) out of range$"):
             check_decomposition(2, 4, [trail])
 
     def test_detects_uncovered_edges(self):
         # one trail of length 3 cannot cover the four edges of K~_2
-        trail = ClosedTrail(((1, 1), (1, 2), (2, 1)))
+        trail = ClosedTrail((1, 1, 2))
         with pytest.raises(VerificationError, match="edges left uncovered"):
             check_decomposition(2, 3, [trail])
 
@@ -78,6 +84,11 @@ class TestEuler:
     def test_disconnected_rejected(self):
         with pytest.raises(VerificationError):
             euler_trail([(1, 1), (2, 2)])
+
+    def test_unbalanced_rejected(self):
+        # the walk uses the one edge but ends at 2, so it does not close
+        with pytest.raises(VerificationError):
+            euler_trail([(1, 2)])
 
 
 class TestEqualDecomposition:
@@ -239,6 +250,14 @@ class TestLoopless:
         except BudgetExceeded:
             return
         assert [len(t) for t in trails] == [1056]
+
+    def test_split_that_misses_an_edge_is_not_returned(self, monkeypatch):
+        # the digon 1 2 twice and 2 3 never: the lengths add up, the cover
+        # does not
+        split = [ClosedTrail((1, 2)), ClosedTrail((1, 3)), ClosedTrail((1, 2))]
+        monkeypatch.setattr(decomp, "_split_trails", lambda *a: split)
+        with pytest.raises(VerificationError, match="exactly once"):
+            decompose_loopless(3, [2, 2, 2])
 
     def test_sum_mismatch_rejected(self):
         with pytest.raises(ValueError):

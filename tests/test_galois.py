@@ -11,6 +11,7 @@ from ucycle.galois import (
     ORDINARY,
     ExceptionalInput,
     _fq_dependency,
+    _frobenius_leaders,
     build_field,
     build_reduced_cycle,
     exceptional_triple,
@@ -53,8 +54,6 @@ class TestFieldConstruction:
         ctx = build_field(3, 2)
         for x in range(9):
             assert ctx.add(x, ctx.neg(x)) == 0
-            if x:
-                assert ctx.mul(x, ctx.inv(x)) == 1
         # distributivity spot check
         for x, y, z in itertools.product(range(9), repeat=3):
             assert ctx.mul(x, ctx.add(y, z)) == ctx.add(
@@ -121,6 +120,40 @@ class TestLambdaSequences:
         sb = subfield_basis(ctx, 1)
         with pytest.raises(ValueError):
             lambda_sequence(sb, (0, 0, 0))
+
+    @pytest.mark.parametrize("q,n", [(2, 3), (2, 5), (3, 2), (3, 3), (4, 2),
+                                     (5, 2), (9, 2)])
+    def test_matches_coordinates_of_each_power(self, q, n):
+        # oracle: every sum_i c_i * g**i, c in F_q**n, maps back to c, so
+        # symbol j must be v . c(g**j) for every generator g and vector v
+        p, k = prime_power(q)
+        ctx = build_field(p, k * n)
+        rng = random.Random(q * 100 + n)
+        for u in _frobenius_leaders(q, n):
+            g = ctx.exp[u]
+            sb = subfield_basis(ctx, k, generator=g)
+            coords = {}
+            for c in itertools.product(range(q), repeat=n):
+                elem = 0
+                for i, ci in enumerate(c):
+                    elem = ctx.add(elem, ctx.mul(sb.sym_elem[ci],
+                                                 ctx.pow(g, i)))
+                coords[elem] = c
+            assert len(coords) == q ** n
+            for _ in range(3):
+                v = (0,) * n
+                while not any(v):
+                    v = tuple(rng.randrange(q) for _ in range(n))
+                expected = []
+                for j in range(q ** n - 1):
+                    acc = 0
+                    for vi, ci in zip(v, coords[ctx.pow(g, j)]):
+                        acc = ctx.add(acc, ctx.mul(sb.sym_elem[vi],
+                                                   sb.sym_elem[ci]))
+                    expected.append(sb.elem_sym[acc])
+                seq = lambda_sequence(sb, v)
+                assert seq.chi.symbols == tuple(expected), (u, v)
+                assert seq.generator == g
 
 
 class TestJacobiLog:
@@ -345,7 +378,7 @@ class TestPsiTransport:
         assert v.verdict == ORDINARY
         beta = v.witness_generator
         sb_beta = subfield_basis(ctx, prime_power(q)[1], generator=beta)
-        seq = lambda_sequence(sb_beta, (1,) + (0,) * (n - 1), generator=beta)
+        seq = lambda_sequence(sb_beta, (1,) + (0,) * (n - 1))
         psi = psi_map(seq, sb_beta, I)
         for g1 in range(q ** n):
             for g2 in range(q ** n):
@@ -365,13 +398,21 @@ class TestMinPoly:
         assert min_poly(sb, ctx.alpha) == (1, 1, 0, 1)
 
     def test_root_evaluates_to_zero(self):
-        ctx = build_field(3, 2)
-        sb = subfield_basis(ctx, 1)
-        for u in (1, 3, 5):
-            beta = ctx.exp[u]
-            g = min_poly(sb, beta)
-            acc = 0
-            for e, coeff in enumerate(g):
-                term = ctx.mul(sb.sym_elem[coeff], ctx.pow(beta, e))
-                acc = ctx.add(acc, term)
-            assert acc == 0
+        # monic with the root as a zero, also where q > 2 gives the leading
+        # coefficient room to be another unit
+        cases = [(3, 2, (1, 3, 5))] + [
+            (q, n, _frobenius_leaders(q, n))
+            for q, n in [(4, 2), (5, 2), (9, 2), (3, 3)]]
+        for q, n, exponents in cases:
+            p, k = prime_power(q)
+            ctx = build_field(p, k * n)
+            sb = subfield_basis(ctx, k)
+            for u in exponents:
+                beta = ctx.exp[u]
+                g = min_poly(sb, beta)
+                assert len(g) == n + 1 and g[n] == 1, (q, n, u)
+                acc = 0
+                for e, coeff in enumerate(g):
+                    term = ctx.mul(sb.sym_elem[coeff], ctx.pow(beta, e))
+                    acc = ctx.add(acc, term)
+                assert acc == 0, (q, n, u)

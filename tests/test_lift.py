@@ -159,6 +159,11 @@ class TestDoubleAp3:
         with pytest.raises(DivisibilityViolation):
             double_ap3(chi, 1)
 
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_nonpositive_d_rejected(self, d):
+        with pytest.raises(ValueError, match="need d >= 1"):
+            double_ap3(de_bruijn_sequence(2, 3), d)
+
     def test_bad_input_rejected(self):
         with pytest.raises(InvalidInput):
             double_ap3(CyclicString(2, (0,) * 8), 1)

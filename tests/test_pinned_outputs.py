@@ -20,12 +20,15 @@ cycles (q = 4, 8, 16) changed.
 path, subfield bases, brute-force classification, reduced cycles, the
 triple criterion and Jacobi logarithms.  It was computed before field
 construction became a single walk over the powers of x.  It was re-pinned
-once, when the triple criterion kept only its universal reading (each
-triple line holds one bool, not a pair: 255 lines) and brute-force
+twice.  The first time, the triple criterion kept only its universal reading
+(each triple line holds one bool, not a pair: 255 lines) and brute-force
 classification began to test one exponent per Frobenius orbit (each
 exceptional line keeps only the dependencies of the orbits' least
 exponents: 81 lines); verdicts, witnesses, fields and reduced cycles did
-not change.
+not change.  The second time, coordinate sequences became the linear
+recurrence of the generator's minimal polynomial and subfield bases lost
+their inverse coordinate matrix: each subfield basis line dropped its
+`inverse_rows` member (59 lines), and nothing else changed.
 
 `CLI_SHA256` covers the text and JSON bytes the CLI writes for the commands
 whose builders verify their own output.  It was computed while the CLI still
@@ -68,7 +71,7 @@ from ucycle.lift import de_bruijn_sequence, double_ap3, splice_ap_cycle
 PINNED_SHA256 = (
     "303b70fdb15b0f6fe706d101f78c96628655ef6483e202b0c13ebc930911a1ea")
 GALOIS_SHA256 = (
-    "4a1dd61d270b76f9f2e07da1548e9fb278eef2e0dfaa4d52ff9bf06ceae40aba")
+    "8d1719697600d7a943ceb3b5616ba6f6f1a834765f2ccaf2a2c46d0e781ab502")
 
 
 def _report_lines(chi, params, I, reduced=False):
@@ -155,7 +158,7 @@ def galois_outputs():
             # F_2 is left out: its subfield basis could not be built before
             if m % k == 0 and 2 < p ** m <= 4096:
                 sb = subfield_basis(ctx, k)
-                out.append(repr((k, sb.basis, sb.sym_elem, sb.inverse_rows)))
+                out.append(repr((k, sb.basis, sb.sym_elem)))
     for code in range(16):
         modulus = tuple([(code >> i) & 1 for i in range(4)] + [1])
         try:
