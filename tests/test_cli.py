@@ -31,7 +31,8 @@ class TestSearchCommand:
         code, out, _ = run_cli(capsys, "search", "--q", "2", "--n", "3",
                                "--set", "0,1,2", "--format", "json")
         doc = json.loads(out)
-        assert code == 0 and doc["witness"] == "00010111"
+        # the complement rule reads 111 on a translate r <= 4, here r = 3
+        assert code == 0 and doc["witness"] == "00011101"
 
     def test_budget_exit_three(self, capsys):
         code, _, err = run_cli(capsys, "search", "--q", "2", "--n", "5",

@@ -17,6 +17,7 @@ from ucycle.core import (
     affine_class_representatives,
     canonicalize_affine,
     verify_cover,
+    window,
 )
 from ucycle import search
 from ucycle.search import (
@@ -192,16 +193,43 @@ class TestPruningSoundness:
                 assert all(cert.witness.symbols[i] == 0 for i in rep), rep
 
     def test_rotation_rule_cuts_refutation_nodes(self):
-        # about 1.61M nodes without the rotation rule, about 33k with it
+        # about 1.61M nodes without the rotation rule, about 33k with it;
+        # the complement rule halves that again, to about 15k
         cert = decide_valid(2, 5, (0, 1, 2, 6, 26))
         assert cert.verdict == INVALID
         assert cert.nodes_explored < 1_000_000
+        assert cert.nodes_explored < 20_000
 
-    @pytest.mark.parametrize("q,n", [(3, 3), (2, 4)])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_complement_rule_reads_ones_in_the_first_half(self, n):
+        # the q = 2 witness reads 1**n on one translate r <= N/2, and
+        # s -> 1 - s(x + r) maps it to a complete string that reads 0**n at
+        # 0 and 1**n at N - r: the member of the orbit the rule skips
+        N = 2 ** n
+        params = CycleParams.unreduced(2, n)
+        ones = (1,) * n
+        checked = 0
+        for rep in affine_class_representatives(N, n):
+            cert = decide_valid(2, n, rep)
+            if not cert.valid:
+                continue
+            s = cert.witness.symbols
+            at = [t for t in range(N) if window(cert.witness, rep, t) == ones]
+            assert len(at) == 1 and 1 <= at[0] <= N // 2, (rep, at)
+            r = at[0]
+            sigma = CyclicString(2, tuple(1 - s[(x + r) % N]
+                                          for x in range(N)))
+            assert verify_cover(sigma, params, rep).complete, rep
+            assert window(sigma, rep, 0) == (0,) * n
+            assert window(sigma, rep, N - r) == ones
+            checked += 1
+        assert checked > 0
+
+    @pytest.mark.parametrize("q,n", [(3, 3), (2, 4), (2, 3)])
     def test_cover_search_matches_position_search(self, q, n):
-        # every 3-subset of Z_27 and every 4-subset of Z_16 that holds 0,
-        # without the stabilizer bound: the exact-cover search against the
-        # position-order search, which still runs any |I|
+        # every 3-subset of Z_27, every 4-subset of Z_16 and every 3-subset
+        # of Z_8 that holds 0, without the stabilizer bound: the exact-cover
+        # search against the position-order search, which still runs any |I|
         N = q ** n
         verdicts = set()
         for rest in itertools.combinations(range(1, N), n - 1):
