@@ -6,7 +6,8 @@ the check fails, so nothing unverified is written out.  `verify` and
 `verify_cover` themselves.
 
 Exit codes: 0 verified result (including proven negative verdicts),
-2 usage errors, 3 budget/inconclusive outcomes.
+1 a check that failed (`verify` on an incomplete cycle, `diff-golden` on a
+mismatch), 2 usage errors, 3 budget/inconclusive outcomes.
 """
 from __future__ import annotations
 
@@ -31,6 +32,7 @@ from .core import (
 )
 
 EXIT_OK = 0
+EXIT_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 
@@ -285,7 +287,7 @@ def cmd_verify(args):
         lines.append(f"# missing {len(report.missing)} words, first: "
                      f"{report.missing[0]}")
     _emit(cfg, doc, lines)
-    return EXIT_OK if report.complete else 1
+    return EXIT_OK if report.complete else EXIT_FAILED
 
 
 def load_golden(table_id):
@@ -301,20 +303,26 @@ def load_golden(table_id):
 
 
 def diff_golden(atlas_lines, table_id):
-    """Orbit-wise comparison of an atlas against a checked-in table."""
+    """Orbit-wise comparison of an atlas against a checked-in table; a line
+    that is not set<TAB>verdict raises ValueError naming it."""
     meta, rows = load_golden(table_id)
     L = meta["q"] ** meta["n"]
     golden = {canonicalize_affine(row, L).canonical for row in rows}
     mine = set()
-    for line in atlas_lines:
+    for num, line in enumerate(atlas_lines, 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        setpart, verdict = line.split("\t")
-        if verdict != meta["verdict"]:
-            continue
-        rep = tuple(int(x) for x in setpart.split(","))
-        mine.add(canonicalize_affine(rep, L).canonical)
+        setpart, _, verdict = line.partition("\t")
+        try:
+            rep = tuple(int(x) for x in setpart.split(","))
+        except ValueError:
+            rep = None
+        if rep is None or verdict not in (search_mod.VALID,
+                                          search_mod.INVALID):
+            raise ValueError(f"bad line {num}: {line!r}")
+        if verdict == meta["verdict"]:
+            mine.add(canonicalize_affine(rep, L).canonical)
     return {
         "table": table_id,
         "golden_classes": len(golden),
@@ -329,7 +337,10 @@ def cmd_diff_golden(args):
     cfg = RunConfig.from_args(args)
     with open(args.atlas) as fh:
         lines = fh.readlines()
-    report = diff_golden(lines, args.table)
+    try:
+        report = diff_golden(lines, args.table)
+    except ValueError as exc:
+        raise ValueError(f"atlas {args.atlas}: {exc}") from None
     ok = not report["missing"] and not report["extra"]
     doc = dict(report)
     doc["match"] = ok
@@ -339,7 +350,7 @@ def cmd_diff_golden(args):
         for row in report[kind][:10]:
             text.append(f"# {kind}: {','.join(map(str, row))}")
     _emit(cfg, doc, text)
-    return EXIT_OK if ok else 1
+    return EXIT_OK if ok else EXIT_FAILED
 
 
 # ---------------------------------------------------------------------------

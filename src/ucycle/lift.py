@@ -11,7 +11,8 @@ a cycle achieving every n-word on translates of {0, q, ..., (n-1)q}.
 trails is copied eight times, once per parity pattern j in F_2^3: symbol x at
 position i becomes 2x plus the parity <f_(i mod 4), j>, where f runs through
 e1, e2, e3, e1+e2+e3.  Any three cyclically consecutive f's form a basis, so
-every triple over [2q] lies on exactly one of the 8d trails.
+every triple over [2q] lies on exactly one of the 8d trails.  The parities
+have period 4, so 4 | k = q**3/d closes each trail (the paper asks 8 | k).
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ class ZeroSumViolation(UcycleError):
 
 
 class DivisibilityViolation(UcycleError):
-    """8 must divide q**3 / d for the alphabet-doubling construction."""
+    """4 must divide q**3 / d for the alphabet-doubling construction."""
 
 
 class InvalidInput(UcycleError):
@@ -205,7 +206,7 @@ _PARITY = (1, 2, 4, 7)  # e1, e2, e3, e1 + e2 + e3 in F_2^3, as bitmasks
 
 
 def double_ap3(chi: CyclicString, d):
-    """From a verified {0, d, 2d}-cycle over q with 8 | k = q**3/d, build a
+    """From a verified {0, d, 2d}-cycle over q with 4 | k = q**3/d, build a
     verified {0, 8d, 16d}-cycle over 2q (length 8 q**3); returns it with the
     CoverageReport that verified it.
 
@@ -215,8 +216,7 @@ def double_ap3(chi: CyclicString, d):
     It uses each triple over [2q] exactly once: the halves of the triple
     fix a and i, and its parities fix j, because any three cyclically
     consecutive f's are a basis of F_2^3.  As 4 | k each trail closes.
-    j = 0 and j = 7 are the all-even and all-odd copies of the input.  The
-    paper asks 8 | k; 4 | k would do.
+    j = 0 and j = 7 are the all-even and all-odd copies of the input.
     """
     q = chi.q
     N = q ** 3
@@ -227,8 +227,8 @@ def double_ap3(chi: CyclicString, d):
     k, rem = divmod(N, d)
     if rem:
         raise ValueError(f"{d} does not divide q**3 = {N}")
-    if k % 8:
-        raise DivisibilityViolation(f"8 does not divide q**3/d = {k}")
+    if k % 4:
+        raise DivisibilityViolation(f"4 does not divide q**3/d = {k}")
     rep = verify_cover(chi, CycleParams.unreduced(q, 3), ap_index_set(3, d))
     if not rep.complete:
         raise InvalidInput("input fails verification as a {0,d,2d}-cycle")

@@ -33,11 +33,12 @@ option (t, w) colours the positions t + I with the symbols of w.
 The live masks are N-bit ints and the trail keeps n of them per fixed
 position, so the exact cover's memory grows as n*N**2 bits and its time per
 node with N.  Sets with |I| <= 2, and sets past N = 4096, are searched
-depth-first over positions instead (`_dfs`), in O(n*N) memory.  With
-|I| <= 2 the positions come in a greedy order that finishes nearly complete
-windows first, which serves the {0, D} sets of the decomposition route up to
-N = 127**2; with |I| >= 3 past N = 4096, in the order that translates
-0, 1, 2, ... first need them.
+depth-first over positions instead (`_dfs`), in O(n*N) memory, taking the
+positions in the order that translates first need them.  For I = {a, b}
+the translates are walked 0, D, 2D, ... with D = b - a, coset by coset of
+<D>, so each window closes as soon as it opens and the {0, D} sets of the
+decomposition route finish one trail before they start the next; that
+serves them up to N = 127**2.  Other sets take the translates 0, 1, 2, ...
 
 Symmetry breaking.  Rotating a string, relabeling its symbols and, at
 q = 2, complementing it all map complete strings to complete strings, so
@@ -87,7 +88,7 @@ stabilizer bound exhausts the tree at its root); running out of budget raises
 """
 from __future__ import annotations
 
-import heapq
+import math
 import os
 import time
 from contextlib import ExitStack
@@ -197,71 +198,21 @@ def _cycle_count(perm):
     return count
 
 
-def _first_need_order(N, I):
-    # positions in the order translates 0, 1, 2, ... first require them, so
-    # I's own positions (pinned to 0 by the search) come first; equals plain
-    # position order for contiguous index sets containing 0
+def _first_need_order(N, I, step):
+    # positions in the order translates first need them, the translates
+    # taken 0, step, 2*step, ... around each coset of <step>, cosets by
+    # least translate; I's own positions (pinned to 0) come first
+    g = math.gcd(step, N)
     order = []
     seen = bytearray(N)
-    for t in range(N):
-        for i in I:
-            p = (i + t) % N
-            if not seen[p]:
-                seen[p] = 1
-                order.append(p)
-        if len(order) == N:
-            break
-    return order
-
-
-def _greedy_completion_order(N, I, q):
-    """Assignment order that finishes nearly-complete windows first.
-
-    I's own positions come first: the search pins them to 0 (see the
-    module docstring).  After them, each unassigned position is scored
-    by how close it brings windows to completion (a window missing one
-    position dominates one missing two, and so on); ties go to the
-    smallest position.  Keeps the duplicate-word pruning firing as early
-    as possible on stride-heavy index sets.
-
-    Scores only grow, so the best position comes off a heap keyed
-    p - score*N, stale keys skipped; each pick updates n*n keys, so for
-    |I| = 2 the order costs O(N log N) and serves {0, D} up to N = 127**2.
-    """
-    n = len(I)
-    pos_windows = [[] for _ in range(N)]
-    for i in I:
-        for t in range(N):
-            pos_windows[(i + t) % N].append(t)
-    rem = [n] * N
-    # weight[r] scores a window with r unassigned positions; scaled by
-    # q**(n-1) so a window one symbol short outweighs any number of laggards
-    weight = [0] + [q ** (n - 1 - (r - 1)) for r in range(1, n + 1)]
-    score = [n * weight[n]] * N
-    heap = [p - score[p] * N for p in range(N)]  # sorted, so a heap
-    assigned = bytearray(N)
-    order = []
-    for step in range(N):
-        if step < n:
-            best = I[step]
-        else:
-            while True:
-                key = heapq.heappop(heap)
-                best = key % N
-                if not assigned[best] and key == best - score[best] * N:
-                    break
-        assigned[best] = 1
-        order.append(best)
-        for t in pos_windows[best]:
-            old = rem[t]
-            rem[t] = old - 1
-            delta = weight[old - 1] - weight[old]
-            if old > 1:
-                for i in I:
-                    p2 = (i + t) % N
-                    if not assigned[p2]:
-                        score[p2] += delta
-                        heapq.heappush(heap, p2 - score[p2] * N)
+    for c in range(g):
+        for k in range(N // g):
+            t = c + k * step
+            for i in I:
+                p = (i + t) % N
+                if not seen[p]:
+                    seen[p] = 1
+                    order.append(p)
     return order
 
 
@@ -271,8 +222,9 @@ def decide_valid(q, n, I, node_limit=None, time_limit=None):
     For |I| >= 3 and N <= 4096 this is the exact-cover search of the
     module docstring: each node branches on the most constrained translate
     or word, and `nodes_explored` counts the options it tried, forced ones
-    included.  Otherwise it is the depth-first search over positions, and
-    `nodes_explored` counts symbol assignments.
+    included.  Otherwise it is the depth-first search over positions in
+    first-need order (trail by trail when |I| = 2), and `nodes_explored`
+    counts symbol assignments.
 
     Deterministic: translate 0 is pinned to the word 0**n, at q = 2 the
     exact cover then places 1**n on translates 1 .. N//2 in ascending
@@ -280,11 +232,10 @@ def decide_valid(q, n, I, node_limit=None, time_limit=None):
     constrained, words and symbols are tried in ascending order, and
     relabeling is broken by first occurrence.  Forced moves are taken in
     the frontier's iteration order, which moves `nodes_explored` but not
-    the witness.  The witness
-    is the first complete string in that order; it reads 0 at every
-    position of I and passes `verify_cover` before it is returned.  A node
-    or time budget that runs out raises `BudgetExceeded` and reports no
-    verdict.
+    the witness.  The witness is the first complete string in that order;
+    it reads 0 at every position of I and passes `verify_cover` before it
+    is returned.  A node or time budget that runs out raises
+    `BudgetExceeded` and reports no verdict.
     """
     N = q ** n
     if N > 2 ** 24:
@@ -322,17 +273,7 @@ def decide_valid(q, n, I, node_limit=None, time_limit=None):
 
 def _dfs(q, n, I, N, node_limit, time_limit, start):
     target = q ** (n - 1)
-    # with |I| = 2 the greedy order stays cheap at any N, and on {0, D} it
-    # completes one trail of the decomposition reading after another, where
-    # the first-need order grows all of them at once and stalls.  |I| >= 3
-    # with N <= 4096 comes here only from the differential test against the
-    # exact cover, and that keeps the greedy order too: over the (3,3) sets
-    # the first-need order takes 18.2M nodes and 29.8 s, the greedy one
-    # 0.75M nodes and 1.1 s (one core of a 2-core machine)
-    if N <= 4096 or n == 2:
-        order = _greedy_completion_order(N, I, q)
-    else:
-        order = _first_need_order(N, I)
+    order = _first_need_order(N, I, I[1] - I[0] if n == 2 else 1)
     # highest symbol allowed at each depth: 0 on I (translate 0 reads 0**n),
     # then any symbol the first-occurrence relabeling admits
     top = [0] * n + [q - 1] * (N - n)

@@ -410,6 +410,17 @@ class TestAtlasAndGolden:
         assert code == 1
         assert "missing=1" in out
 
+    @pytest.mark.parametrize("bad", ["0,1,2 invalid", "0,1,x\tinvalid",
+                                     "0,1,2\tmaybe"])
+    def test_diff_golden_names_a_bad_line(self, tmp_path, capsys, bad):
+        atlas_file = tmp_path / "atlas.tsv"
+        atlas_file.write_text("# header\n0,1,3\tinvalid\n" + bad + "\n")
+        code, out, err = run_cli(capsys, "diff-golden", "--atlas",
+                                 str(atlas_file), "--table", "obs1")
+        assert code == 2 and out == ""
+        assert str(atlas_file) in err
+        assert f"bad line 3: {bad!r}" in err
+
     def test_golden_tables_load(self):
         meta, rows = load_golden("obs3")
         assert meta["q"] == 2 and meta["n"] == 5

@@ -159,6 +159,20 @@ class TestDoubleAp3:
         with pytest.raises(DivisibilityViolation):
             double_ap3(chi, 1)
 
+    def test_four_divides_k_is_enough(self):
+        # k = q**3/d = 4 at every step, (2, 2) -> (4, 16) -> (8, 128): the
+        # parity pattern has period 4, so each trail closes
+        chi, _ = splice_ap_cycle(2, 3)
+        q, d = 2, 2
+        for _ in range(3):
+            assert len(chi) // d == 4
+            chi, _ = double_ap3(chi, d)
+            q, d = 2 * q, 8 * d
+            assert chi.q == q
+            assert verify_cover(chi, CycleParams.unreduced(q, 3),
+                                (0, d, 2 * d)).complete
+        assert (q, d) == (16, 1024)
+
     @pytest.mark.parametrize("d", [0, -1])
     def test_nonpositive_d_rejected(self, d):
         with pytest.raises(ValueError, match="need d >= 1"):

@@ -1,9 +1,9 @@
 """Validity search: verdicts, pruning soundness, and atlas reproduction."""
 
 import itertools
+import math
 import os
 import pathlib
-import random
 import subprocess
 import sys
 
@@ -149,12 +149,18 @@ class TestTwoElement:
             two_element_validity(2, 3)
 
     def test_matches_decide_valid(self):
-        for q in (2, 3, 4):
-            for d in range(1, q * q):
-                if (q * q) % d:
-                    continue
-                cert = decide_valid(q, 2, (0, d))
-                assert (cert.verdict == VALID) == two_element_validity(q, d)
+        # every 2-subset of Z_(q*q): a translation and a unit multiple take
+        # {a, b} to {0, g} with g = gcd(b - a, q*q), and affine maps of
+        # Z_(q*q) keep validity
+        pairs = 0
+        for q in range(2, 8):
+            N = q * q
+            for a, b in itertools.combinations(range(N), 2):
+                cert = decide_valid(q, 2, (a, b))
+                assert cert.valid == two_element_validity(
+                    q, math.gcd(b - a, N)), (q, a, b)
+                pairs += 1
+        assert pairs == 2268
 
 
 class TestPruningSoundness:
@@ -226,10 +232,16 @@ class TestPruningSoundness:
         assert checked > 0
 
     @pytest.mark.parametrize("q,n", [(3, 3), (2, 4), (2, 3)])
-    def test_cover_search_matches_position_search(self, q, n):
+    def test_cover_search_matches_position_search(self, q, n, monkeypatch):
         # every 3-subset of Z_27, every 4-subset of Z_16 and every 3-subset
         # of Z_8 that holds 0, without the stabilizer bound: the exact-cover
-        # search against the position-order search, which still runs any |I|
+        # search against the position search, which still runs any |I|.
+        # `_dfs` is exhaustive under any position order, so only its speed
+        # depends on the order; the greedy completion order keeps the (3,3)
+        # run near 0.75M nodes, where the first-need order takes 18M
+        monkeypatch.setattr(search, "_first_need_order",
+                            lambda N, I, step: _scan_greedy_completion_order(
+                                N, I, q))
         N = q ** n
         verdicts = set()
         for rest in itertools.combinations(range(1, N), n - 1):
@@ -241,6 +253,18 @@ class TestPruningSoundness:
                                     CycleParams.unreduced(q, n), I).complete
             verdicts.add(found)
         assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("I", [(0, 1, 2, 5, 28), (0, 2, 4, 6, 14),
+                                   (0, 2, 4, 8, 22)])
+    def test_complement_rule_keeps_the_middle_translate(self, I):
+        # sigma maps a string that reads 1**n at N/2 to one that reads it at
+        # N/2 again, so the word branch must include r = N/2 itself: these
+        # (2,5) classes have witnesses only there, and a branch that stops
+        # at N/2 - 1 calls all three invalid
+        cert = decide_valid(2, 5, I)
+        assert cert.verdict == VALID
+        at = [t for t in range(32) if window(cert.witness, I, t) == (1,) * 5]
+        assert at == [16]
 
     @pytest.mark.parametrize("q", [3, 4])
     def test_relabeling_keeps_one_word_per_orbit(self, q):
@@ -340,32 +364,20 @@ def _full_scan_stabilizer_bound(q, n, I, N):
 
 
 class TestOrderAgainstScans:
-    """The heap-driven greedy order and the trimmed stabilizer scan must
-    give what the scans they replaced give, so search results stay byte
-    for byte the same."""
+    """The trail-by-trail order and the trimmed stabilizer scan must give
+    what the scans they replaced give, so search results stay byte for byte
+    the same."""
 
-    def test_greedy_order_on_random_sets(self):
-        # every (q, n) with N <= 1024 and q <= 32; n = 1 reads one position
-        # per window at any q
-        rng = random.Random(2024)
-        for q in range(2, 33):
-            n = 1
-            while q ** n <= 1024:
-                N = q ** n
-                for _ in range(2):
-                    I = tuple(sorted(rng.sample(range(N), n)))
-                    assert search._greedy_completion_order(N, I, q) == \
-                        _scan_greedy_completion_order(N, I, q), (q, n, I)
-                n += 1
-
-    def test_greedy_order_on_decomposition_sets(self):
-        # every {0, D} with D | n*n over n <= 30 symbols: the sets the
-        # decomposition search route asks for
+    def test_first_need_order_on_decomposition_sets(self):
+        # every {0, D} with D | n*n over n <= 30 symbols, the sets the
+        # decomposition search route asks for: walking the trails one after
+        # another is the greedy completion order, so the decomposition
+        # witnesses are the ones that order found
         for q in range(2, 31):
             N = q * q
             for D in range(1, N):
                 if N % D == 0:
-                    assert search._greedy_completion_order(N, (0, D), q) == \
+                    assert search._first_need_order(N, (0, D), D) == \
                         _scan_greedy_completion_order(N, (0, D), q), (q, D)
 
     def test_trimmed_stabilizer_scan(self):
@@ -381,11 +393,13 @@ class TestOrderAgainstScans:
                 stabilized += got is not None
         assert stabilized > 0
 
-    def test_two_positions_past_4096_take_the_greedy_order(self):
-        # N = 65 * 65 > 4096; under the first-need order this {0, D} ran
-        # out of the decomposition route's default 2M-node budget
+    def test_two_positions_past_4096_walk_the_trails(self):
+        # N = 65 * 65 > 4096: walking {0, 65} trail by trail takes 50,830
+        # nodes; translate order ran out of the decomposition route's
+        # default 2M-node budget
         cert = decide_valid(65, 2, (0, 65), node_limit=2_000_000)
         assert cert.verdict == VALID
+        assert cert.nodes_explored < 100_000
 
 
 class TestInvariants:
