@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from importlib import resources
@@ -37,12 +38,9 @@ EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 
 GOLDEN_TABLES = {
-    "obs1": {"file": "obs1.txt", "q": 3, "n": 3, "size": 3,
-             "verdict": "invalid"},
-    "obs2": {"file": "obs2.txt", "q": 2, "n": 4, "size": 4,
-             "verdict": "valid"},
-    "obs3": {"file": "obs3.txt", "q": 2, "n": 5, "size": 5,
-             "verdict": "invalid"},
+    "obs1": {"file": "obs1.txt", "q": 3, "n": 3, "verdict": "invalid"},
+    "obs2": {"file": "obs2.txt", "q": 2, "n": 4, "verdict": "valid"},
+    "obs3": {"file": "obs3.txt", "q": 2, "n": 5, "verdict": "invalid"},
 }
 
 
@@ -61,6 +59,8 @@ class RunConfig:
         secs = getattr(args, "budget_secs", None)
         if node is not None and node <= 0:
             raise ValueError("node budget must be positive")
+        if secs is not None and not math.isfinite(secs):
+            raise ValueError("time budget must be finite")
         if secs is not None and secs <= 0:
             raise ValueError("time budget must be positive")
         return cls(
@@ -75,13 +75,6 @@ class RunConfig:
     def echo(self):
         return {"seed": self.seed, "node_limit": self.node_limit,
                 "time_limit": self.time_limit}
-
-
-def _parse_set(text):
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise ValueError(f"bad index set {text!r}; expected e.g. 0,9,18")
 
 
 def _emit(cfg, doc, text_lines):
@@ -120,7 +113,7 @@ def _emit_cycle(cfg, chi, report, extra=None):
 
 def cmd_search(args):
     cfg = RunConfig.from_args(args)
-    I = _parse_set(args.set)
+    I = search_mod.parse_set(args.set)
     cert = search_mod.decide_valid(args.q, args.n, I,
                                    node_limit=cfg.node_limit,
                                    time_limit=cfg.time_limit)
@@ -142,7 +135,10 @@ def cmd_search(args):
 
 def cmd_atlas(args):
     cfg = RunConfig.from_args(args)
-    result = search_mod.atlas(args.q, args.n, args.size,
+    if args.size != args.n:
+        raise ValueError(f"--size {args.size} must equal --n {args.n}: "
+                         "a valid index set has n elements")
+    result = search_mod.atlas(args.q, args.n,
                               node_limit=cfg.node_limit,
                               time_limit=cfg.time_limit,
                               checkpoint=cfg.checkpoint,
@@ -192,7 +188,7 @@ def cmd_double_ap3(args):
 
 def cmd_gen_reduced(args):
     cfg = RunConfig.from_args(args)
-    I = _parse_set(args.set)
+    I = search_mod.parse_set(args.set)
     seq, report = galois_mod.build_reduced_cycle(I, args.q, args.n)
     _emit_cycle(cfg, seq.chi, report)
     return EXIT_OK
@@ -200,7 +196,7 @@ def cmd_gen_reduced(args):
 
 def cmd_classify(args):
     cfg = RunConfig.from_args(args)
-    I = _parse_set(args.set)
+    I = search_mod.parse_set(args.set)
     verdict = galois_mod.is_exceptional_bruteforce(I, args.q, args.n)
     doc = {"verdict": verdict.verdict, "index_set": list(verdict.index_set)}
     lines = [verdict.verdict]
@@ -246,9 +242,11 @@ def cmd_decompose(args):
 
 def cmd_approx(args):
     cfg = RunConfig.from_args(args)
-    I = _parse_set(args.set)
+    I = search_mod.parse_set(args.set)
     q, n = args.q, args.n
     if args.type == 1:
+        if args.m is not None:
+            raise ValueError("--m applies only to --type 2")
         result = approx_mod.type1_construct(q, n, I, seed=cfg.seed)
         _emit_cycle(cfg, result.chi, result.report,
                     extra={"construction": result.construction_log})
@@ -272,7 +270,7 @@ def cmd_janson(args):
 
 def cmd_verify(args):
     cfg = RunConfig.from_args(args)
-    I = _parse_set(args.set)
+    I = search_mod.parse_set(args.set)
     with open(args.file) as fh:
         chi = CyclicString.from_text(fh.read(), args.q)
     q, n = args.q, args.n
@@ -298,7 +296,7 @@ def load_golden(table_id):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        rows.append(tuple(int(x) for x in line.split(",")))
+        rows.append(search_mod.parse_set(line))
     return meta, rows
 
 
@@ -313,13 +311,9 @@ def diff_golden(atlas_lines, table_id):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        setpart, _, verdict = line.partition("\t")
         try:
-            rep = tuple(int(x) for x in setpart.split(","))
+            rep, verdict = search_mod.parse_line(line)
         except ValueError:
-            rep = None
-        if rep is None or verdict not in (search_mod.VALID,
-                                          search_mod.INVALID):
             raise ValueError(f"bad line {num}: {line!r}")
         if verdict == meta["verdict"]:
             mine.add(canonicalize_affine(rep, L).canonical)

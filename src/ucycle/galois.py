@@ -177,6 +177,8 @@ def build_field(p, m, modulus=None):
     given monic modulus or the first primitive one."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    if m < 1:
+        raise ValueError(f"field degree must be positive, got {m}")
     if p ** m > 2 ** 24:
         raise ValueError("field exceeds desk scale")
     if modulus is None:

@@ -92,7 +92,7 @@ import math
 import os
 import time
 from contextlib import ExitStack
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import (
     BudgetExceeded,
@@ -240,6 +240,7 @@ def decide_valid(q, n, I, node_limit=None, time_limit=None):
     N = q ** n
     if N > 2 ** 24:
         raise ValueError("q**n too large for in-memory search")
+    params = CycleParams.unreduced(q, n)
     I = normalize_index_set(I, N)
     if len(I) != n:
         raise ValueError(f"index set must have {n} distinct residues mod {N}")
@@ -258,7 +259,7 @@ def decide_valid(q, n, I, node_limit=None, time_limit=None):
     elapsed = time.monotonic() - start
     if found:
         witness = CyclicString(q, tuple(chi_syms))
-        report = verify_cover(witness, CycleParams.unreduced(q, n), I)
+        report = verify_cover(witness, params, I)
         if not report.complete:
             raise VerificationError("search produced a non-covering witness")
         return ValidityCertificate(
@@ -601,38 +602,42 @@ def two_element_validity(q, d):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class AtlasEntry:
-    canonical: tuple
-    verdict: str
+def parse_set(text):
+    """The integers of a comma-separated set such as ``0,9,18``."""
+    try:
+        return tuple(int(part) for part in text.split(","))
+    except ValueError:
+        raise ValueError(f"bad index set {text!r}; expected e.g. 0,9,18")
+
+
+def format_line(rep, verdict):
+    """One atlas record: the set, a tab, the verdict (``0,1,3<TAB>invalid``)."""
+    return ",".join(map(str, rep)) + "\t" + verdict
+
+
+def parse_line(line):
+    """The (set, verdict) of a `format_line` record; ValueError otherwise."""
+    setpart, _, verdict = line.partition("\t")
+    if verdict not in (VALID, INVALID):
+        raise ValueError(f"bad verdict {verdict!r}")
+    return parse_set(setpart), verdict
 
 
 @dataclass
 class Atlas:
     q: int
     n: int
-    set_size: int
-    entries: list = field(default_factory=list)
+    verdicts: dict  # canonical representative -> verdict, in canonical order
 
     @property
     def totals(self):
-        t = {VALID: 0, INVALID: 0}
-        for e in self.entries:
-            t[e.verdict] += 1
-        return t
+        return {v: len(self.classes(v)) for v in (VALID, INVALID)}
 
     def classes(self, verdict):
-        return [e.canonical for e in self.entries if e.verdict == verdict]
+        return [rep for rep, v in self.verdicts.items() if v == verdict]
 
     def lines(self):
-        return [
-            ",".join(str(i) for i in e.canonical) + "\t" + e.verdict
-            for e in self.entries
-        ]
-
-
-def _format_set(canonical):
-    return ",".join(str(i) for i in canonical)
+        return [format_line(rep, v) for rep, v in self.verdicts.items()]
 
 
 def _parse_checkpoint(path, reps):
@@ -640,8 +645,8 @@ def _parse_checkpoint(path, reps):
 
     A last line without its newline was torn by an interrupted write: it is
     cut off the file, so the next append starts a fresh line, and its class
-    is recomputed.  Any other line that does not end in a verdict, or whose
-    set is not one of `reps`, raises ValueError naming the line.
+    is recomputed.  Any other line that is not a `format_line` record, or
+    whose set is not one of `reps`, raises ValueError naming the line.
     """
     done = {}
     if not (path and os.path.exists(path)):
@@ -655,13 +660,10 @@ def _parse_checkpoint(path, reps):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        setpart, _, verdict = line.partition("\t")
-        if verdict not in (VALID, INVALID):
-            raise ValueError(f"checkpoint {path}: bad line {line!r}")
         try:
-            key = tuple(int(x) for x in setpart.split(","))
+            key, verdict = parse_line(line)
         except ValueError:
-            key = None
+            raise ValueError(f"checkpoint {path}: bad line {line!r}")
         if key not in reps:
             raise ValueError(f"checkpoint {path}: line {line!r} does not "
                              "name a class representative")
@@ -675,19 +677,19 @@ def _decide_worker(args):
     return rep, cert.verdict
 
 
-def atlas(q, n, set_size, node_limit=None, time_limit=None, checkpoint=None,
-          jobs=1, progress=None):
-    """Classify every affine class of size-`set_size` subsets of Z_{q**n}.
+def atlas(q, n, node_limit=None, time_limit=None, checkpoint=None, jobs=1):
+    """Classify every affine class of n-element subsets of Z_{q**n}.
 
-    Entries come back sorted by canonical representative regardless of how
-    the per-class work was scheduled, and a checkpoint file (append-only
-    "set<TAB>verdict" lines) makes long runs resumable with byte-identical
-    output.
+    Verdicts come back in canonical order regardless of how the per-class
+    work was scheduled.  With a `checkpoint` path each decided class is
+    appended to that file as one `format_line` record and flushed, in the
+    order the classes finish, so `tail -f` shows the progress of a long
+    run.  A rerun with the same file decides only the classes it lacks and
+    returns byte-identical lines.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be positive, got {jobs}")
-    L = q ** n
-    reps = affine_class_representatives(L, set_size)
+    reps = affine_class_representatives(q ** n, n)
     done = _parse_checkpoint(checkpoint, set(reps))
     pending = [rep for rep in reps if rep not in done]
 
@@ -705,12 +707,7 @@ def atlas(q, n, set_size, node_limit=None, time_limit=None, checkpoint=None,
         for rep, verdict in decided:
             results[rep] = verdict
             if ck:
-                ck.write(_format_set(rep) + "\t" + verdict + "\n")
+                ck.write(format_line(rep, verdict) + "\n")
                 ck.flush()
-            if progress:
-                progress(rep, verdict)
 
-    out = Atlas(q=q, n=n, set_size=set_size)
-    for rep in reps:
-        out.entries.append(AtlasEntry(canonical=rep, verdict=results[rep]))
-    return out
+    return Atlas(q=q, n=n, verdicts={rep: results[rep] for rep in reps})

@@ -45,18 +45,18 @@ def report(criterion, detail):
 
 
 def test_c01_atlas_3_3():
-    a = atlas(3, 3, 3)
+    a = atlas(3, 3)
     assert a.classes(INVALID) == [(0, 9, 18)]
-    report("C01", "atlas(3,3,3): only invalid orbit is {0,9,18}")
+    report("C01", "atlas(3,3): only invalid orbit is {0,9,18}")
 
 
 def test_c02_atlas_2_4():
-    a = atlas(2, 4, 4)
+    a = atlas(2, 4)
     _, golden = load_golden("obs2")
     want = {canonicalize_affine(r, 16).canonical for r in golden}
     got = set(a.classes(VALID))
     assert got == want
-    report("C02", "atlas(2,4,4): the nine published valid orbits, exactly")
+    report("C02", "atlas(2,4): the nine published valid orbits, exactly")
 
 
 def test_c03_atlas_2_5_smoke():
@@ -88,12 +88,12 @@ def test_c03_atlas_2_5_full():
     import multiprocessing
 
     jobs = min(multiprocessing.cpu_count(), 4)
-    a = atlas(2, 5, 5, jobs=jobs)
+    a = atlas(2, 5, jobs=jobs)
     diff = diff_golden(a.lines(), "obs3")
     assert diff["missing"] == [] and diff["extra"] == [], diff
     assert diff["matched"] == diff["golden_classes"] == 224
     assert a.totals == {VALID: 230, INVALID: 224}
-    report("C03", "atlas(2,5,5): all 454 classes decided; the 224 invalid "
+    report("C03", "atlas(2,5): all 454 classes decided; the 224 invalid "
                   "orbits match the published table exactly")
 
 

@@ -58,6 +58,23 @@ class TestSearchCommand:
         assert code == 2
         assert "must be positive" in err
 
+    @pytest.mark.parametrize("secs", ["nan", "inf"])
+    def test_nonfinite_time_budget_is_usage_error(self, capsys, secs):
+        # nan would never fire, and neither value is a JSON number
+        code, out, err = run_cli(capsys, "search", "--q", "2", "--n", "3",
+                                 "--set", "0,1,2", "--budget-secs", secs,
+                                 "--format", "json")
+        assert code == 2 and out == ""
+        assert "time budget must be finite" in err
+
+    @pytest.mark.parametrize("q,n", [("0", "2"), ("-2", "2"), ("2", "-1")])
+    def test_alphabet_or_window_out_of_range_is_usage_error(self, capsys,
+                                                            q, n):
+        code, out, err = run_cli(capsys, "search", "--q", q, "--n", n,
+                                 "--set", "0,1")
+        assert code == 2 and out == ""
+        assert "error: need q >= 2 and n >= 1" in err
+
     @pytest.mark.parametrize("argv", [
         ["gen-ap", "--q", "3", "--n", "3", "--budget-secs", "5"],
         ["decompose", "--n", "6", "--d", "3", "--budget-secs", "5"]])
@@ -246,6 +263,13 @@ class TestGenerationCommands:
             "exceptional",
             "# dependent for every generator; 2 dependencies recorded"]
 
+    @pytest.mark.parametrize("command", ["classify", "gen-reduced"])
+    def test_window_zero_is_usage_error(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--q", "2", "--n", "0",
+                                 "--set", "0")
+        assert code == 2 and out == ""
+        assert "error: field degree must be positive, got 0" in err
+
     def test_gen_reduced_over_f2(self, capsys):
         code, out, _ = run_cli(capsys, "gen-reduced", "--q", "2", "--n", "1",
                                "--set", "0")
@@ -304,6 +328,13 @@ class TestGenerationCommands:
                                "--set", "0,1,1,2", "--type", "1")
         assert code == 2
         assert "distinct" in err
+
+    def test_approx_type1_length_is_usage_error(self, capsys):
+        # --m sets the random string's length, which only type 2 draws
+        code, out, err = run_cli(capsys, "approx", "--q", "2", "--n", "3",
+                                 "--set", "0,1,2", "--type", "1", "--m", "9")
+        assert code == 2 and out == ""
+        assert "--m applies only to --type 2" in err
 
     def test_approx_type2_reports_missing(self, capsys):
         code, out, _ = run_cli(capsys, "approx", "--q", "2", "--n", "4",
@@ -382,6 +413,29 @@ class TestAtlasAndGolden:
                                "--size", "3", "--resume", str(ck))
         assert code == 2
         assert "0,2,5\\tinvalid" in err
+
+    def test_atlas_checkpoint_has_one_line_per_class_under_jobs(
+            self, tmp_path, capsys):
+        ck = tmp_path / "ck.tsv"
+        out_file = tmp_path / "atlas.tsv"
+        code, _, _ = run_cli(capsys, "atlas", "--q", "2", "--n", "3",
+                             "--size", "3", "--jobs", "2", "--resume",
+                             str(ck), "--out", str(out_file))
+        assert code == 0
+        out_lines = out_file.read_text().splitlines()
+        assert len(out_lines) == 4
+        assert sorted(ck.read_text().splitlines()) == out_lines
+
+    def test_atlas_size_other_than_n_is_usage_error(self, capsys,
+                                                     monkeypatch):
+        import ucycle.search
+
+        monkeypatch.setattr(ucycle.search, "affine_class_representatives",
+                            lambda *a: pytest.fail("classes enumerated"))
+        code, out, err = run_cli(capsys, "atlas", "--q", "2", "--n", "3",
+                                 "--size", "4")
+        assert code == 2 and out == ""
+        assert "--size 4 must equal --n 3" in err
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_atlas_nonpositive_jobs_is_usage_error(self, capsys, jobs):

@@ -50,6 +50,11 @@ class TestFieldConstruction:
         with pytest.raises(ValueError):
             build_field(4, 2)
 
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_nonpositive_degree_rejected(self, m):
+        with pytest.raises(ValueError, match="degree must be positive"):
+            build_field(2, m)
+
     def test_arithmetic_identities(self):
         ctx = build_field(3, 2)
         for x in range(9):

@@ -435,11 +435,11 @@ class TestInvariants:
 
 class TestAtlas:
     def test_atlas_3_3(self):
-        a = atlas(3, 3, 3)
+        a = atlas(3, 3)
         assert a.classes(INVALID) == [(0, 9, 18)]
 
     def test_atlas_2_4_valid_classes(self):
-        a = atlas(2, 4, 4)
+        a = atlas(2, 4)
         assert a.classes(VALID) == [
             (0, 1, 2, 3), (0, 1, 2, 6), (0, 1, 2, 7), (0, 1, 3, 4),
             (0, 1, 3, 7), (0, 1, 3, 8), (0, 1, 3, 9), (0, 1, 3, 14),
@@ -447,40 +447,20 @@ class TestAtlas:
         ]
 
     def test_atlas_2_3_single_invalid(self):
-        a = atlas(2, 3, 3)
+        a = atlas(2, 3)
         assert a.classes(INVALID) == [(0, 1, 3)]
 
     def test_lines_are_sorted_and_tab_separated(self):
-        a = atlas(2, 3, 3)
+        a = atlas(2, 3)
         lines = a.lines()
         assert lines == sorted(lines)
         assert all("\t" in ln for ln in lines)
 
-    def test_run_atlas_script_reports_progress_under_jobs(self, tmp_path):
-        import ucycle
-
-        src = str(pathlib.Path(ucycle.__file__).resolve().parents[1])
-        script = pathlib.Path(__file__).resolve().parents[1] / "scripts" / \
-            "run_atlas.py"
-        out = tmp_path / "atlas.tsv"
-        proc = subprocess.run(
-            [sys.executable, str(script), "--q", "2", "--n", "3", "--size",
-             "3", "--checkpoint", str(tmp_path / "ck.tsv"), "--out",
-             str(out), "--jobs", "2"],
-            capture_output=True, text=True, timeout=120,
-            env=dict(os.environ, PYTHONPATH=src))
-        assert proc.returncode == 0, proc.stderr
-        classes = [ln.split("\t")[0] for ln in out.read_text().splitlines()]
-        # progress lines read "[  elapsed s] count  set<TAB>verdict"
-        progress = [ln.split("\t")[0].split()[-1]
-                    for ln in proc.stdout.splitlines() if ln.startswith("[")]
-        assert sorted(progress) == sorted(classes)
-
     def test_resume_is_byte_identical(self, tmp_path):
         ck = tmp_path / "ck.tsv"
-        full = atlas(2, 3, 3, checkpoint=str(ck))
+        full = atlas(2, 3, checkpoint=str(ck))
         # simulate interruption: keep only the first two checkpoint lines
         lines = ck.read_text().splitlines()
         ck.write_text("\n".join(lines[:2]) + "\n")
-        resumed = atlas(2, 3, 3, checkpoint=str(ck))
+        resumed = atlas(2, 3, checkpoint=str(ck))
         assert resumed.lines() == full.lines()
