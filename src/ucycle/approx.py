@@ -136,6 +136,8 @@ def patch_sequence(I, words, q, min_p=None):
 def type2_random(q, n, I, m, seed):
     """Uniform random string of length m from the seeded stream, plus the
     exact count of n-words never achieved on translates of I."""
+    if q < 2:
+        raise ValueError("alphabet size must be >= 2")
     if m < 1:
         raise ValueError("m must be positive")
     rng = random.Random(seed)
@@ -205,6 +207,8 @@ def type1_construct(q, n, I, seed):
 
 def janson_bound(mu, Delta, delta):
     """exp(-min(mu^2 / (8*Delta), mu / 2, mu / (6*delta)))."""
+    if not all(map(math.isfinite, (mu, Delta, delta))):
+        raise ValueError("mu, Delta and delta must be finite")
     if Delta <= 0 or delta <= 0:
         raise ValueError("Delta and delta must be positive")
     if mu < 0:

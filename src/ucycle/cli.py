@@ -155,6 +155,8 @@ def cmd_atlas(args):
 def cmd_gen_ap(args):
     cfg = RunConfig.from_args(args)
     q, n = args.q, args.n
+    if q < 2:
+        raise ValueError("need q >= 2")
     if n == 2 and q % 2 == 0:
         if q == 2:
             print("no {0,2}-cycle exists for q=2 (two-element criterion)",

@@ -4,13 +4,16 @@ Everything downstream funnels through :func:`verify_cover`: the construction
 and search modules emit cyclic strings whose coverage claims are re-checked
 here, independently of how they were produced.
 
-Three primitives live here and are the only implementations in the package;
+Four primitives live here and are the only implementations in the package;
 new code must call them rather than re-derive them:
 
 * :func:`windows` -- the lazy scan of the words a cyclic string reads through
   an index set at every translate;
 * :func:`least_rotation` -- the lexicographically least rotation (Booth);
-* :func:`euler_circuit` -- Hierholzer's closed walk, least head first.
+* :func:`euler_circuit` -- Hierholzer's closed walk, least head first;
+* ``_least_gap_walk`` -- the affine images k*I + b that start (0, d), d the
+  least gcd(y - x, L) over the pairs of I, about |I|^2 of them; affine
+  canonicalization and class enumeration both walk it.
 
 Conventions used across the package:
 
@@ -338,51 +341,98 @@ def is_prime(n):
     return True
 
 
-def _zero_images(I, L):
-    """Yield (k, b, k*I + b as a sorted tuple) for every image that contains
-    0, i.e. b = -k*x for some x in I; k ascending, then b ascending.
+def _least_gap(I, L):
+    """d = min gcd(y - x, L) over the pairs x < y of I, |I| >= 2."""
+    return min(gcd(y - x, L) for x, y in combinations(I, 2))
 
-    The one walk over the affine group: every orbit member is a translate of
-    such an image, and the least member starts with 0, so it is one of them.
+
+def _least_gap_walk(I, L, d):
+    """Yield (k*I + b as a sorted tuple, k, b) for every unit k and shift b
+    whose image starts (0, d), where d = _least_gap(I, L) and |I| >= 2.
+
+    The one walk over the affine group.  Why it finds the least member of
+    the orbit, and every member that starts (0, d):
+
+    * d is an affine invariant (gcd(k*(y - x), L) = gcd(y - x, L) for a unit
+      k, and shifts cancel in y - x), and it divides L.
+    * No member holds an element e in (0, d) together with 0, since
+      gcd(e - 0, L) <= e < d.  So a member that holds 0 and d starts (0, d),
+      and the least member starts (0, d) once some member holds 0 and d.
+    * Take a pair with gcd(y - x, L) = d and write y - x = d*u; then u is a
+      unit mod L/d.  The units of Z_L map onto those of Z_(L/d), so some
+      unit k has k = u^-1 (mod L/d), i.e. k*(y - x) = d (mod L), and
+      b = -k*x sends x to 0 and y to d.
+    * Conversely a map onto a member that starts (0, d) sends some x to 0
+      and some y to d, so gcd(y - x, L) = gcd(d, L) = d, k*(y - x) = d and
+      b = -k*x: exactly the maps below.
+
+    The units k with k*(y - x) = d are the lifts u^-1 + j*(L/d), j < d,
+    that are prime to L; for d = 1 there is one, pow(y - x, -1, L).  No map
+    is met twice, since (k, b) fixes x = -b/k and y = (d - b)/k.
     """
-    for k in units(L):
-        for b in sorted(-k * x % L for x in I):
-            yield k, b, tuple(sorted((k * i + b) % L for i in I))
+    m = L // d
+    for x, y in combinations(I, 2):
+        diff = y - x
+        if gcd(diff, L) != d:
+            continue
+        for x0, u in ((x, diff // d), (y, (L - diff) // d)):
+            for k in range(pow(u, -1, m), L, m):
+                if gcd(k, L) == 1:
+                    b = -k * x0 % L
+                    yield tuple(sorted((k * i + b) % L for i in I)), k, b
 
 
 def canonicalize_affine(I, L):
     """Lexicographically least sorted member of the affine orbit of I, with
-    the least (k, b) that maps I onto it."""
+    the least (k, b) that maps I onto it.
+
+    Every map onto the least member is one of the least-gap walk's, so the
+    min over (image, k, b) of that walk is the least image and, among the
+    maps onto it, the least (k, b).
+    """
     I = normalize_index_set(I, L)
-    # min keeps the first least image, so ties go to the least (k, b)
-    k, b, canonical = min(_zero_images(I, L), key=lambda kbi: kbi[2])
+    if len(I) == 1:
+        return AffineClass(canonical=(0,), k=1, b=-I[0] % L, L=L)
+    canonical, k, b = min(_least_gap_walk(I, L, _least_gap(I, L)))
     return AffineClass(canonical=canonical, k=k, b=b, L=L)
 
 
 def affine_orbit(I, L):
-    """All sorted tuples in the affine orbit of I."""
+    """All sorted tuples in the affine orbit of I: the whole k x b grid."""
     I = normalize_index_set(I, L)
-    return {tuple(sorted((x + c) % L for x in image))
-            for _, _, image in _zero_images(I, L) for c in range(L)}
+    return {tuple(sorted((k * x + b) % L for x in I))
+            for k in units(L) for b in range(L)}
 
 
 def affine_class_representatives(L, size):
-    """Canonical representatives of every affine class of size-`size` subsets.
+    """Canonical representatives of every affine class of size-`size` subsets,
+    in lexicographic order.
 
-    Walks the subsets that contain 0 in lexicographic order.  The first one
-    met of each class is its least member, hence its representative, and
-    marks every member of the class that contains 0 as seen.
+    A class's least member starts (0, d), d its least gap (see
+    `_least_gap_walk`), and all its other elements x > d have
+    gcd(x, L) >= d.  So for each divisor d of L, ascending, this walks the
+    subsets (0, d) + rest with rest drawn from those x, in lexicographic
+    order, and skips a subset whose own least gap is below d (on composite L,
+    gcd(x, L) >= d does not make d divide x, so the gaps inside rest can
+    fall below d).  The first subset met of each class is its least member,
+    hence its representative, and its walk marks every member of the class
+    that starts (0, d) as seen.  Members of different d never meet, so `seen`
+    restarts at each d.
     """
     if not 1 <= size <= L:
         raise ValueError("size out of range")
-    seen = set()
+    if size == 1:
+        return [(0,)]
     reps = []
-    for rest in combinations(range(1, L), size - 1):
-        combo = (0,) + rest
-        if combo in seen:
-            continue
-        reps.append(combo)
-        seen.update(image for _, _, image in _zero_images(combo, L))
+    for d in (d for d in range(1, L // 2 + 1) if L % d == 0):
+        seen = set()
+        pool = [x for x in range(d + 1, L) if gcd(x, L) >= d]
+        for rest in combinations(pool, size - 2):
+            combo = (0, d) + rest
+            if combo in seen or d > 1 and _least_gap(combo, L) < d:
+                continue
+            reps.append(combo)
+            seen.update(image for image, _, _ in _least_gap_walk(combo, L, d))
     return reps
 
 

@@ -355,6 +355,33 @@ class TestGenerationCommands:
                                "--delta", "1")
         assert code == 0 and out.strip() == "1.0"
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("arg", ["--mu", "--Delta", "--delta"])
+    def test_janson_nonfinite_is_usage_error(self, capsys, arg, value):
+        # nan printed nan and inf printed 1.0, both with exit 0
+        argv = {"--mu": "1", "--Delta": "1", "--delta": "1", arg: value}
+        code, out, err = run_cli(capsys, "janson",
+                                 *(x for kv in argv.items() for x in kv))
+        assert code == 2 and out == ""
+        assert "mu, Delta and delta must be finite" in err
+
+    @pytest.mark.parametrize("kind", [["--type", "1"],
+                                      ["--type", "2", "--m", "5"]])
+    def test_approx_alphabet_below_two_is_usage_error(self, capsys, kind):
+        # q = 0 reached random.randrange(0) and reported its empty range
+        code, out, err = run_cli(capsys, "approx", "--q", "0", "--n", "2",
+                                 "--set", "0,1", *kind)
+        assert code == 2 and out == ""
+        assert "alphabet size must be >= 2" in err
+
+    @pytest.mark.parametrize("q", ["0", "-2"])
+    def test_gen_ap_alphabet_below_two_is_usage_error(self, capsys, q):
+        # even q at n = 2 went to the trail route, whose message is about
+        # decompose's arguments
+        code, out, err = run_cli(capsys, "gen-ap", "--q", q, "--n", "2")
+        assert code == 2 and out == ""
+        assert "need q >= 2" in err
+
 
 class TestAtlasAndGolden:
     def test_atlas_to_file_and_diff(self, tmp_path, capsys):

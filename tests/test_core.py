@@ -1,6 +1,7 @@
 """Core types, the coverage verifier, affine classes, de Bruijn digraphs."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -334,8 +335,9 @@ def brute_orbit(I, L):
 
 
 class TestAffineWalkAgainstBruteForce:
-    """The orbit walk visits only the images that contain 0; the oracle
-    walks every unit k and every shift b."""
+    """The orbit walk visits only the images that start (0, d), d the least
+    gcd(y - x, L) over the pairs of I; the oracle walks every unit k and
+    every shift b."""
 
     def test_canonical_form_and_map(self):
         rng = random.Random(11)
@@ -369,6 +371,63 @@ class TestAffineWalkAgainstBruteForce:
 
     def test_class_count_3_4(self):
         assert len(affine_class_representatives(81, 4)) == 426
+
+
+def least_gap(I, L):
+    return min(math.gcd(y - x, L) for x, y in itertools.combinations(I, 2))
+
+
+def zero_image_representatives(L, size):
+    """The earlier walk: every subset that holds 0, in lexicographic order,
+    each new one marking all images k*I + b that hold 0 as seen."""
+    seen, reps = set(), []
+    for rest in itertools.combinations(range(1, L), size - 1):
+        combo = (0,) + rest
+        if combo not in seen:
+            reps.append(combo)
+            seen.update(tuple(sorted((k * i - k * x) % L for i in combo))
+                        for k in units(L) for x in combo)
+    return reps
+
+
+class TestLeastGapWalk:
+    """Composite moduli, where gcd(x, L) >= d does not make d divide x."""
+
+    @pytest.mark.parametrize("L", range(1, 37))
+    def test_representatives_match_the_zero_image_walk(self, L):
+        for size in range(1, min(L, 5) + 1):
+            assert (affine_class_representatives(L, size)
+                    == zero_image_representatives(L, size))
+
+    @pytest.mark.parametrize("L", [12, 18, 24, 30, 36, 15, 26, 63, 80])
+    def test_canonical_form_and_map_at_a_gap_above_one(self, L):
+        rng = random.Random(L)
+        divisors = [d for d in range(2, L // 2 + 1) if L % d == 0]
+        sets = []
+        while len(sets) < 40:
+            d = rng.choice(divisors)
+            pool = [x for x in range(1, L) if math.gcd(x, L) >= d]
+            size = rng.randint(2, min(6, len(pool) + 1))
+            I = (0,) + tuple(rng.sample(pool, size - 1))
+            if least_gap(I, L) > 1:
+                k, b = rng.choice(units(L)), rng.randrange(L)
+                sets.append([(k * i + b) % L for i in I])
+        for I in sets:
+            ac = canonicalize_affine(I, L)
+            assert (ac.canonical, ac.k, ac.b) == min(brute_orbit(I, L))
+
+    def test_gap_that_does_not_divide_an_element(self):
+        # {0, 2, 5} mod 30: every gap 2, 5, 3 shares a factor with 30, so
+        # d = 2, yet 5 is odd; the class starts (0, 2)
+        assert least_gap((0, 2, 5), 30) == 2
+        ac = canonicalize_affine((0, 2, 5), 30)
+        assert (ac.canonical, ac.k, ac.b) == min(brute_orbit((0, 2, 5), 30))
+        assert ac.canonical[:2] == (0, 2)
+        assert ac.canonical in affine_class_representatives(30, 3)
+
+    def test_class_count_2_6(self):
+        # the zero-image walk took about 32 s for this count
+        assert len(affine_class_representatives(64, 6)) == 38494
 
 
 class TestDigraph:
