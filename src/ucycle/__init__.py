@@ -14,7 +14,6 @@ from .core import (
     UcycleError,
     VerificationError,
     canonicalize_affine,
-    debruijn_digraph,
     verify_cover,
     window,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "VerificationError",
     "atlas",
     "canonicalize_affine",
-    "debruijn_digraph",
     "decide_valid",
     "two_element_validity",
     "verify_cover",

@@ -19,8 +19,9 @@ import random
 from dataclasses import dataclass
 from itertools import islice
 
-from .core import (CoverageReport, CyclicString, UcycleError,
-                   VerificationError, is_prime, verify_cover, windows)
+from .core import (DESK_SCALE, CoverageReport, CyclicString, UcycleError,
+                   VerificationError, is_prime, normalize_index_set,
+                   verify_cover, windows)
 
 RNG_ALGORITHM = "MT19937 (random.Random)"
 
@@ -135,11 +136,17 @@ def patch_sequence(I, words, q, min_p=None):
 
 def type2_random(q, n, I, m, seed):
     """Uniform random string of length m from the seeded stream, plus the
-    exact count of n-words never achieved on translates of I."""
+    exact count of n-words never achieved on translates of I, which must be
+    n residues distinct mod m."""
     if q < 2:
         raise ValueError("alphabet size must be >= 2")
     if m < 1:
         raise ValueError("m must be positive")
+    if m > DESK_SCALE:
+        raise ValueError(f"random length {m} exceeds desk scale {DESK_SCALE}")
+    I = normalize_index_set(I, m)
+    if len(I) != n:
+        raise ValueError(f"index set size {len(I)} != window size {n}")
     rng = random.Random(seed)
     symbols = tuple(rng.randrange(q) for _ in range(m))
     chi = CyclicString(q, symbols)

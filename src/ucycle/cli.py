@@ -3,7 +3,9 @@ A command that emits a cycle emits with it the report of the builder's own
 `verify_cover` run: every builder verifies what it returns and raises when
 the check fails, so nothing unverified is written out.  `verify` and
 `approx --type 2`, whose strings no builder vouches for, call
-`verify_cover` themselves.
+`verify_cover` themselves.  Commands read the parsed arguments directly;
+the budget flags are checked as they are parsed (`node_budget`,
+`time_budget`), and a JSON document echoes the seed and budgets it ran with.
 
 Exit codes: 0 verified result (including proven negative verdicts),
 1 a check that failed (`verify` on an incomplete cycle, `diff-golden` on a
@@ -16,7 +18,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from importlib import resources
 
 from . import approx as approx_mod
@@ -44,55 +45,24 @@ GOLDEN_TABLES = {
 }
 
 
-@dataclass
-class RunConfig:
-    node_limit: int | None = None
-    time_limit: float | None = None
-    seed: int = 0
-    fmt: str = "text"
-    checkpoint: str | None = None
-    out: str | None = None
-
-    @classmethod
-    def from_args(cls, args):
-        node = getattr(args, "budget_nodes", None)
-        secs = getattr(args, "budget_secs", None)
-        if node is not None and node <= 0:
-            raise ValueError("node budget must be positive")
-        if secs is not None and not math.isfinite(secs):
-            raise ValueError("time budget must be finite")
-        if secs is not None and secs <= 0:
-            raise ValueError("time budget must be positive")
-        return cls(
-            node_limit=node,
-            time_limit=secs,
-            seed=getattr(args, "seed", 0) or 0,
-            fmt=getattr(args, "format", "text"),
-            checkpoint=getattr(args, "resume", None),
-            out=getattr(args, "out", None),
-        )
-
-    def echo(self):
-        return {"seed": self.seed, "node_limit": self.node_limit,
-                "time_limit": self.time_limit}
-
-
-def _emit(cfg, doc, text_lines):
-    if cfg.fmt == "json":
+def _emit(args, doc, text_lines):
+    if args.format == "json":
         payload = dict(doc)
         payload.setdefault("schema", 1)
-        payload["config"] = cfg.echo()
+        payload["config"] = {"seed": getattr(args, "seed", 0),
+                             "node_limit": getattr(args, "budget_nodes", None),
+                             "time_limit": getattr(args, "budget_secs", None)}
         out = json.dumps(payload, indent=2, sort_keys=True)
     else:
         out = "\n".join(text_lines)
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(out + "\n")
     else:
         print(out)
 
 
-def _emit_cycle(cfg, chi, report, extra=None):
+def _emit_cycle(args, chi, report, extra=None):
     doc = {"cycle": chi.text(), "q": chi.q, "length": len(chi),
            "verification": report.to_json_dict()}
     if extra:
@@ -103,7 +73,7 @@ def _emit_cycle(cfg, chi, report, extra=None):
     if extra:
         for k, v in extra.items():
             lines.append(f"# {k}: {v}")
-    _emit(cfg, doc, lines)
+    _emit(args, doc, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -112,11 +82,10 @@ def _emit_cycle(cfg, chi, report, extra=None):
 
 
 def cmd_search(args):
-    cfg = RunConfig.from_args(args)
     I = search_mod.parse_set(args.set)
     cert = search_mod.decide_valid(args.q, args.n, I,
-                                   node_limit=cfg.node_limit,
-                                   time_limit=cfg.time_limit)
+                                   node_limit=args.budget_nodes,
+                                   time_limit=args.budget_secs)
     doc = {
         "verdict": cert.verdict,
         "index_set": list(cert.index_set),
@@ -129,23 +98,22 @@ def cmd_search(args):
         doc["witness"] = cert.witness.text()
         lines.append(cert.witness.text())
     lines.append(f"# nodes={cert.nodes_explored} method={cert.method}")
-    _emit(cfg, doc, lines)
+    _emit(args, doc, lines)
     return EXIT_OK
 
 
 def cmd_atlas(args):
-    cfg = RunConfig.from_args(args)
     if args.size != args.n:
         raise ValueError(f"--size {args.size} must equal --n {args.n}: "
                          "a valid index set has n elements")
     result = search_mod.atlas(args.q, args.n,
-                              node_limit=cfg.node_limit,
-                              time_limit=cfg.time_limit,
-                              checkpoint=cfg.checkpoint,
+                              node_limit=args.budget_nodes,
+                              time_limit=args.budget_secs,
+                              checkpoint=args.resume,
                               jobs=args.jobs)
     text = "\n".join(result.lines())
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
@@ -153,7 +121,6 @@ def cmd_atlas(args):
 
 
 def cmd_gen_ap(args):
-    cfg = RunConfig.from_args(args)
     q, n = args.q, args.n
     if q < 2:
         raise ValueError("need q >= 2")
@@ -175,29 +142,26 @@ def cmd_gen_ap(args):
                 seed_cycle = CyclicString.from_text(fh.read(), q)
         chi, report = lift_mod.splice_ap_cycle(q, n, seed=seed_cycle)
         route = "lift-splice"
-    _emit_cycle(cfg, chi, report, extra={"route": route})
+    _emit_cycle(args, chi, report, extra={"route": route})
     return EXIT_OK
 
 
 def cmd_double_ap3(args):
-    cfg = RunConfig.from_args(args)
     with open(args.input) as fh:
         chi = CyclicString.from_text(fh.read(), args.q)
     doubled, report = lift_mod.double_ap3(chi, args.d)
-    _emit_cycle(cfg, doubled, report)
+    _emit_cycle(args, doubled, report)
     return EXIT_OK
 
 
 def cmd_gen_reduced(args):
-    cfg = RunConfig.from_args(args)
     I = search_mod.parse_set(args.set)
     seq, report = galois_mod.build_reduced_cycle(I, args.q, args.n)
-    _emit_cycle(cfg, seq.chi, report)
+    _emit_cycle(args, seq.chi, report)
     return EXIT_OK
 
 
 def cmd_classify(args):
-    cfg = RunConfig.from_args(args)
     I = search_mod.parse_set(args.set)
     verdict = galois_mod.is_exceptional_bruteforce(I, args.q, args.n)
     doc = {"verdict": verdict.verdict, "index_set": list(verdict.index_set)}
@@ -213,20 +177,19 @@ def cmd_classify(args):
                      f"{len(verdict.dependencies)} dependencies recorded")
     if args.n == 3 and len(I) == 3:
         doc["triple_criterion"] = galois_mod.exceptional_triple(*I, args.q)
-    _emit(cfg, doc, lines)
+    _emit(args, doc, lines)
     return EXIT_OK
 
 
 def cmd_decompose(args):
-    cfg = RunConfig.from_args(args)
     try:
         dec = decomp_mod.decompose_equal(args.n, args.d,
-                                         node_limit=cfg.node_limit
+                                         node_limit=args.budget_nodes
                                          or 2_000_000)
     except decomp_mod.Impossible as exc:
         doc = {"verdict": "impossible", "reason": exc.reason,
                "n": args.n, "d": args.d}
-        _emit(cfg, doc, [f"impossible ({exc.reason})"])
+        _emit(args, doc, [f"impossible ({exc.reason})"])
         return EXIT_OK
     doc = dec.to_json_obj()
     doc["verdict"] = "decomposed"
@@ -238,40 +201,37 @@ def cmd_decompose(args):
         doc["chi"] = chi.text()
         doc["chi_index_set"] = [0, len(dec.trails)]
         lines.append(chi.text())
-    _emit(cfg, doc, lines)
+    _emit(args, doc, lines)
     return EXIT_OK
 
 
 def cmd_approx(args):
-    cfg = RunConfig.from_args(args)
     I = search_mod.parse_set(args.set)
     q, n = args.q, args.n
     if args.type == 1:
         if args.m is not None:
             raise ValueError("--m applies only to --type 2")
-        result = approx_mod.type1_construct(q, n, I, seed=cfg.seed)
-        _emit_cycle(cfg, result.chi, result.report,
+        result = approx_mod.type1_construct(q, n, I, seed=args.seed)
+        _emit_cycle(args, result.chi, result.report,
                     extra={"construction": result.construction_log})
         return EXIT_OK
     m = args.m if args.m is not None else max(1, int(4 * q ** n))
-    chi, missing = approx_mod.type2_random(q, n, I, m, seed=cfg.seed)
+    chi, missing = approx_mod.type2_random(q, n, I, m, seed=args.seed)
     report = verify_cover(chi, (q, n), I)
     doc = {"cycle": chi.text(), "missing": missing, "m": m,
-           "seed": cfg.seed, "verification": report.to_json_dict()}
+           "seed": args.seed, "verification": report.to_json_dict()}
     lines = [chi.text(), f"# missing words: {missing} of {q ** n}"]
-    _emit(cfg, doc, lines)
+    _emit(args, doc, lines)
     return EXIT_OK
 
 
 def cmd_janson(args):
-    cfg = RunConfig.from_args(args)
     value = approx_mod.janson_bound(args.mu, args.Delta, args.delta)
-    _emit(cfg, {"bound": value}, [str(value)])
+    _emit(args, {"bound": value}, [str(value)])
     return EXIT_OK
 
 
 def cmd_verify(args):
-    cfg = RunConfig.from_args(args)
     I = search_mod.parse_set(args.set)
     with open(args.file) as fh:
         chi = CyclicString.from_text(fh.read(), args.q)
@@ -286,7 +246,7 @@ def cmd_verify(args):
     if report.missing:
         lines.append(f"# missing {len(report.missing)} words, first: "
                      f"{report.missing[0]}")
-    _emit(cfg, doc, lines)
+    _emit(args, doc, lines)
     return EXIT_OK if report.complete else EXIT_FAILED
 
 
@@ -330,7 +290,6 @@ def diff_golden(atlas_lines, table_id):
 
 
 def cmd_diff_golden(args):
-    cfg = RunConfig.from_args(args)
     with open(args.atlas) as fh:
         lines = fh.readlines()
     try:
@@ -345,7 +304,7 @@ def cmd_diff_golden(args):
     for kind in ("missing", "extra"):
         for row in report[kind][:10]:
             text.append(f"# {kind}: {','.join(map(str, row))}")
-    _emit(cfg, doc, text)
+    _emit(args, doc, text)
     return EXIT_OK if ok else EXIT_FAILED
 
 
@@ -354,14 +313,32 @@ def cmd_diff_golden(args):
 # ---------------------------------------------------------------------------
 
 
+def node_budget(text):
+    """argparse type of --budget-nodes: a positive integer."""
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError("node budget must be positive")
+    return value
+
+
+def time_budget(text):
+    """argparse type of --budget-secs: a positive finite number of seconds."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError("time budget must be finite")
+    if value <= 0:
+        raise argparse.ArgumentTypeError("time budget must be positive")
+    return value
+
+
 def _add_common(sp, budgets=()):
     """--format and --out, plus the budget flags the command reads."""
     sp.add_argument("--format", choices=["text", "json"], default="text")
     sp.add_argument("--out", help="write the result to this file")
     if "nodes" in budgets:
-        sp.add_argument("--budget-nodes", type=int, default=None)
+        sp.add_argument("--budget-nodes", type=node_budget, default=None)
     if "secs" in budgets:
-        sp.add_argument("--budget-secs", type=float, default=None)
+        sp.add_argument("--budget-secs", type=time_budget, default=None)
 
 
 @functools.lru_cache(maxsize=None)

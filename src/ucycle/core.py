@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations, islice, product
 from math import gcd
 
-DESK_SCALE = 2 ** 32
+DESK_SCALE = 2 ** 24
 
 
 class UcycleError(Exception):
@@ -475,10 +475,6 @@ class DeBruijnDigraph:
     def loops(self):
         return [v for v in range(self.num_vertices)
                 if v in self.successors(v)]
-
-
-def debruijn_digraph(q, n):
-    return DeBruijnDigraph(q, n)
 
 
 def euler_circuit(succ, start):

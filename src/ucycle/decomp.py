@@ -32,7 +32,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .core import (BudgetExceeded, CycleParams, UcycleError,
+from .core import (DESK_SCALE, BudgetExceeded, CycleParams, UcycleError,
                    VerificationError, euler_circuit, least_rotation,
                    verify_cover)
 from .lift import chi_to_trail_symbols, trails_to_chi
@@ -286,6 +286,8 @@ def decompose_equal(n, d, node_limit=2_000_000):
     """
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
+    if n * n > DESK_SCALE:
+        raise ValueError(f"n*n = {n * n} exceeds desk scale {DESK_SCALE}")
     if (n * n) % d:
         raise ValueError(f"{d} does not divide n*n = {n * n}")
     if n == 1:

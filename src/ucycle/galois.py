@@ -36,8 +36,8 @@ import functools
 import operator
 from dataclasses import dataclass
 
-from .core import (CycleParams, CyclicString, UcycleError, VerificationError,
-                   is_prime, units, verify_cover, windows)
+from .core import (DESK_SCALE, CycleParams, CyclicString, UcycleError,
+                   VerificationError, is_prime, units, verify_cover, windows)
 
 ORDINARY = "ordinary"
 EXCEPTIONAL = "exceptional"
@@ -78,10 +78,6 @@ class FieldCtx:
     log: tuple       # inverse of exp on nonzero elements; log[0] = -1
 
     @property
-    def order(self):
-        return self.p ** self.m
-
-    @property
     def mult_order(self):
         return self.p ** self.m - 1
 
@@ -99,16 +95,6 @@ class FieldCtx:
             out += ((x + y) % p) * mult
             x //= p
             y //= p
-            mult *= p
-        return out
-
-    def neg(self, x):
-        p = self.p
-        out = 0
-        mult = 1
-        for _ in range(self.m):
-            out += (-x % p) * mult
-            x //= p
             mult *= p
         return out
 
@@ -179,7 +165,7 @@ def build_field(p, m, modulus=None):
         raise ValueError(f"{p} is not prime")
     if m < 1:
         raise ValueError(f"field degree must be positive, got {m}")
-    if p ** m > 2 ** 24:
+    if p ** m > DESK_SCALE:
         raise ValueError("field exceeds desk scale")
     if modulus is None:
         modulus, exp = find_primitive_modulus(p, m)
@@ -300,8 +286,6 @@ class LambdaSeq:
 
     chi: CyclicString
     generator: int
-    basis: tuple
-    v: tuple
 
 
 def lambda_sequence(sb: SubfieldBasis, v):
@@ -316,7 +300,8 @@ def lambda_sequence(sb: SubfieldBasis, v):
     q, n = sb.q, sb.n
     if len(v) != n or all(s == 0 for s in v):
         raise ValueError("v must be a nonzero length-n symbol vector")
-    taps = [ctx.neg(sb.sym_elem[c]) for c in min_poly(sb, sb.generator)[:n]]
+    taps = [ctx.mul(ctx.p - 1, sb.sym_elem[c])
+            for c in min_poly(sb, sb.generator)[:n]]
     elems = [sb.sym_elem[s] for s in v]
     for j in range(q ** n - 1 - n):
         acc = 0
@@ -324,8 +309,7 @@ def lambda_sequence(sb: SubfieldBasis, v):
             acc = ctx.add(acc, ctx.mul(t, x))
         elems.append(acc)
     out = tuple(sb.elem_sym[e] for e in elems[:q ** n - 1])
-    return LambdaSeq(chi=CyclicString(q, out), generator=sb.generator,
-                     basis=sb.basis, v=tuple(v))
+    return LambdaSeq(chi=CyclicString(q, out), generator=sb.generator)
 
 
 # ---------------------------------------------------------------------------
@@ -479,9 +463,8 @@ def exceptional_triple(i, j, k, q):
     def log_condition(m):
         tgt = (m * (k - i)) % Q
         for a in range(order // Q):
+            # L[t] is set: t = m(j-i) != 0 mod Q; the excluded point is 0 mod Q
             t = (a * Q + m * (j - i)) % order
-            if L[t] is None:
-                continue
             if L[t] % Q == tgt:
                 return True
         return False

@@ -4,7 +4,10 @@ The quotient map collapses each constant-translate class of q-ary n-strings
 to the (n-1)-string of consecutive differences.  A cycle downstairs lifts to
 a cycle upstairs exactly when its symbol sum vanishes mod q; lifting a full
 de Bruijn cycle and interleaving its q constant translates at stride q yields
-a cycle achieving every n-word on translates of {0, q, ..., (n-1)q}.
+a cycle achieving every n-word on translates of {0, q, ..., (n-1)q}.  Every
+cycle here is a `CyclicString`: read as a closed walk in the order-m de
+Bruijn digraph, its vertices are its m-windows, `windows(symbols,
+range(m))`, so `lift_cycle` and `project_cycle` map strings to strings.
 
 `double_ap3` converts a {0, d, 2d}-cycle over alphabet q into a
 {0, 8d, 16d}-cycle over alphabet 2q.  Each of the input's d residue-class
@@ -16,14 +19,12 @@ have period 4, so 4 | k = q**3/d closes each trail (the paper asks 8 | k).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import (
     CycleParams,
     CyclicString,
+    DeBruijnDigraph,
     UcycleError,
     VerificationError,
-    debruijn_digraph,
     euler_circuit,
     least_rotation,
     verify_cover,
@@ -47,32 +48,6 @@ def ap_index_set(n, d):
     return tuple(j * d for j in range(n))
 
 
-@dataclass(frozen=True)
-class VertexCycle:
-    """A closed walk in the order-m de Bruijn digraph, stored as the cyclic
-    symbol sequence read along it; vertex i is the m-window at position i."""
-
-    q: int
-    m: int
-    symbols: tuple
-
-    def __post_init__(self):
-        if self.m < 1 or self.q < 2 or not self.symbols:
-            raise ValueError("need q >= 2, m >= 1, nonempty symbols")
-        for s in self.symbols:
-            if not 0 <= s < self.q:
-                raise ValueError("symbol out of range")
-
-    def __len__(self):
-        return len(self.symbols)
-
-    def vertices(self):
-        return list(windows(self.symbols, range(self.m)))
-
-    def symbol_sum(self):
-        return sum(self.symbols) % self.q
-
-
 def quotient_lambda(word, q):
     """Consecutive differences (x1 - x2, ..., x_{n-1} - x_n) mod q."""
     if len(word) < 2:
@@ -80,15 +55,15 @@ def quotient_lambda(word, q):
     return tuple((word[j] - word[j + 1]) % q for j in range(len(word) - 1))
 
 
-def project_cycle(cycle: VertexCycle):
+def project_cycle(cycle: CyclicString):
     """Apply the quotient map vertex-wise; the image cycle's symbols are the
     consecutive differences of the input's symbols."""
     q = cycle.q
     diffs = tuple((a - b) % q for a, b in windows(cycle.symbols, (0, 1)))
-    return VertexCycle(q, cycle.m - 1, diffs)
+    return CyclicString(q, diffs)
 
 
-def lift_cycle(cycle: VertexCycle):
+def lift_cycle(cycle: CyclicString):
     """Lift one dimension up; exists iff the symbol sum is 0 mod q.
 
     Anchored so the lifted first symbol equals the base cycle's first symbol,
@@ -96,13 +71,13 @@ def lift_cycle(cycle: VertexCycle):
     project_cycle(lift_cycle(c)) == c holds exactly.
     """
     q, c = cycle.q, cycle.symbols
-    if cycle.symbol_sum() != 0:
+    if sum(c) % q:
         raise ZeroSumViolation(
             f"symbol sum {sum(c) % q} != 0 mod {q}; cycle does not lift")
     s = [c[0]]
     for sym in c[:-1]:
         s.append((s[-1] - sym) % q)
-    return VertexCycle(q, cycle.m + 1, tuple(s))
+    return CyclicString(q, tuple(s))
 
 
 def de_bruijn_sequence(q, order):
@@ -115,7 +90,7 @@ def de_bruijn_sequence(q, order):
         return CyclicString(q, tuple(range(q)))
     # vertex v is an (order-1)-word as a radix-q code; edge v -> w reads the
     # symbol w % q, so the smallest head is the smallest symbol
-    graph = debruijn_digraph(q, order - 1)
+    graph = DeBruijnDigraph(q, order - 1)
     succ = {v: graph.successors(v) for v in range(graph.num_vertices)}
     path = euler_circuit(succ, 0)
     seq = [w % q for w in path[1:]]
@@ -124,7 +99,7 @@ def de_bruijn_sequence(q, order):
     return CyclicString(q, least_rotation(seq))
 
 
-def interleave_translates(lifted: VertexCycle):
+def interleave_translates(lifted: CyclicString):
     """Spread the q constant translates of a lifted cycle across the residue
     classes mod q: position q*t + j holds lifted[t] - j."""
     q = lifted.q
@@ -154,6 +129,7 @@ def splice_ap_cycle(q, n, seed=None):
             "order-1 seed cannot lift for even q at n=2; "
             "use the trail-decomposition route instead" +
             (" (no {0,2}-cycle exists for q=2)" if q == 2 else ""))
+    params = CycleParams.unreduced(q, n)  # the size check, before any build
     if seed is None:
         base = de_bruijn_sequence(q, n - 1)
     else:
@@ -165,11 +141,8 @@ def splice_ap_cycle(q, n, seed=None):
                            tuple(range(n - 1)))
         if not rep.complete:
             raise InvalidInput("seed is not a de Bruijn cycle of order n-1")
-    cycle = VertexCycle(q, n - 1, base.symbols)
-    lifted = lift_cycle(cycle)
-    chi = interleave_translates(lifted)
-    report = verify_cover(chi, CycleParams.unreduced(q, n),
-                          ap_index_set(n, q))
+    chi = interleave_translates(lift_cycle(base))
+    report = verify_cover(chi, params, ap_index_set(n, q))
     if not report.complete:
         raise VerificationError("spliced cycle failed verification")
     return chi, report

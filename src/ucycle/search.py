@@ -95,6 +95,7 @@ from contextlib import ExitStack
 from dataclasses import dataclass
 
 from .core import (
+    DESK_SCALE,
     BudgetExceeded,
     CycleParams,
     CyclicString,
@@ -238,7 +239,7 @@ def decide_valid(q, n, I, node_limit=None, time_limit=None):
     `BudgetExceeded` and reports no verdict.
     """
     N = q ** n
-    if N > 2 ** 24:
+    if N > DESK_SCALE:
         raise ValueError("q**n too large for in-memory search")
     params = CycleParams.unreduced(q, n)
     I = normalize_index_set(I, N)
@@ -689,6 +690,7 @@ def atlas(q, n, node_limit=None, time_limit=None, checkpoint=None, jobs=1):
     """
     if jobs < 1:
         raise ValueError(f"jobs must be positive, got {jobs}")
+    CycleParams.unreduced(q, n)  # the size check, before the class list
     reps = affine_class_representatives(q ** n, n)
     done = _parse_checkpoint(checkpoint, set(reps))
     pending = [rep for rep in reps if rep not in done]

@@ -118,6 +118,13 @@ class TestType2:
                     == linear_missing(2, 3, shifted, chi))
         assert linear_missing(2, 3, (1, 2, 4), chi) < 8
 
+    def test_index_set_must_be_n_residues_distinct_mod_m(self):
+        # a 2-element set was counted against the 3-words: 4 "missing"
+        with pytest.raises(ValueError, match="size 2 != window size 3"):
+            type2_random(2, 3, (0, 1), 16, 0)
+        with pytest.raises(ValueError, match="repeated residues mod 16"):
+            type2_random(2, 3, (0, 1, 17), 16, 0)
+
     def test_prefix_coupled_monotonicity(self):
         # interior coverage is non-increasing in m for a fixed seed because
         # the random stream is reused as a prefix

@@ -3,9 +3,11 @@
 import json
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
+from ucycle import approx, decomp, lift, search
 from ucycle.cli import build_parser, load_golden, main
 from ucycle.core import CycleParams, CyclicString, verify_cover
 from ucycle.lift import de_bruijn_sequence
@@ -17,6 +19,10 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def refuse_to_allocate(*args):
+    raise AssertionError("allocated before the size check")
 
 
 class TestSearchCommand:
@@ -381,6 +387,48 @@ class TestGenerationCommands:
         code, out, err = run_cli(capsys, "gen-ap", "--q", q, "--n", "2")
         assert code == 2 and out == ""
         assert "need q >= 2" in err
+
+
+class TestDeskScale:
+    """Inputs past core.DESK_SCALE = 2**24 are usage errors before anything
+    of their size is built; the building step is stubbed to fail, so a
+    missing check fails the test instead of allocating gigabytes."""
+
+    def test_gen_ap(self, capsys, monkeypatch):
+        # 2**25 words; the order-24 de Bruijn sequence came first
+        monkeypatch.setattr(lift, "de_bruijn_sequence", refuse_to_allocate)
+        code, out, err = run_cli(capsys, "gen-ap", "--q", "2", "--n", "25")
+        assert code == 2 and out == ""
+        assert "exceeds desk scale 16777216" in err
+
+    def test_decompose(self, capsys, monkeypatch):
+        # 4098**2 edges; K~_3 was blown up into 5.6M trails first
+        monkeypatch.setattr(decomp, "_blowup_trails", refuse_to_allocate)
+        code, out, err = run_cli(capsys, "decompose", "--n", "4098",
+                                 "--d", "3")
+        assert code == 2 and out == ""
+        assert "exceeds desk scale 16777216" in err
+
+    def test_atlas(self, capsys, monkeypatch):
+        # 2**25 positions; the class list drew on all of them first
+        monkeypatch.setattr(search, "affine_class_representatives",
+                            refuse_to_allocate)
+        code, out, err = run_cli(capsys, "atlas", "--q", "2", "--n", "25",
+                                 "--size", "25")
+        assert code == 2 and out == ""
+        assert "exceeds desk scale 16777216" in err
+
+    @pytest.mark.parametrize("kind", [
+        ["--set", "0,16777216", "--type", "1"],
+        ["--set", "0,1", "--type", "2", "--m", "16777217"]])
+    def test_approx(self, capsys, monkeypatch, kind):
+        # type 1 draws span + 1 symbols, type 2 draws --m of them
+        monkeypatch.setattr(approx, "random",
+                            SimpleNamespace(Random=refuse_to_allocate))
+        code, out, err = run_cli(capsys, "approx", "--q", "2", "--n", "2",
+                                 *kind)
+        assert code == 2 and out == ""
+        assert "random length 16777217 exceeds desk scale 16777216" in err
 
 
 class TestAtlasAndGolden:

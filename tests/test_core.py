@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 from ucycle.core import (
     CycleParams,
     CyclicString,
+    DeBruijnDigraph,
     VerificationError,
     affine_class_representatives,
     affine_orbit,
     canonicalize_affine,
-    debruijn_digraph,
     equal_up_to_rotation,
     equal_up_to_rotation_and_translate,
     euler_circuit,
@@ -97,7 +97,7 @@ class TestLeastRotation:
 class TestEulerCircuit:
     @pytest.mark.parametrize("q,n", [(2, 1), (2, 3), (3, 2), (4, 2)])
     def test_uses_each_debruijn_edge_once(self, q, n):
-        g = debruijn_digraph(q, n)
+        g = DeBruijnDigraph(q, n)
         succ = {v: g.successors(v) for v in range(g.num_vertices)}
         path = euler_circuit(succ, 0)
         assert path[0] == path[-1] == 0
@@ -441,17 +441,17 @@ class TestDigraph:
         return c
 
     def test_complete_loop_digraph(self):
-        g = debruijn_digraph(2, 1)
+        g = DeBruijnDigraph(2, 1)
         assert g.num_vertices == 2
         assert g.num_edges == 4
         assert sorted(g.edges()) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
     def test_q3_n1_edge_count(self):
-        assert debruijn_digraph(3, 1).num_edges == 9
+        assert DeBruijnDigraph(3, 1).num_edges == 9
 
     def test_q2_n2_structure(self):
         # oracle: enumerate overlap pairs directly
-        g = debruijn_digraph(2, 2)
+        g = DeBruijnDigraph(2, 2)
         words = list(itertools.product((0, 1), repeat=2))
         expect = set()
         for x in words:
@@ -463,7 +463,7 @@ class TestDigraph:
         assert g.loops() == [self.code((0, 0), 2), self.code((1, 1), 2)]
 
     def test_degrees(self):
-        g = debruijn_digraph(3, 2)
+        g = DeBruijnDigraph(3, 2)
         indeg = {v: 0 for v in range(g.num_vertices)}
         for v, w in g.edges():
             indeg[w] += 1

@@ -252,6 +252,14 @@ class TestLoopless:
             return
         assert [len(t) for t in trails] == [1056]
 
+    def test_split_budget_is_not_a_verdict(self):
+        # all-3 splits of the 132 edges at m = 12 exist, so running out of
+        # nodes raises BudgetExceeded, not Impossible
+        with pytest.raises(BudgetExceeded,
+                           match="trail split budget exceeded") as info:
+            decompose_loopless(12, [3] * 44, node_limit=10_000)
+        assert info.value.nodes == 10_001
+
     def test_split_that_misses_an_edge_is_not_returned(self, monkeypatch):
         # the digon 1 2 twice and 2 3 never: the lengths add up, the cover
         # does not

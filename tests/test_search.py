@@ -112,6 +112,14 @@ class TestDecideValid:
         assert 0.3 <= info.value.elapsed < 10
         assert info.value.nodes > 0
 
+    def test_time_budget_of_the_position_search(self):
+        # {0, 27} over 9 symbols runs past 3M nodes, and the position search
+        # reads the clock every 8192 of them
+        with pytest.raises(BudgetExceeded,
+                           match="time budget exceeded") as info:
+            decide_valid(9, 2, (0, 27), time_limit=0.05)
+        assert info.value.nodes >= 8192
+
     def test_position_search_serves_two_positions_and_large_n(
             self, monkeypatch):
         calls = []
