@@ -19,15 +19,11 @@ import random
 from dataclasses import dataclass
 from itertools import islice
 
-from .core import (DESK_SCALE, CoverageReport, CyclicString, UcycleError,
+from .core import (DESK_SCALE, CoverageReport, CyclicString,
                    VerificationError, is_prime, normalize_index_set,
                    verify_cover, windows)
 
 RNG_ALGORITHM = "MT19937 (random.Random)"
-
-
-class DilationError(UcycleError):
-    """No multiplier achieved the required circular gap."""
 
 
 @dataclass(frozen=True)
@@ -79,9 +75,14 @@ def _min_circular_gap(residues, p):
 def plan_dilation(I, S, min_p=None):
     """Prime p = smallest prime > n*n*(S+3) that keeps the elements of I
     distinct mod p, and the multiplier k maximizing the minimum circular gap
-    of k*I mod p (smallest k on ties); accepted when the gap reaches S.
-    `min_p` can force a larger prime when the plan will be embedded in a
-    longer string."""
+    of k*I mod p (smallest k on ties).  `min_p` can force a larger prime
+    when the plan will be embedded in a longer string.
+
+    The gap always reaches S.  A gap below S means k*(i - j) = g (mod p)
+    for an ordered pair i != j of I and some 1 <= g < S; each such (i, j, g)
+    fixes k, so at most n*(n - 1)*(S - 1) multipliers fall short, fewer than
+    the p - 1 there are, as p > n*n*(S + 3).  And p // n > S, so the early
+    break below never stops short of S."""
     I = tuple(sorted(set(I)))
     n = len(I)
     if S < 0:
@@ -101,8 +102,6 @@ def plan_dilation(I, S, min_p=None):
             best_k, best_gap = k, gap
             if best_gap >= p // n:
                 break  # n gaps sum to p, so floor(p/n) is already the max
-    if best_gap < S:
-        raise DilationError(f"no multiplier reaches gap {S} for {I} mod {p}")
     return DilationPlan(p=p, k=best_k, min_gap=best_gap, index_set=I, words=S)
 
 
@@ -177,6 +176,8 @@ def type1_construct(q, n, I, seed):
     survive all later appends; only seam-crossing witnesses can break, and
     their words rejoin the missing set of the next round.
     """
+    if q ** n > DESK_SCALE:
+        raise ValueError(f"q**n = {q ** n} exceeds desk scale {DESK_SCALE}")
     I = tuple(sorted(I))
     if len(set(I)) != n or len(I) != n:
         raise ValueError("index set must have n distinct elements")

@@ -133,7 +133,7 @@ def cmd_gen_ap(args):
             raise ValueError("--seed-cycle does not apply to even q at "
                              "n = 2 (trail-decomposition route)")
         dec = decomp_mod.decompose_equal(q, q)
-        chi, report = decomp_mod.chi_from_decomposition(q, dec)
+        chi, report = decomp_mod.chi_from_decomposition(dec)
         route = "trail-decomposition"
     else:
         seed_cycle = None
@@ -197,7 +197,7 @@ def cmd_decompose(args):
     for t in dec.trails:
         lines.append(" ".join(f"{u}>{v}" for u, v in t.edges))
     if args.emit_chi:
-        chi, _ = decomp_mod.chi_from_decomposition(args.n, dec)
+        chi, _ = decomp_mod.chi_from_decomposition(dec)
         doc["chi"] = chi.text()
         doc["chi_index_set"] = [0, len(dec.trails)]
         lines.append(chi.text())

@@ -214,6 +214,10 @@ def windows(symbols, I):
                  for i in I))
 
 
+# how many achieved words, least first, a CoverageReport's JSON lists
+WITNESS_SAMPLE = 8
+
+
 @dataclass
 class CoverageReport:
     """Verdict of the independent verifier.
@@ -234,13 +238,13 @@ class CoverageReport:
     def hits(self):
         return dict(sorted(self.first.items()))
 
-    def to_json_dict(self, witness_sample=8):
+    def to_json_dict(self):
         # the least achieved words: walk the words in order until enough
         # are found, instead of sorting every word read
         achieved = (w for w in product(range(self.q), repeat=self.n)
                     if w in self.first)
         sample = {",".join(map(str, w)): self.first[w] for w in
-                  islice(achieved, min(witness_sample, len(self.first)))}
+                  islice(achieved, min(WITNESS_SAMPLE, len(self.first)))}
         return {
             "schema": 1,
             "complete": self.complete,
@@ -321,7 +325,6 @@ class AffineClass:
     canonical: tuple
     k: int
     b: int
-    L: int
 
 
 def units(L):
@@ -392,9 +395,9 @@ def canonicalize_affine(I, L):
     """
     I = normalize_index_set(I, L)
     if len(I) == 1:
-        return AffineClass(canonical=(0,), k=1, b=-I[0] % L, L=L)
+        return AffineClass(canonical=(0,), k=1, b=-I[0] % L)
     canonical, k, b = min(_least_gap_walk(I, L, _least_gap(I, L)))
-    return AffineClass(canonical=canonical, k=k, b=b, L=L)
+    return AffineClass(canonical=canonical, k=k, b=b)
 
 
 def affine_orbit(I, L):

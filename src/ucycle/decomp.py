@@ -8,7 +8,9 @@ d = 2 fails because loops cannot sit on a 2-trail.
 
 Routes, tried in this order:
 
-* euler    d = n^2: one Euler circuit;
+* euler    d = n^2: one Euler circuit, the order-2 de Bruijn cycle over n
+           symbols (`lift.de_bruijn_sequence`), each symbol plus 1: its
+           n^2 windows are the n^2 edges;
 * blowup   the least m with 2 <= m < n, m | n and d | m^2 exists: K~_m's
            length-d trails, each vertex blown up into n/m copies (see
            `_blowup_trails`);
@@ -33,9 +35,8 @@ import time
 from dataclasses import dataclass, field
 
 from .core import (DESK_SCALE, BudgetExceeded, CycleParams, UcycleError,
-                   VerificationError, euler_circuit, least_rotation,
-                   verify_cover)
-from .lift import chi_to_trail_symbols, trails_to_chi
+                   VerificationError, least_rotation, verify_cover)
+from .lift import chi_to_trail_symbols, de_bruijn_sequence, trails_to_chi
 from .search import decide_valid
 
 
@@ -112,20 +113,6 @@ def check_decomposition(n, d, trails):
             raise VerificationError(f"edge ({u},{v}) out of range")
     if len(distinct) != n * n:
         raise VerificationError("edges left uncovered")
-
-
-def euler_trail(edges):
-    """One closed trail through the given edges (Hierholzer, smallest next
-    head first); requires balance and connectivity, which it verifies by
-    consuming everything and closing where it started."""
-    succ = {}
-    for u, v in edges:
-        succ.setdefault(u, []).append(v)
-    path = euler_circuit(succ, min(succ))
-    if len(path) - 1 != len(edges) or path[0] != path[-1]:
-        raise VerificationError("Euler walk is not a closed trail through "
-                                "every edge")
-    return ClosedTrail(tuple(path[:-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +290,8 @@ def decompose_equal(n, d, node_limit=2_000_000):
     m = next((m for m in range(2, n) if n % m == 0 and (m * m) % d == 0),
              None)
     if d == n * n:
-        all_edges = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1)]
-        trails, route = [euler_trail(all_edges)], "euler"
+        debruijn = de_bruijn_sequence(n, 2).symbols
+        trails, route = [ClosedTrail(tuple(x + 1 for x in debruijn))], "euler"
     elif m is not None:
         base = decompose_equal(m, d, node_limit).trails
         trails, route = _blowup_trails(base, n // m), "blowup"
@@ -313,23 +300,16 @@ def decompose_equal(n, d, node_limit=2_000_000):
     return TrailDecomposition(n, d, trails, route)
 
 
-def chi_from_decomposition(q, decomposition):
-    """Read a decomposition of K~_q into d trails of length q*q/d as a
-    cyclic string: residue class a mod d carries trail a's vertex sequence.
-    The result achieves every 2-word on translates of {0, d}; it is returned
-    with the CoverageReport that verified it."""
-    trails = decomposition.trails if isinstance(
-        decomposition, TrailDecomposition) else list(decomposition)
-    d = len(trails)
-    L = q * q // d
-    if any(len(t) != L for t in trails):
-        raise ValueError("trails must all have length q*q/d")
-    for t in trails:
-        if any(not (1 <= u <= q) for u in t.vertices):
-            raise ValueError("trail vertices must lie in 1..q")
-    norm = sorted(least_rotation(t.vertices) for t in trails)
+def chi_from_decomposition(decomposition):
+    """Read a decomposition of K~_q (q = decomposition.n) into D trails as
+    a cyclic string: residue class a mod D carries trail a's vertex
+    sequence.  The result achieves every 2-word on translates of {0, D};
+    it is returned with the CoverageReport that verified it."""
+    q = decomposition.n
+    D = len(decomposition.trails)
+    norm = sorted(least_rotation(t.vertices) for t in decomposition.trails)
     chi = trails_to_chi([[v - 1 for v in seq] for seq in norm], q)
-    rep = verify_cover(chi, CycleParams.unreduced(q, 2), (0, d % (q * q)))
+    rep = verify_cover(chi, CycleParams.unreduced(q, 2), (0, D % (q * q)))
     if not rep.complete:
         raise VerificationError("decomposition reading failed verification")
     return chi, rep

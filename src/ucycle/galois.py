@@ -320,8 +320,6 @@ def lambda_sequence(sb: SubfieldBasis, v):
 @dataclass
 class ExceptionalVerdict:
     verdict: str
-    q: int
-    n: int
     index_set: tuple
     witness_generator: int | None      # ordinary: a witnessing generator
     witness_poly: tuple | None         # its minimal polynomial over F_q
@@ -401,12 +399,12 @@ def is_exceptional_bruteforce(I, q, n):
         if dep is None:
             beta = ctx.exp[u % order]
             return ExceptionalVerdict(
-                verdict=ORDINARY, q=q, n=n, index_set=I,
+                verdict=ORDINARY, index_set=I,
                 witness_generator=beta, witness_poly=min_poly(sb, beta),
                 dependencies={})
         deps[u] = dep
     return ExceptionalVerdict(
-        verdict=EXCEPTIONAL, q=q, n=n, index_set=I,
+        verdict=EXCEPTIONAL, index_set=I,
         witness_generator=None, witness_poly=None, dependencies=deps)
 
 

@@ -99,19 +99,6 @@ def de_bruijn_sequence(q, order):
     return CyclicString(q, least_rotation(seq))
 
 
-def interleave_translates(lifted: CyclicString):
-    """Spread the q constant translates of a lifted cycle across the residue
-    classes mod q: position q*t + j holds lifted[t] - j."""
-    q = lifted.q
-    r = len(lifted)
-    out = [0] * (q * r)
-    for t in range(r):
-        base = lifted.symbols[t]
-        for j in range(q):
-            out[q * t + j] = (base - j) % q
-    return CyclicString(q, tuple(out))
-
-
 def splice_ap_cycle(q, n, seed=None):
     """A verified cycle of length q**n for the window set {0, q, ..., (n-1)q},
     returned with the CoverageReport that verified it.
@@ -141,7 +128,10 @@ def splice_ap_cycle(q, n, seed=None):
                            tuple(range(n - 1)))
         if not rep.complete:
             raise InvalidInput("seed is not a de Bruijn cycle of order n-1")
-    chi = interleave_translates(lift_cycle(base))
+    # the q constant translates of the lift as the classes mod q: position
+    # q*t + j holds lifted[t] - j
+    lifted = lift_cycle(base).symbols
+    chi = trails_to_chi([[(x - j) % q for x in lifted] for j in range(q)], q)
     report = verify_cover(chi, params, ap_index_set(n, q))
     if not report.complete:
         raise VerificationError("spliced cycle failed verification")

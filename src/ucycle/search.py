@@ -76,14 +76,16 @@ Two further sound rules:
 
 * symbol counting - in any valid string each symbol occurs exactly q**(n-1)
   times (sum the per-coordinate symbol tallies over all words);
-* stabilizer counting - if I + s = I for some s != 0, windows at t and t + s
-  are coordinate rotations of one another, so each stabilizer coset needs a
-  full orbit of distinct words; when fewer such words exist than translates,
-  the set is invalid before any search.  This refutes arithmetic-progression
-  sets with wrap-around instantly.
+* stabilizer (the repeated constant word) - if I + s = I for some s != 0,
+  the windows at t and t + s read the same positions in another order.  A
+  complete string reads 0**n at exactly one translate t, but then the window
+  at t + s != t reads the same n zeros, so the set is invalid before any
+  search.  This refutes arithmetic-progression sets with wrap-around
+  instantly.  The same argument with 1**n refutes a stabilized set for
+  reduced cycles on Z_(q**n - 1), which omit 0**n.
 
-``invalid`` is only ever reported after exhaustion under these rules (the
-stabilizer bound exhausts the tree at its root); running out of budget raises
+``invalid`` is only ever reported after exhaustion under these rules (a
+stabilized set exhausts the tree at its root); running out of budget raises
 :class:`BudgetExceeded` instead.
 """
 from __future__ import annotations
@@ -116,8 +118,6 @@ _COVER_MAX_N = 4096
 
 @dataclass
 class ValidityCertificate:
-    q: int
-    n: int
     index_set: tuple
     verdict: str
     witness: CyclicString | None
@@ -130,73 +130,12 @@ class ValidityCertificate:
         return self.verdict == VALID
 
 
-def _mobius(n):
-    result = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            result = -result
-        d += 1
-    if n > 1:
-        result = -result
-    return result
-
-
-def _stabilizer_counting_bound(q, n, I, N):
-    """Number of words usable per translate under the stabilizer of I,
-    or None when the stabilizer is trivial."""
+def _stabilized(I, N):
+    """Whether I + s = I for some shift s != 0 mod N.  Such a shift maps
+    I[0] onto another element of I, so only those shifts are tried."""
     iset = set(I)
-    s_min = 0
-    # a shift that fixes I maps I[0] onto another element of I
-    for s in sorted((i - I[0]) % N for i in I[1:]):
-        if all((i + s) % N in iset for i in I):
-            s_min = s
-            break
-    if s_min == 0:
-        return None
-    h = N // s_min
-    index_of = {i: j for j, i in enumerate(I)}
-    free = 0
-    for e in _divisors(h):
-        mu = _mobius(e)
-        if mu == 0:
-            continue
-        s_e = s_min * (h // e)
-        if s_e % N == 0:
-            cycles = n
-        else:
-            perm = [index_of[(i + s_e) % N] for i in I]
-            cycles = _cycle_count(perm)
-        free += mu * q ** cycles
-    return free
-
-
-def _divisors(n):
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
-
-
-def _cycle_count(perm):
-    seen = [False] * len(perm)
-    count = 0
-    for i in range(len(perm)):
-        if not seen[i]:
-            count += 1
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-    return count
+    return any(all((i + s) % N in iset for i in I)
+               for s in ((j - I[0]) % N for j in I[1:]))
 
 
 def _first_need_order(N, I, step):
@@ -225,7 +164,9 @@ def decide_valid(q, n, I, node_limit=None, time_limit=None):
     or word, and `nodes_explored` counts the options it tried, forced ones
     included.  Otherwise it is the depth-first search over positions in
     first-need order (trail by trail when |I| = 2), and `nodes_explored`
-    counts symbol assignments.
+    counts symbol assignments.  A set that some shift s != 0 maps onto
+    itself is refuted first, with 0 nodes and method "stabilizer-count":
+    the window at t + s reads 0**n whenever the one at t does.
 
     Deterministic: translate 0 is pinned to the word 0**n, at q = 2 the
     exact cover then places 1**n on translates 1 .. N//2 in ascending
@@ -247,10 +188,9 @@ def decide_valid(q, n, I, node_limit=None, time_limit=None):
         raise ValueError(f"index set must have {n} distinct residues mod {N}")
     start = time.monotonic()
 
-    free = _stabilizer_counting_bound(q, n, I, N)
-    if free is not None and free < N:
+    if _stabilized(I, N):
         return ValidityCertificate(
-            q=q, n=n, index_set=I, verdict=INVALID, witness=None,
+            index_set=I, verdict=INVALID, witness=None,
             nodes_explored=0, elapsed=time.monotonic() - start,
             method="stabilizer-count",
         )
@@ -264,11 +204,11 @@ def decide_valid(q, n, I, node_limit=None, time_limit=None):
         if not report.complete:
             raise VerificationError("search produced a non-covering witness")
         return ValidityCertificate(
-            q=q, n=n, index_set=I, verdict=VALID, witness=witness,
+            index_set=I, verdict=VALID, witness=witness,
             nodes_explored=nodes, elapsed=elapsed, method="search",
         )
     return ValidityCertificate(
-        q=q, n=n, index_set=I, verdict=INVALID, witness=None,
+        index_set=I, verdict=INVALID, witness=None,
         nodes_explored=nodes, elapsed=elapsed, method="search",
     )
 

@@ -431,6 +431,59 @@ class TestDeskScale:
         assert "random length 16777217 exceeds desk scale 16777216" in err
 
 
+    def test_approx_alphabet_run(self, capsys, monkeypatch):
+        # type 1 at n = 1 is the run 0 .. q-1, 2**25 symbols here; the run
+        # is tuple(range(q)), built before CyclicString sees it
+        monkeypatch.setattr(approx, "CyclicString", refuse_to_allocate)
+        monkeypatch.setattr(approx, "range", refuse_to_allocate,
+                            raising=False)
+        code, out, err = run_cli(capsys, "approx", "--q", "33554432",
+                                 "--n", "1", "--set", "0", "--type", "1")
+        assert code == 2 and out == ""
+        assert "q**n = 33554432 exceeds desk scale 16777216" in err
+
+
+class TestInputChecks:
+    """Checks a command reaches on bad input, each with its exit code and
+    message; the last case is a budget echoed in the JSON config."""
+
+    @pytest.mark.parametrize("argv,text,code,expected", [
+        pytest.param(["verify", "--q", "3", "--n", "2", "--set", "0,1,2",
+                      "--file"], "001122021", 2,
+                     "index set size 3 != window size 2", id="verify-size"),
+        pytest.param(["gen-ap", "--q", "3", "--n", "1"], None, 2,
+                     "need n >= 2 and q >= 2", id="gen-ap-window"),
+        pytest.param(["double-ap3", "--q", "2", "--d", "1", "--input"], "01",
+                     2, "expected length q**3 = 8, got 2",
+                     id="double-ap3-length"),
+        pytest.param(["double-ap3", "--q", "2", "--d", "3", "--input"],
+                     "00010111", 2, "3 does not divide q**3 = 8",
+                     id="double-ap3-divisor"),
+        pytest.param(["classify", "--q", "2", "--n", "3", "--set", "0,1"],
+                     None, 2, "need 3 exponents", id="classify-size"),
+        pytest.param(["gen-reduced", "--q", "2", "--n", "3", "--set",
+                      "0,1,8"], None, 2, "distinct exponents mod 7",
+                     id="gen-reduced-collision"),
+        pytest.param(["search", "--q", "2", "--n", "25", "--set",
+                      ",".join(map(str, range(25)))], None, 2, "too large",
+                     id="search-scale"),
+        pytest.param(["search", "--q", "2", "--n", "3", "--set", "0,1,2",
+                      "--budget-secs", "60", "--format", "json"], None, 0,
+                     '"time_limit": 60.0', id="search-time-budget"),
+    ])
+    def test_input_check(self, tmp_path, capsys, argv, text, code, expected):
+        if text is not None:
+            path = tmp_path / "cycle.txt"
+            path.write_text(text)
+            argv = argv + [str(path)]
+        got, out, err = run_cli(capsys, *argv)
+        assert got == code
+        if code:
+            assert out == "" and expected in err
+        else:
+            assert expected in out
+
+
 class TestAtlasAndGolden:
     def test_atlas_to_file_and_diff(self, tmp_path, capsys):
         out_file = tmp_path / "atlas.tsv"

@@ -18,8 +18,8 @@ from ucycle.decomp import (
     chi_from_decomposition,
     decompose_equal,
     decompose_loopless,
-    euler_trail,
 )
+from ucycle.lift import de_bruijn_sequence
 from ucycle.search import two_element_validity
 
 
@@ -75,20 +75,14 @@ class TestChecker:
 
 
 class TestEuler:
-    def test_k2_circuit(self):
-        # the four edges of the 2-vertex loop-digraph chain into one trail
-        t = euler_trail([(1, 1), (1, 2), (2, 2), (2, 1)])
-        assert len(t) == 4
-        assert set(t.edges) == {(1, 1), (1, 2), (2, 2), (2, 1)}
-
-    def test_disconnected_rejected(self):
-        with pytest.raises(VerificationError):
-            euler_trail([(1, 1), (2, 2)])
-
-    def test_unbalanced_rejected(self):
-        # the walk uses the one edge but ends at 2, so it does not close
-        with pytest.raises(VerificationError):
-            euler_trail([(1, 2)])
+    def test_euler_route_is_the_order_2_de_bruijn_cycle(self):
+        # K~_n is the order-1 de Bruijn digraph: its one closed trail of
+        # length n*n reads the order-2 de Bruijn cycle, symbols plus 1
+        for n in range(2, 13):
+            dec = decompose_equal(n, n * n)
+            assert dec.route == "euler"
+            assert dec.trails == [ClosedTrail(tuple(
+                x + 1 for x in de_bruijn_sequence(n, 2).symbols))]
 
 
 class TestEqualDecomposition:
@@ -183,7 +177,7 @@ class TestEqualDecomposition:
         t0 = time.process_time()
         for n in range(6, 151, 3):
             assert decompose_equal(n, 3).route == "blowup"
-        chi, rep = chi_from_decomposition(36, decompose_equal(36, 3))
+        chi, rep = chi_from_decomposition(decompose_equal(36, 3))
         assert rep.complete and len(chi) == 36 * 36
         assert time.process_time() - t0 < 1.0
 
@@ -293,20 +287,20 @@ class TestBridge:
                     possible = False
                 assert possible == two_element_validity(q, ddiff), (q, ddiff)
                 if possible:
-                    chi, _ = chi_from_decomposition(q, dec)
+                    chi, _ = chi_from_decomposition(dec)
                     rep = verify_cover(chi, CycleParams.unreduced(q, 2),
                                        (0, ddiff))
                     assert rep.complete
 
     def test_order2_debruijn_from_euler(self):
         dec = decompose_equal(2, 4)
-        chi, _ = chi_from_decomposition(2, dec)
+        chi, _ = chi_from_decomposition(dec)
         rep = verify_cover(chi, CycleParams.unreduced(2, 2), (0, 1))
         assert rep.complete
 
     def test_three_trails_gives_stride3(self):
         dec = decompose_equal(3, 3)
-        chi, _ = chi_from_decomposition(3, dec)
+        chi, _ = chi_from_decomposition(dec)
         rep = verify_cover(chi, CycleParams.unreduced(3, 2), (0, 3))
         assert rep.complete
 

@@ -100,7 +100,7 @@ def pinned_outputs():
                  (6, 6), (8, 8), (10, 20), (12, 9)]:
         dec = decompose_equal(n, d)
         out.append(_trails(dec.trails))
-        out.append(chi_from_decomposition(n, dec)[0].text())
+        out.append(chi_from_decomposition(dec)[0].text())
     out.append(_trails(decompose_loopless(5, [5, 5, 5, 5])))
     out.append(_trails(decompose_loopless(6, [4, 4, 4, 3, 3, 3, 3, 3, 3])))
 

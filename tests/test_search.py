@@ -242,7 +242,7 @@ class TestPruningSoundness:
     @pytest.mark.parametrize("q,n", [(3, 3), (2, 4), (2, 3)])
     def test_cover_search_matches_position_search(self, q, n, monkeypatch):
         # every 3-subset of Z_27, every 4-subset of Z_16 and every 3-subset
-        # of Z_8 that holds 0, without the stabilizer bound: the exact-cover
+        # of Z_8 that holds 0, without the stabilizer rule: the exact-cover
         # search against the position search, which still runs any |I|.
         # `_dfs` is exhaustive under any position order, so only its speed
         # depends on the order; the greedy completion order keeps the (3,3)
@@ -345,30 +345,13 @@ def _scan_greedy_completion_order(N, I, q):
     return order
 
 
-def _full_scan_stabilizer_bound(q, n, I, N):
-    """Oracle: the stabilizer counting bound, trying every shift 1..N-1
-    (each as a rotation of I's N-bit mask)."""
+def _full_scan_stabilized(I, N):
+    """Oracle: whether some shift 1..N-1 maps I onto itself, trying every
+    one as a rotation of I's N-bit mask."""
     mask = sum(1 << i for i in I)
     full = (1 << N) - 1
-    s_min = next((s for s in range(1, N)
-                  if ((mask << s) | (mask >> (N - s))) & full == mask), 0)
-    if s_min == 0:
-        return None
-    h = N // s_min
-    index_of = {i: j for j, i in enumerate(I)}
-    free = 0
-    for e in search._divisors(h):
-        mu = search._mobius(e)
-        if mu == 0:
-            continue
-        s_e = s_min * (h // e)
-        if s_e % N == 0:
-            cycles = n
-        else:
-            perm = [index_of[(i + s_e) % N] for i in I]
-            cycles = search._cycle_count(perm)
-        free += mu * q ** cycles
-    return free
+    return any(((mask << s) | (mask >> (N - s))) & full == mask
+               for s in range(1, N))
 
 
 class TestOrderAgainstScans:
@@ -396,9 +379,9 @@ class TestOrderAgainstScans:
                      (5, 2)]:
             N = q ** n
             for I in itertools.combinations(range(N), n):
-                got = search._stabilizer_counting_bound(q, n, I, N)
-                assert got == _full_scan_stabilizer_bound(q, n, I, N), I
-                stabilized += got is not None
+                got = search._stabilized(I, N)
+                assert got == _full_scan_stabilized(I, N), I
+                stabilized += got
         assert stabilized > 0
 
     def test_two_positions_past_4096_walk_the_trails(self):
