@@ -76,6 +76,17 @@ def _emit_cycle(args, chi, report, extra=None):
     _emit(args, doc, lines)
 
 
+def _read_cycle(path, q):
+    """The cycle in a text file as `--out` writes it, its `#` lines skipped;
+    a ValueError names the file."""
+    with open(path) as fh:
+        text = fh.read()
+    try:
+        return CyclicString.from_text(text, q)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -138,8 +149,7 @@ def cmd_gen_ap(args):
     else:
         seed_cycle = None
         if args.seed_cycle:
-            with open(args.seed_cycle) as fh:
-                seed_cycle = CyclicString.from_text(fh.read(), q)
+            seed_cycle = _read_cycle(args.seed_cycle, q)
         chi, report = lift_mod.splice_ap_cycle(q, n, seed=seed_cycle)
         route = "lift-splice"
     _emit_cycle(args, chi, report, extra={"route": route})
@@ -147,8 +157,7 @@ def cmd_gen_ap(args):
 
 
 def cmd_double_ap3(args):
-    with open(args.input) as fh:
-        chi = CyclicString.from_text(fh.read(), args.q)
+    chi = _read_cycle(args.input, args.q)
     doubled, report = lift_mod.double_ap3(chi, args.d)
     _emit_cycle(args, doubled, report)
     return EXIT_OK
@@ -233,8 +242,7 @@ def cmd_janson(args):
 
 def cmd_verify(args):
     I = search_mod.parse_set(args.set)
-    with open(args.file) as fh:
-        chi = CyclicString.from_text(fh.read(), args.q)
+    chi = _read_cycle(args.file, args.q)
     q, n = args.q, args.n
     if args.reduced or len(chi) == q ** n - 1:
         params = CycleParams.reduced(q, n)

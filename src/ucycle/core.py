@@ -98,11 +98,26 @@ class CyclicString:
 
     @classmethod
     def from_text(cls, text, q):
-        text = text.strip()
-        if q <= 10:
-            symbols = tuple(int(ch) for ch in text)
-        else:
-            symbols = tuple(int(part) for part in text.split(","))
+        """Read back `text()`, or a file of it: blank lines and lines that
+        start with '#' are skipped, and at most one line may remain."""
+        lines = [(k, line.strip())
+                 for k, line in enumerate(text.splitlines(), 1)
+                 if line.strip() and not line.lstrip().startswith("#")]
+        if len(lines) > 1:
+            raise ValueError(f"expected one cycle line, found {len(lines)} "
+                             f"(lines {', '.join(str(k) for k, _ in lines)})")
+        symbols = ()
+        for k, line in lines:
+            parts = line if q <= 10 else line.split(",")
+            try:
+                symbols = tuple(map(int, parts))
+            except ValueError:
+                for part in parts:
+                    try:
+                        int(part)
+                    except ValueError:
+                        raise ValueError(f"bad symbol {part!r} on line {k}"
+                                         ) from None
         return cls(q, symbols)
 
 

@@ -26,9 +26,26 @@ option (t, w) colours the positions t + I with the symbols of w.
   which fail the node, and those with exactly one, which are forced;
   before that, every word still has two untouched candidates.  Forced
   moves reach the same state in any order, so the verdict and the witness
-  do not depend on which one the scan meets first.  Only `nodes_explored`
-  does: it follows the frontier's iteration order, which is the same on
-  every run.
+  do not depend on which one the scan meets first.
+* Cubes (cube-and-conquer; Heule, Kullmann, Wieringa and Biere, HVC 2011).
+  The search is split at its first real branch, after the pin and its
+  forced moves (at q = 2, the complement rule's branch below).  Each option
+  there is one cube, searched from a fresh state that replays the pin, the
+  forced prefix and that option, so a cube's run does not depend on which
+  process runs it or what ran before.  The class is decided in cube order:
+  valid at the least cube with a witness once every lower cube is
+  exhausted, invalid when all are.  `nodes_explored` is the prefix's nodes
+  plus each cube's own nodes in cube order, up to and including the
+  deciding cube: one number whatever the CPU count.
+* CPUs.  The caller searches cubes itself; once it has spent 2,048 nodes
+  with two cubes left, its own included, it forks one helper per further
+  CPU (`jobs`).  Helpers take cube indices from one pipe and each sends its
+  results back on its own pipe; the caller reads them before each cube and
+  every 1,024 nodes, abandons its own cube once the answer no longer
+  depends on it, and kills and reaps every helper before it returns.  Each
+  cube runs under the node budget and every process reads the clock
+  against the same start; a budget raises where a one-process run would,
+  with the node count at the limit + 1.
 
 The live masks are N-bit ints and the trail keeps n of them per fixed
 position, so the exact cover's memory grows as n*N**2 bits and its time per
@@ -92,8 +109,9 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import time
-from contextlib import ExitStack
+from contextlib import ExitStack, suppress
 from dataclasses import dataclass
 
 from .core import (
@@ -156,29 +174,43 @@ def _first_need_order(N, I, step):
     return order
 
 
-def decide_valid(q, n, I, node_limit=None, time_limit=None):
+def decide_valid(q, n, I, node_limit=None, time_limit=None, jobs=None):
     """Decide q-validity of I with a verified witness or a refutation.
 
     For |I| >= 3 and N <= 4096 this is the exact-cover search of the
     module docstring: each node branches on the most constrained translate
     or word, and `nodes_explored` counts the options it tried, forced ones
-    included.  Otherwise it is the depth-first search over positions in
-    first-need order (trail by trail when |I| = 2), and `nodes_explored`
-    counts symbol assignments.  A set that some shift s != 0 maps onto
-    itself is refuted first, with 0 nodes and method "stabilizer-count":
-    the window at t + s reads 0**n whenever the one at t does.
+    included, summed over the prefix and the cubes up to the deciding one.
+    Otherwise it is the depth-first search over positions in first-need
+    order (trail by trail when |I| = 2), and `nodes_explored` counts
+    symbol assignments.  A set that some shift s != 0 maps onto itself is
+    refuted first, with 0 nodes and method "stabilizer-count": the window
+    at t + s reads 0**n whenever the one at t does.
+
+    `jobs` caps the processes one exact-cover search may use; None means
+    the CPUs this process may run on (`os.sched_getaffinity`, else
+    `os.cpu_count()`).  It is one process where `os.fork` is missing or
+    while other threads run.  The verdict, witness and `nodes_explored`
+    are the same for every `jobs`.
 
     Deterministic: translate 0 is pinned to the word 0**n, at q = 2 the
     exact cover then places 1**n on translates 1 .. N//2 in ascending
     order, a real branch goes to the least translate among the most
     constrained, words and symbols are tried in ascending order, and
-    relabeling is broken by first occurrence.  Forced moves are taken in
-    the frontier's iteration order, which moves `nodes_explored` but not
-    the witness.  The witness is the first complete string in that order;
-    it reads 0 at every position of I and passes `verify_cover` before it
-    is returned.  A node or time budget that runs out raises
-    `BudgetExceeded` and reports no verdict.
+    relabeling is broken by first occurrence.  The witness is the first
+    complete string in that order; it reads 0 at every position of I and
+    passes `verify_cover`, in the calling process, before it is returned.
+    A node or time budget that runs out raises `BudgetExceeded` and
+    reports no verdict.
     """
+    if jobs is None:
+        jobs = (len(os.sched_getaffinity(0))
+                if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+    if jobs < 1:
+        raise ValueError(f"jobs must be positive, got {jobs}")
+    threading = sys.modules.get("threading")
+    if not hasattr(os, "fork") or threading and threading.active_count() > 1:
+        jobs = 1    # a fork copies no other thread, but may copy its locks
     N = q ** n
     if N > DESK_SCALE:
         raise ValueError("q**n too large for in-memory search")
@@ -195,8 +227,12 @@ def decide_valid(q, n, I, node_limit=None, time_limit=None):
             method="stabilizer-count",
         )
 
-    search = _cover_search if n >= 3 and N <= _COVER_MAX_N else _dfs
-    found, chi_syms, nodes = search(q, n, I, N, node_limit, time_limit, start)
+    if n >= 3 and N <= _COVER_MAX_N:
+        found, chi_syms, nodes = _cover_search(q, n, I, N, node_limit,
+                                               time_limit, start, jobs)
+    else:
+        found, chi_syms, nodes = _dfs(q, n, I, N, node_limit, time_limit,
+                                      start)
     elapsed = time.monotonic() - start
     if found:
         witness = CyclicString(q, tuple(chi_syms))
@@ -360,17 +396,27 @@ def _periodic(block, period, N):
     return block & ((1 << N) - 1)
 
 
-def _cover_search(q, n, I, N, node_limit, time_limit, start):
-    """The exact-cover search of the module docstring, for |I| >= 3 and
-    N <= 4096: (found, symbols, nodes) as `_dfs` returns them."""
-    target = q ** (n - 1)
-    full = (1 << N) - 1
+def _cover_tables(q, n, I, N):
+    """What every cube of one exact cover reads: (q, n, N, powers, cmask,
+    pos_tr, tr_pos)."""
     powers = [q ** (n - 1 - j) for j in range(n)]
     # cmask[c][j]: bitmask of the words whose coordinate j reads c
     cmask = [tuple(_periodic(((1 << p) - 1) << c * p, q * p, N)
                    for p in powers) for c in range(q)]
     pos_tr = [tuple((p - i) % N for i in I) for p in range(N)]
     tr_pos = [tuple((t + i) % N for i in I) for t in range(N)]
+    return q, n, N, powers, cmask, pos_tr, tr_pos
+
+
+def _cover_tree(tables, path, limit, time_limit, start, poll=None):
+    """The exact cover of the module docstring from a fresh state, as
+    (found, symbols, nodes).  With `path` None it runs the pin and its
+    forced moves and, at the first real branch, returns (None, (forced
+    options, branch options), nodes).  Otherwise it replays the pin and
+    `path`, counting a node only for the last option, and exhausts that
+    cube.  Every 1,024 nodes `poll(nodes)` may abandon it (result None)."""
+    q, n, N, powers, cmask, pos_tr, tr_pos = tables
+    target = q ** (n - 1)
     chi = [-1] * N
     nfix = [0] * N        # fixed positions of each translate
     live = [0] * N        # words consistent with them, on touched translates
@@ -379,9 +425,10 @@ def _cover_search(q, n, I, N, node_limit, time_limit, start):
     trail = []            # fixed positions, in order
     olds = []             # the live masks each fix replaced, n per position
     untouched = N
-    free = full           # words no closed translate reads
+    free = (1 << N) - 1   # words no closed translate reads
     nodes = 0
     stack = []            # frames [options, next, trail mark, free]
+    forced = []           # the prefix's forced options, when path is None
     two_n = 2 * N
 
     def place(t, w):
@@ -489,7 +536,11 @@ def _cover_search(q, n, I, N, node_limit, time_limit, start):
     # rotation rule: translate 0 reads 0**n
     if not place(0, 0):
         return False, None, nodes
-    if q == 2:
+    if path is not None:
+        for opt in path[:-1]:
+            place(*opt)
+        opts = path[-1:]
+    elif q == 2:
         # complement rule: 1**n (word N - 1) goes on a translate r <= N/2
         # that it can still take (one through a position of I reads a 0)
         opts = [(r, N - 1) for r in range(1, N // 2 + 1) if not nfix[r]]
@@ -499,18 +550,23 @@ def _cover_search(q, n, I, N, node_limit, time_limit, start):
         # a lone option is forced and gets no frame: when it fails, the
         # innermost real branch moves on
         if len(opts) > 1:
+            if path is None:
+                return None, (forced, opts), nodes
             stack.append([opts, 1, len(trail), free])
         opt = opts[0] if opts else None
         while True:
             if opt is not None:
                 nodes += 1
-                if node_limit is not None and nodes > node_limit:
+                if limit is not None and nodes > limit:
                     raise BudgetExceeded("node budget exceeded", nodes,
                                          time.monotonic() - start)
-                if time_limit is not None and not nodes & 1023:
-                    if time.monotonic() - start > time_limit:
+                if not nodes & 1023:
+                    if time_limit is not None and \
+                            time.monotonic() - start > time_limit:
                         raise BudgetExceeded("time budget exceeded", nodes,
                                              time.monotonic() - start)
+                    if poll is not None and poll(nodes):
+                        return None
                 if place(*opt):
                     break
             if not stack:
@@ -524,9 +580,180 @@ def _cover_search(q, n, I, N, node_limit, time_limit, start):
             else:
                 stack.pop()
                 opt = None
+        if path is None:
+            forced.append(opt)
         if not frontier and not untouched:
             return True, chi, nodes
         opts = branch()
+
+
+_FORK_AFTER = 2048    # caller's nodes before it forks helpers
+
+
+def _cover_search(q, n, I, N, node_limit, time_limit, start, jobs=1):
+    """The exact-cover search of the module docstring, for |I| >= 3 and
+    N <= 4096: (found, symbols, nodes) as `_dfs` returns them, from the
+    prefix and its cubes on at most `jobs` processes."""
+    tables = _cover_tables(q, n, I, N)
+    found, syms, prefix = _cover_tree(tables, None, node_limit, time_limit,
+                                      start)
+    if found is not None:
+        return found, syms, prefix
+    forced, options = syms
+    paths = [forced + [opt] for opt in options]
+    results = {}      # cube -> (kind, nodes, symbols)
+    spent = prefix    # the caller's own nodes
+    nxt = 0           # the next cube, until the cubes go into `tasks`
+    tasks = None      # read end of the pipe of cube indices
+    helpers = {}      # helper pid -> read end of its result pipe
+    bufs = {}         # result pipe -> bytes of a line not yet complete
+
+    def answer():
+        # (found, symbols, nodes) by the cubes decided so far, in cube
+        # order; None while it depends on an undecided cube
+        total = prefix
+        for i in range(len(paths)):
+            if i not in results:
+                return None
+            kind, nodes, syms = results[i]
+            if kind == "time":
+                raise BudgetExceeded("time budget exceeded", total + nodes,
+                                     time.monotonic() - start)
+            if node_limit is not None and total + nodes > node_limit:
+                raise BudgetExceeded("node budget exceeded", node_limit + 1,
+                                     time.monotonic() - start)
+            total += nodes
+            if kind == "found":
+                return True, syms, total
+        return False, None, total
+
+    def settled(i):
+        # a lower cube found a witness or ran out of budget
+        return any(j < i and r[0] != "exhausted" for j, r in results.items())
+
+    def run(i, poll=None):
+        # cube i as a `results` entry; None when abandoned.  Its budget is
+        # what the prefix and the lower cubes known exhausted leave.
+        limit = node_limit
+        if limit is not None:
+            limit -= prefix + sum(r[1] for j, r in results.items()
+                                  if j < i and r[0] == "exhausted")
+        try:
+            got = _cover_tree(tables, paths[i], limit, time_limit, start,
+                              poll)
+        except BudgetExceeded as exc:
+            over = limit is not None and exc.nodes > limit
+            return "nodes" if over else "time", exc.nodes, None
+        if got is None:
+            return None
+        found, syms, nodes = got
+        return "found" if found else "exhausted", nodes, syms
+
+    def take():
+        nonlocal nxt
+        if tasks is not None:
+            b = os.read(tasks, 2)
+            return int.from_bytes(b, "little") if b else None
+        nxt += 1
+        return nxt - 1 if nxt <= len(paths) else None
+
+    def fork():
+        nonlocal tasks
+        r, w = os.pipe()
+        os.write(w, b"".join(i.to_bytes(2, "little")
+                             for i in range(nxt, len(paths))))
+        os.close(w)
+        tasks = r
+        for _ in range(min(jobs - 1, len(paths) - nxt)):
+            fd, out = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:   # no process to spare: go on with those forked
+                os.close(fd)
+                os.close(out)
+                break
+            if pid == 0:
+                os.close(fd)
+                status = 1
+                try:
+                    while (i := take()) is not None:
+                        kind, nodes, syms = run(i)
+                        msg = f"{i} {kind} {nodes} " + (
+                            ",".join(map(str, syms)) if syms else "-")
+                        _write_all(out, msg)
+                    status = 0
+                except BaseException as exc:  # reported, then _exit below
+                    _write_all(out, f"-1 error 0 {exc!r}".replace("\n", " "))
+                finally:
+                    os._exit(status)
+            os.close(out)
+            helpers[pid] = fd
+            bufs[fd] = b""
+
+    def drain(block):
+        # record the result lines helpers have sent; with `block`, wait
+        # for some
+        if not bufs:
+            if block:
+                raise RuntimeError("search helpers exited before every cube "
+                                   "was decided")
+            return
+        import select
+
+        for fd in select.select(list(bufs), [], [], None if block else 0)[0]:
+            data = os.read(fd, 1 << 16)
+            if not data:
+                del bufs[fd]
+                continue
+            *lines, bufs[fd] = (bufs[fd] + data).split(b"\n")
+            for line in lines:
+                i, kind, nodes, syms = line.decode().split(" ", 3)
+                if kind == "error":
+                    raise RuntimeError(f"search helper failed: {syms}")
+                results[int(i)] = (kind, int(nodes), None if syms == "-"
+                                   else list(map(int, syms.split(","))))
+
+    def poll(nodes, i=None):
+        # every 1,024 nodes of the caller's own cube i, and after each cube:
+        # fork once the caller has spent enough with two cubes left, then
+        # read what helpers sent; true when cube i no longer matters
+        left = len(paths) - nxt + (i is not None)
+        if tasks is None and jobs > 1 and left > 1 and \
+                spent + nodes >= _FORK_AFTER:
+            fork()
+        drain(False)
+        return i is not None and settled(i)
+
+    try:
+        while (got := answer()) is None:
+            i = take()
+            if i is None:
+                drain(True)
+            elif not settled(i):
+                res = run(i, lambda nodes: poll(nodes, i))
+                if res is not None:
+                    results[i] = res
+                    spent += res[1]
+                poll(0)
+        return got
+    finally:
+        if helpers:
+            import signal
+
+            for pid, fd in helpers.items():
+                with suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+                with suppress(ChildProcessError):
+                    os.waitpid(pid, 0)
+                os.close(fd)
+        if tasks is not None:
+            os.close(tasks)
+
+
+def _write_all(fd, line):
+    data = (line + "\n").encode()
+    while data:
+        data = data[os.write(fd, data):]
 
 
 def two_element_validity(q, d):
@@ -614,7 +841,8 @@ def _parse_checkpoint(path, reps):
 
 def _decide_worker(args):
     q, n, rep, node_limit, time_limit = args
-    cert = decide_valid(q, n, rep, node_limit=node_limit, time_limit=time_limit)
+    cert = decide_valid(q, n, rep, node_limit=node_limit,
+                        time_limit=time_limit, jobs=1)
     return rep, cert.verdict
 
 

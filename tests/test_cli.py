@@ -1,12 +1,15 @@
 """Command-line surface: exit codes, artifacts, golden comparisons."""
 
 import json
+import os
+import pathlib
 import subprocess
 import sys
 from types import SimpleNamespace
 
 import pytest
 
+import ucycle
 from ucycle import approx, decomp, lift, search
 from ucycle.cli import build_parser, load_golden, main
 from ucycle.core import CycleParams, CyclicString, verify_cover
@@ -128,6 +131,17 @@ class TestVerifyCommand:
                                "--q", "3", "--n", "3", "--set", "0,3,6")
         assert code == 0
 
+    def test_round_trip_through_the_out_file(self, tmp_path, capsys):
+        # the text file `--out` writes holds `# verified:` and `# route:`
+        # lines after the cycle; `verify --file` skips them
+        out_file = tmp_path / "ap.txt"
+        code, _, _ = run_cli(capsys, "gen-ap", "--q", "3", "--n", "3",
+                             "--out", str(out_file))
+        assert code == 0
+        assert out_file.read_text().count("\n# ") == 2
+        code, out, err = run_cli(capsys, "verify", "--file", str(out_file),
+                                 "--q", "3", "--n", "3", "--set", "0,3,6")
+        assert (code, out, err) == (0, "complete=True\n", "")
 
     @pytest.mark.parametrize("flags", [["--reduced"], []])
     def test_reduced_cycle_with_and_without_flag(self, tmp_path, capsys,
@@ -226,6 +240,20 @@ class TestGenerationCommands:
         doc = json.loads(out)
         assert doc["length"] == 64
         assert doc["verification"]["complete"]
+
+    def test_double_ap3_reads_its_own_out_file(self, tmp_path, capsys):
+        # each doubling reads the text file the previous one wrote
+        f = tmp_path / "d0.txt"
+        f.write_text("00010111\n")
+        for step, (q, d) in enumerate([(2, 1), (4, 8)]):
+            dst = tmp_path / f"d{step + 1}.txt"
+            code, _, err = run_cli(capsys, "double-ap3", "--input",
+                                   str(tmp_path / f"d{step}.txt"), "--q",
+                                   str(q), "--d", str(d), "--out", str(dst))
+            assert code == 0, err
+        chi = CyclicString.from_text(dst.read_text(), 8)
+        assert len(chi) == 512
+        assert verify_cover(chi, (8, 3), (0, 64, 128)).complete
 
     @pytest.mark.parametrize("d", ["0", "-1"])
     def test_double_ap3_nonpositive_d_is_usage_error(self, tmp_path, capsys,
@@ -451,6 +479,14 @@ class TestInputChecks:
         pytest.param(["verify", "--q", "3", "--n", "2", "--set", "0,1,2",
                       "--file"], "001122021", 2,
                      "index set size 3 != window size 2", id="verify-size"),
+        pytest.param(["verify", "--q", "3", "--n", "3", "--set", "0,3,6",
+                      "--file"], "# from gen-ap\n01x\n", 2,
+                     "cycle.txt: bad symbol 'x' on line 2",
+                     id="verify-symbol"),
+        pytest.param(["verify", "--q", "3", "--n", "3", "--set", "0,3,6",
+                      "--file"], "012\n\n012\n", 2,
+                     "cycle.txt: expected one cycle line, found 2",
+                     id="verify-two-cycles"),
         pytest.param(["gen-ap", "--q", "3", "--n", "1"], None, 2,
                      "need n >= 2 and q >= 2", id="gen-ap-window"),
         pytest.param(["double-ap3", "--q", "2", "--d", "1", "--input"], "01",
@@ -646,6 +682,20 @@ class TestSubprocessEntry:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout.strip()
+
+    def test_import_starts_no_process_machinery(self):
+        # `import ucycle.cli` stays free of the modules a search loads only
+        # when it forks, and of the ones the atlas pool loads
+        banned = ["multiprocessing", "concurrent.futures", "pickle",
+                  "signal", "subprocess"]
+        code = ("import sys, ucycle.cli\n"
+                f"print([m for m in {banned!r} if m in sys.modules])\n")
+        src = str(pathlib.Path(ucycle.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_usage_exit_two(self):
         proc = subprocess.run(

@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -307,6 +308,165 @@ class TestPruningSoundness:
         cert = decide_valid(2, 4, I)
         assert cert.method == "stabilizer-count"
         assert (cert.verdict == VALID) == brute_force_valid(2, 4, I)
+
+
+REFUTE25 = [(0, 1, 2, 6, 26), (0, 1, 3, 10, 12), (0, 1, 2, 6, 19)]
+
+
+def _cert_key(cert):
+    return (cert.verdict, cert.witness, cert.nodes_explored, cert.method)
+
+
+class TestCubes:
+    """The exact cover split at its first real branch: every process count
+    gives the same certificate, the same budget point and the same node
+    count, which is the prefix's plus the cubes' up to the deciding one."""
+
+    def test_jobs_give_identical_certificates(self, monkeypatch):
+        # forking after every first cube makes the small classes use helpers
+        # too; the refute25 classes fork at the default point
+        small = [(q, n, rep) for q, n in [(2, 4), (3, 3)]
+                 for rep in affine_class_representatives(q ** n, n)]
+        for fork_after in (0, search._FORK_AFTER):
+            monkeypatch.setattr(search, "_FORK_AFTER", fork_after)
+            cases = small if fork_after == 0 else \
+                [(2, 5, I) for I in REFUTE25]
+            for q, n, I in cases:
+                certs = [decide_valid(q, n, I, jobs=jobs)
+                         for jobs in (1, 2, 3)]
+                assert len({_cert_key(c) for c in certs}) == 1, (q, n, I)
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    @pytest.mark.parametrize("q,n,I", [(2, 5, (0, 1, 2, 6, 26)),
+                                       (3, 3, (0, 1, 2))])
+    def test_budget_raises_where_one_process_would(self, jobs, q, n, I,
+                                                   monkeypatch):
+        # 0,1,2 forces a move before its first branch and is cheap enough
+        # to try every limit; forking after the first cube gives it helpers
+        monkeypatch.setattr(search, "_FORK_AFTER", 0)
+        total = decide_valid(q, n, I, jobs=1).nodes_explored
+        limits = range(total) if total < 100 else (10, 1_000, 5_000, 9_000,
+                                                   total - 1)
+        for limit in limits:
+            with pytest.raises(BudgetExceeded, match="node budget") as info:
+                decide_valid(q, n, I, node_limit=limit, jobs=jobs)
+            assert info.value.nodes == limit + 1
+        cert = decide_valid(q, n, I, node_limit=total, jobs=jobs)
+        assert cert.nodes_explored == total
+
+    @pytest.mark.parametrize("q,n,I", [(2, 5, I) for I in REFUTE25] + [
+        (2, 5, (0, 1, 2, 10, 13)), (3, 4, (0, 1, 7, 8)), (3, 3, (0, 1, 2))])
+    def test_nodes_are_the_prefix_plus_the_cubes(self, q, n, I):
+        # each cube searched on its own from its replayed path
+        N = q ** n
+        tables = search._cover_tables(q, n, I, N)
+        found, (forced, options), total = search._cover_tree(
+            tables, None, None, None, 0)
+        assert found is None and len(options) > 1
+        for opt in options:
+            found, _, nodes = search._cover_tree(tables, forced + [opt],
+                                                 None, None, 0)
+            total += nodes
+            if found:
+                break
+        cert = decide_valid(q, n, I)
+        assert cert.valid == found
+        assert cert.nodes_explored == total
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestHelpers:
+    """Forked helpers never outlive a call, whatever ends it."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        calls = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: calls.append(1) or fork())
+        return calls
+
+    @pytest.mark.parametrize("I,verdict", [((0, 1, 2, 10, 13), VALID),
+                                           ((0, 1, 4, 15, 20), INVALID)])
+    def test_verdicts(self, forks, I, verdict):
+        # both classes spend over 2,048 nodes in their first cube
+        assert decide_valid(2, 5, I, jobs=2).verdict == verdict
+        assert forks
+        _no_child_left()
+
+    def test_node_budget(self, forks):
+        with pytest.raises(BudgetExceeded, match="node budget") as info:
+            decide_valid(2, 5, (0, 1, 4, 15, 20), node_limit=5_000, jobs=2)
+        assert info.value.nodes == 5_001
+        assert forks
+        _no_child_left()
+
+    def test_time_budget(self, forks):
+        with pytest.raises(BudgetExceeded, match="time budget"):
+            decide_valid(3, 4, (0, 1, 3, 35), time_limit=0.3, jobs=2)
+        assert forks
+        _no_child_left()
+
+    def test_a_failing_helper_is_an_error(self, forks, monkeypatch):
+        # the caller forks inside cube 0; the helper inherits the patched
+        # cube search and fails on its first cube, unless the caller takes
+        # cube 1 first and fails there itself: an error either way
+        I = (0, 1, 4, 15, 20)
+        tree = search._cover_tree
+        _, (_, options), _ = tree(search._cover_tables(2, 5, I, 32), None,
+                                  None, None, 0)
+
+        def failing(tables, path, *args):
+            if path is not None and path[-1] in options[1:]:
+                raise ZeroDivisionError("cube search failed")
+            return tree(tables, path, *args)
+
+        monkeypatch.setattr(search, "_cover_tree", failing)
+        with pytest.raises((RuntimeError, ZeroDivisionError),
+                           match="cube search failed"):
+            decide_valid(2, 5, I, jobs=2)
+        assert forks
+        _no_child_left()
+
+    def test_a_slow_helper_keeps_cube_order(self, forks, monkeypatch):
+        # cubes 0 and 1 hold no witness, cube 2 does.  The helper takes
+        # cube 1 and answers late, while the caller finds the witness in
+        # cube 2; the class is decided only once cube 1 is in.
+        I = (0, 1, 2, 10, 13)
+        expected = _cert_key(decide_valid(2, 5, I, jobs=1))
+        caller = os.getpid()
+        tree = search._cover_tree
+
+        def slow(*args):
+            if os.getpid() != caller:
+                time.sleep(0.2)
+            return tree(*args)
+
+        monkeypatch.setattr(search, "_cover_tree", slow)
+        assert _cert_key(decide_valid(2, 5, I, jobs=2)) == expected
+        assert forks
+        _no_child_left()
+
+    def test_no_fork_while_other_threads_run(self, forks):
+        import threading
+
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            cert = decide_valid(2, 5, (0, 1, 4, 15, 20), jobs=2)
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert cert.verdict == INVALID and not forks
+
+    def test_jobs_must_be_positive(self):
+        with pytest.raises(ValueError, match="jobs"):
+            decide_valid(2, 3, (0, 1, 2), jobs=0)
 
 
 def _scan_greedy_completion_order(N, I, q):
