@@ -10,7 +10,6 @@ from .core import (
     CoverageReport,
     CycleParams,
     CyclicString,
-    DeBruijnDigraph,
     UcycleError,
     VerificationError,
     canonicalize_affine,
@@ -32,7 +31,6 @@ __all__ = [
     "CoverageReport",
     "CycleParams",
     "CyclicString",
-    "DeBruijnDigraph",
     "UcycleError",
     "ValidityCertificate",
     "VerificationError",

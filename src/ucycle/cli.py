@@ -245,8 +245,7 @@ def cmd_verify(args):
     chi = _read_cycle(args.file, args.q)
     q, n = args.q, args.n
     if args.reduced or len(chi) == q ** n - 1:
-        params = CycleParams.reduced(q, n)
-        report = verify_cover(chi, params, I, reduced=True)
+        report = verify_cover(chi, CycleParams.reduced(q, n), I)
     else:
         report = verify_cover(chi, (q, n), I)
     doc = report.to_json_dict()

@@ -4,13 +4,12 @@ Everything downstream funnels through :func:`verify_cover`: the construction
 and search modules emit cyclic strings whose coverage claims are re-checked
 here, independently of how they were produced.
 
-Four primitives live here and are the only implementations in the package;
+Three primitives live here and are the only implementations in the package;
 new code must call them rather than re-derive them:
 
 * :func:`windows` -- the lazy scan of the words a cyclic string reads through
   an index set at every translate;
 * :func:`least_rotation` -- the lexicographically least rotation (Booth);
-* :func:`euler_circuit` -- Hierholzer's closed walk, least head first;
 * ``_least_gap_walk`` -- the affine images k*I + b that start (0, d), d the
   least gcd(y - x, L) over the pairs of I, about |I|^2 of them; affine
   canonicalization and class enumeration both walk it.
@@ -272,12 +271,12 @@ class CoverageReport:
         }
 
 
-def verify_cover(chi: CyclicString, params, I, reduced=False):
+def verify_cover(chi: CyclicString, params, I):
     """Check which n-words appear on translates of I; report the misses.
 
     `params` is a CycleParams (strict modulus) or a plain (q, n) pair, in
-    which case the string may have any length (approximate cycles).  In the
-    reduced case the all-zeroes word is not required.
+    which case the string may have any length (approximate cycles).  With
+    the reduced modulus q**n - 1 the all-zeroes word is not required.
 
     One pass over the windows records the first translate of each word.
     Every word read is a q-ary n-word (a CyclicString holds only symbols in
@@ -290,13 +289,11 @@ def verify_cover(chi: CyclicString, params, I, reduced=False):
         N = params.L
         if len(chi) != N:
             raise ValueError(f"string length {len(chi)} != modulus {N}")
-        if reduced and not params.reduced_modulus:
-            raise ValueError("reduced verification requires modulus q**n - 1")
+        reduced = params.reduced_modulus
     else:
         q, n = params
         N = len(chi)
-        if reduced:
-            raise ValueError("reduced verification needs CycleParams")
+        reduced = False
     if chi.q != q:
         raise ValueError("alphabet mismatch between string and params")
     I = normalize_index_set(I, N)
@@ -452,68 +449,3 @@ def affine_class_representatives(L, size):
             reps.append(combo)
             seen.update(image for image, _, _ in _least_gap_walk(combo, L, d))
     return reps
-
-
-# ---------------------------------------------------------------------------
-# de Bruijn digraphs
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DeBruijnDigraph:
-    """Vertices are q-ary n-strings (encoded radix-q); x -> y iff the last
-    n-1 symbols of x equal the first n-1 symbols of y.  Loops included."""
-
-    q: int
-    n: int
-
-    def __post_init__(self):
-        if self.q < 2 or self.n < 1:
-            raise ValueError("need q >= 2 and n >= 1")
-        if self.q ** (self.n + 1) > DESK_SCALE:
-            raise ValueError("digraph exceeds desk scale")
-
-    @property
-    def num_vertices(self):
-        return self.q ** self.n
-
-    @property
-    def num_edges(self):
-        return self.q ** (self.n + 1)
-
-    def successors(self, v):
-        base = (v % self.q ** (self.n - 1)) * self.q
-        return [base + s for s in range(self.q)]
-
-    def edges(self):
-        for v in range(self.num_vertices):
-            for w in self.successors(v):
-                yield (v, w)
-
-    def loops(self):
-        return [v for v in range(self.num_vertices)
-                if v in self.successors(v)]
-
-
-def euler_circuit(succ, start):
-    """Closed walk from `start` using every edge of the digraph `succ`
-    (vertex -> heads, one entry per edge) exactly once.
-
-    Hierholzer's algorithm, always taking the least unused head first, so
-    the walk is deterministic.  Returns the vertex sequence, `start` at both
-    ends; raises VerificationError when edges remain that the walk from
-    `start` cannot reach.
-    """
-    heads = {v: sorted(ws, reverse=True) for v, ws in succ.items()}
-    stack = [start]
-    path = []
-    while stack:
-        ws = heads.get(stack[-1])
-        if ws:
-            stack.append(ws.pop())
-        else:
-            path.append(stack.pop())
-    if any(heads.values()):
-        raise VerificationError("edge set is not connected")
-    path.reverse()
-    return path

@@ -8,9 +8,10 @@ d = 2 fails because loops cannot sit on a 2-trail.
 
 Routes, tried in this order:
 
-* euler    d = n^2: one Euler circuit, the order-2 de Bruijn cycle over n
-           symbols (`lift.de_bruijn_sequence`), each symbol plus 1: its
-           n^2 windows are the n^2 edges;
+* euler    d = n^2: the order-2 de Bruijn cycle over n symbols
+           (`lift.de_bruijn_sequence`, built from Lyndon words), each symbol
+           plus 1.  Its n^2 windows are the n^2 edges, so as a closed walk
+           it is an Euler circuit of K~_n, which names the route;
 * blowup   the least m with 2 <= m < n, m | n and d | m^2 exists: K~_m's
            length-d trails, each vertex blown up into n/m copies (see
            `_blowup_trails`);

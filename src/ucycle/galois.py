@@ -500,8 +500,7 @@ def build_reduced_cycle(I, q, n):
         beta = ctx.exp[u % order]
         v = tuple([1] + [0] * (n - 1))
         seq = lambda_sequence(subfield_basis(ctx, k, generator=beta), v)
-        report = verify_cover(seq.chi, CycleParams.reduced(q, n), I,
-                              reduced=True)
+        report = verify_cover(seq.chi, CycleParams.reduced(q, n), I)
         if not report.complete:
             raise VerificationError(
                 "reduced cycle failed verification despite independence")

@@ -4,7 +4,8 @@ The quotient map collapses each constant-translate class of q-ary n-strings
 to the (n-1)-string of consecutive differences.  A cycle downstairs lifts to
 a cycle upstairs exactly when its symbol sum vanishes mod q; lifting a full
 de Bruijn cycle and interleaving its q constant translates at stride q yields
-a cycle achieving every n-word on translates of {0, q, ..., (n-1)q}.  Every
+a cycle achieving every n-word on translates of {0, q, ..., (n-1)q}.  The
+de Bruijn cycle is built from Lyndon words (`de_bruijn_sequence`).  Every
 cycle here is a `CyclicString`: read as a closed walk in the order-m de
 Bruijn digraph, its vertices are its m-windows, `windows(symbols,
 range(m))`, so `lift_cycle` and `project_cycle` map strings to strings.
@@ -20,13 +21,11 @@ have period 4, so 4 | k = q**3/d closes each trail (the paper asks 8 | k).
 from __future__ import annotations
 
 from .core import (
+    DESK_SCALE,
     CycleParams,
     CyclicString,
-    DeBruijnDigraph,
     UcycleError,
     VerificationError,
-    euler_circuit,
-    least_rotation,
     verify_cover,
     windows,
 )
@@ -81,22 +80,34 @@ def lift_cycle(cycle: CyclicString):
 
 
 def de_bruijn_sequence(q, order):
-    """A cyclic string of length q**order containing every order-window once.
+    """The lexicographically least cyclic string of length q**order that
+    reads every order-word once in its consecutive windows.
 
-    Euler circuit of the order-1 digraph via Hierholzer with smallest-symbol
-    edge choice, then normalized to the least rotation; deterministic.
+    Fredricksen and Maiorana (Discrete Math. 23, 1978): the Lyndon words
+    over range(q) whose length divides `order`, concatenated in
+    lexicographic order.  Each Lyndon word of length at most `order` comes
+    from the last by Duval's step (Theoret. Comput. Sci. 60, 1988): repeat
+    the word to length `order`, drop its trailing q - 1 symbols, and add 1
+    to the last symbol left.
     """
-    if order == 1:
-        return CyclicString(q, tuple(range(q)))
-    # vertex v is an (order-1)-word as a radix-q code; edge v -> w reads the
-    # symbol w % q, so the smallest head is the smallest symbol
-    graph = DeBruijnDigraph(q, order - 1)
-    succ = {v: graph.successors(v) for v in range(graph.num_vertices)}
-    path = euler_circuit(succ, 0)
-    seq = [w % q for w in path[1:]]
+    if q < 2 or order < 1:
+        raise ValueError("need q >= 2 and order >= 1")
+    if q ** order > DESK_SCALE:
+        raise ValueError(f"q**order = {q ** order} exceeds desk scale "
+                         f"{DESK_SCALE}")
+    seq = []
+    word = [0]
+    while word:
+        if order % len(word) == 0:
+            seq += word
+        word = (word * (order // len(word) + 1))[:order]
+        while word and word[-1] == q - 1:
+            word.pop()
+        if word:
+            word[-1] += 1
     if len(seq) != q ** order:
-        raise VerificationError("Euler circuit did not use every edge")
-    return CyclicString(q, least_rotation(seq))
+        raise VerificationError("Lyndon words do not fill q**order symbols")
+    return CyclicString(q, tuple(seq))
 
 
 def splice_ap_cycle(q, n, seed=None):

@@ -200,8 +200,7 @@ def test_c10_reduced_cycles_sampled():
             if verdict.verdict != ORDINARY:
                 continue
             seq, _ = build_reduced_cycle(I, q, n)
-            rep = verify_cover(seq.chi, CycleParams.reduced(q, n), I,
-                               reduced=True)
+            rep = verify_cover(seq.chi, CycleParams.reduced(q, n), I)
             assert rep.complete, (q, n, I)
             built += 1
     report("C10", f"reduced cycles: {built} ordinary sets across four (q,n) "

@@ -1,4 +1,4 @@
-"""Core types, the coverage verifier, affine classes, de Bruijn digraphs."""
+"""Core types, the coverage verifier, affine classes, least rotations."""
 
 import itertools
 import math
@@ -11,14 +11,11 @@ from hypothesis import strategies as st
 from ucycle.core import (
     CycleParams,
     CyclicString,
-    DeBruijnDigraph,
-    VerificationError,
     affine_class_representatives,
     affine_orbit,
     canonicalize_affine,
     equal_up_to_rotation,
     equal_up_to_rotation_and_translate,
-    euler_circuit,
     least_rotation,
     normalize_index_set,
     units,
@@ -94,21 +91,6 @@ class TestLeastRotation:
             assert least_rotation(list(seq)) == brute
 
 
-class TestEulerCircuit:
-    @pytest.mark.parametrize("q,n", [(2, 1), (2, 3), (3, 2), (4, 2)])
-    def test_uses_each_debruijn_edge_once(self, q, n):
-        g = DeBruijnDigraph(q, n)
-        succ = {v: g.successors(v) for v in range(g.num_vertices)}
-        path = euler_circuit(succ, 0)
-        assert path[0] == path[-1] == 0
-        walked = list(zip(path, path[1:]))
-        assert sorted(walked) == sorted(g.edges())
-
-    def test_disconnected_edges_rejected(self):
-        with pytest.raises(VerificationError):
-            euler_circuit({1: [1], 2: [2]}, 1)
-
-
 class TestVerifyCover:
     def test_debruijn_complete(self):
         chi = CyclicString.from_text("00010111", 2)
@@ -148,8 +130,7 @@ class TestVerifyCover:
     def test_reduced_case(self):
         # 7-symbol reduced string covering all nonzero 3-words on {0,1,2}
         chi = CyclicString.from_text("0010111", 2)
-        rep = verify_cover(chi, CycleParams.reduced(2, 3), (0, 1, 2),
-                           reduced=True)
+        rep = verify_cover(chi, CycleParams.reduced(2, 3), (0, 1, 2))
         assert rep.complete
         assert brute_missing(chi, 2, 3, (0, 1, 2), reduced=True) == []
 
@@ -247,7 +228,7 @@ class TestVerifierAgainstWindowOracle:
         for kind, chi, params, I, reduced in self.cases(random.Random(8)):
             q, n = chi.q, len(I)
             missing, hits = self.oracle(chi, q, n, I, reduced)
-            rep = verify_cover(chi, params, I, reduced=reduced)
+            rep = verify_cover(chi, params, I)
             assert rep.missing == missing, (kind, chi, I)
             assert rep.complete == (not missing)
             assert list(rep.hits.items()) == hits
@@ -430,47 +411,6 @@ class TestLeastGapWalk:
         assert len(affine_class_representatives(64, 6)) == 38494
 
 
-class TestDigraph:
-    @staticmethod
-    def code(word, q):
-        """A word as its radix-q vertex number, first symbol most
-        significant."""
-        c = 0
-        for s in word:
-            c = c * q + s
-        return c
-
-    def test_complete_loop_digraph(self):
-        g = DeBruijnDigraph(2, 1)
-        assert g.num_vertices == 2
-        assert g.num_edges == 4
-        assert sorted(g.edges()) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-
-    def test_q3_n1_edge_count(self):
-        assert DeBruijnDigraph(3, 1).num_edges == 9
-
-    def test_q2_n2_structure(self):
-        # oracle: enumerate overlap pairs directly
-        g = DeBruijnDigraph(2, 2)
-        words = list(itertools.product((0, 1), repeat=2))
-        expect = set()
-        for x in words:
-            for y in words:
-                if x[1:] == y[:-1]:
-                    expect.add((self.code(x, 2), self.code(y, 2)))
-        assert set(g.edges()) == expect
-        assert g.num_vertices == 4 and g.num_edges == 8
-        assert g.loops() == [self.code((0, 0), 2), self.code((1, 1), 2)]
-
-    def test_degrees(self):
-        g = DeBruijnDigraph(3, 2)
-        indeg = {v: 0 for v in range(g.num_vertices)}
-        for v, w in g.edges():
-            indeg[w] += 1
-        assert all(len(g.successors(v)) == 3 for v in range(g.num_vertices))
-        assert all(d == 3 for d in indeg.values())
-
-
 class TestStrings:
     def test_text_round_trip_small_q(self):
         chi = CyclicString(3, (0, 2, 1))
@@ -505,3 +445,11 @@ class TestStrings:
     def test_normalize_rejects_collisions(self):
         with pytest.raises(ValueError):
             normalize_index_set((0, 8), 8)
+
+
+def test_every_export_is_an_attribute():
+    # a name left in __all__ after its object is deleted breaks
+    # `from ucycle import *`
+    import ucycle
+
+    assert [name for name in ucycle.__all__ if not hasattr(ucycle, name)] == []

@@ -100,8 +100,7 @@ class TestLambdaSequences:
         ctx = build_field(2, 3)
         sb = subfield_basis(ctx, 1)
         seq = lambda_sequence(sb, (1, 0, 0))
-        rep = verify_cover(seq.chi, CycleParams.reduced(2, 3), (0, 1, 2),
-                           reduced=True)
+        rep = verify_cover(seq.chi, CycleParams.reduced(2, 3), (0, 1, 2))
         assert rep.complete
 
     def test_v_components_are_rotations(self):
@@ -116,8 +115,7 @@ class TestLambdaSequences:
         sb = subfield_basis(ctx, 1)
         seq = lambda_sequence(sb, (1, 0))
         assert len(seq.chi) == 8
-        rep = verify_cover(seq.chi, CycleParams.reduced(3, 2), (0, 1),
-                           reduced=True)
+        rep = verify_cover(seq.chi, CycleParams.reduced(3, 2), (0, 1))
         assert rep.complete
 
     def test_zero_v_rejected(self):
@@ -351,8 +349,7 @@ class TestReducedCycles:
     def test_ternary_013(self):
         seq, _ = build_reduced_cycle((0, 1, 3), 3, 3)
         assert len(seq.chi) == 26
-        rep = verify_cover(seq.chi, CycleParams.reduced(3, 3), (0, 1, 3),
-                           reduced=True)
+        rep = verify_cover(seq.chi, CycleParams.reduced(3, 3), (0, 1, 3))
         assert rep.complete
 
     def test_exceptional_input_raises(self):
@@ -362,8 +359,7 @@ class TestReducedCycles:
     def test_prime_power_ground_field(self):
         seq, _ = build_reduced_cycle((0, 1), 4, 2)
         assert len(seq.chi) == 15
-        rep = verify_cover(seq.chi, CycleParams.reduced(4, 2), (0, 1),
-                           reduced=True)
+        rep = verify_cover(seq.chi, CycleParams.reduced(4, 2), (0, 1))
         assert rep.complete
 
     def test_deterministic(self):

@@ -1,10 +1,12 @@
 """Quotient map, lifting, splicing, and the alphabet-doubling step."""
 
 import itertools
+import tracemalloc
 
 import pytest
 
 from ucycle.core import (
+    DESK_SCALE,
     CycleParams,
     CyclicString,
     equal_up_to_rotation_and_translate,
@@ -93,9 +95,57 @@ class TestLift:
         assert len(seen) == 27
 
 
+def least_de_bruijn(q, order):
+    """Oracle: the lexicographically least string of length q**order whose
+    cyclic order-windows are all distinct, by depth-first search over the
+    symbols in increasing order."""
+    N = q ** order
+    seq, seen = [], set()
+
+    def dfs():
+        if len(seq) == N:
+            ring = seq + seq[:order - 1]
+            wrap = {tuple(ring[t:t + order]) for t in range(N - order + 1, N)}
+            return len(seen | wrap) == N
+        for s in range(q):
+            seq.append(s)
+            word = tuple(seq[-order:])
+            if len(seq) < order or word not in seen:
+                if len(seq) >= order:
+                    seen.add(word)
+                if dfs():
+                    return True
+                seen.discard(word)
+            seq.pop()
+        return False
+
+    assert dfs()
+    return tuple(seq)
+
+
 class TestDeBruijn:
     def test_classic_binary_order3(self):
         assert de_bruijn_sequence(2, 3).text() == "00010111"
+
+    def test_lexicographically_least(self):
+        cases = [(q, order) for q in range(2, 129) for order in range(1, 8)
+                 if q ** order <= 128]
+        assert len(cases) == 146
+        for q, order in cases:
+            assert de_bruijn_sequence(q, order).symbols == \
+                least_de_bruijn(q, order), (q, order)
+
+    @pytest.mark.parametrize("q,order", [(1, 3), (2, 0), (2, 25),
+                                         (DESK_SCALE + 1, 1)])
+    def test_bad_sizes_raise_before_allocating(self, q, order):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError):
+                de_bruijn_sequence(q, order)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
 
     @pytest.mark.parametrize("q,order", [(2, 1), (2, 4), (3, 2), (3, 3),
                                          (4, 2), (5, 1)])

@@ -1,8 +1,8 @@
 """Byte-identity pins.
 
 `PINNED_SHA256` is one sha256 over the outputs of every route that the
-shared primitives (window scan, least rotation, Euler circuit, closed-trail
-backtracker) feed.  The digest was computed before those routes were moved
+shared primitives (window scan, least rotation, de Bruijn sequence,
+closed-trail backtracker) feed.  The digest was computed before those routes were moved
 onto the shared primitives; a change to any emitted cycle, decomposition or
 coverage report changes it.  It was re-pinned four times.  When length-3
 trails moved from a search to the Latin-square construction, only the
@@ -74,8 +74,8 @@ GALOIS_SHA256 = (
     "8d1719697600d7a943ceb3b5616ba6f6f1a834765f2ccaf2a2c46d0e781ab502")
 
 
-def _report_lines(chi, params, I, reduced=False):
-    rep = verify_cover(chi, params, I, reduced=reduced)
+def _report_lines(chi, params, I):
+    rep = verify_cover(chi, params, I)
     return [repr(rep.missing), repr(list(rep.hits.items())),
             repr(sorted(rep.to_json_dict().items()))]
 
@@ -126,8 +126,7 @@ def pinned_outputs():
         chi = CyclicString.from_text(text, q)
         out.extend(_report_lines(chi, CycleParams.unreduced(q, n), I))
     chi = CyclicString.from_text("0010111", 2)
-    out.extend(_report_lines(chi, CycleParams.reduced(2, 3), (0, 1, 2),
-                             reduced=True))
+    out.extend(_report_lines(chi, CycleParams.reduced(2, 3), (0, 1, 2)))
 
     for q, n, I in [(2, 4, (0, 1, 2, 3)), (3, 2, (0, 3))]:
         seq, _ = build_reduced_cycle(I, q, n)

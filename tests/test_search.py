@@ -322,7 +322,7 @@ class TestCubes:
     gives the same certificate, the same budget point and the same node
     count, which is the prefix's plus the cubes' up to the deciding one."""
 
-    def test_jobs_give_identical_certificates(self, monkeypatch):
+    def test_jobs_give_identical_certificates(self, forks, monkeypatch):
         # forking after every first cube makes the small classes use helpers
         # too; the refute25 classes fork at the default point
         small = [(q, n, rep) for q, n in [(2, 4), (3, 3)]
@@ -335,6 +335,10 @@ class TestCubes:
                 certs = [decide_valid(q, n, I, jobs=jobs)
                          for jobs in (1, 2, 3)]
                 assert len({_cert_key(c) for c in certs}) == 1, (q, n, I)
+            # decide_valid falls back to one process while another thread
+            # runs, and then compares one process with itself
+            assert forks, fork_after
+            forks.clear()
 
     @pytest.mark.parametrize("jobs", [1, 2, 3])
     @pytest.mark.parametrize("q,n,I", [(2, 5, (0, 1, 2, 6, 26)),
@@ -374,20 +378,80 @@ class TestCubes:
         assert cert.nodes_explored == total
 
 
+@pytest.fixture
+def forks(monkeypatch):
+    calls = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: calls.append(1) or fork())
+    return calls
+
+
 def _no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
+def _wait_for(path, timeout=30):
+    deadline = time.monotonic() + timeout
+    while not path.exists():
+        assert time.monotonic() < deadline, f"{path.name} never appeared"
+        time.sleep(0.001)
+
+
+# cube 0 of this class is exhausted after 1,930 nodes, cube 1 holds the
+# first witness (234 nodes), and cube 2 is exhausted after 1,269 nodes
+HAND_OFF = (0, 1, 2, 6, 8)
+
+
+def _steer(monkeypatch, tmp_path, abandon):
+    """Make the one helper of `decide_valid(2, 5, HAND_OFF, jobs=2)` take
+    cube 1, by marker files rather than timing.  The caller forks inside
+    cube 0 and waits until the helper has started its first cube.  With
+    `abandon`, the helper starts cube 1 only once the caller has taken
+    cube 2, and the caller searches cube 2 only once the helper has sent
+    cube 1's witness.  Returns the (cube, result) pairs of the caller's own
+    cube searches; the prefix is cube None."""
+    tables = search._cover_tables(2, 5, HAND_OFF, 32)
+    _, (_, options), _ = search._cover_tree(tables, None, None, None, 0)
+    caller = os.getpid()
+    started, taken, sent = (tmp_path / m for m in ("started", "taken", "sent"))
+    tree, fork, write_all = search._cover_tree, os.fork, search._write_all
+    searched = []
+
+    def steered_tree(tables, path, *args):
+        i = None if path is None else options.index(path[-1])
+        if os.getpid() != caller:
+            started.touch()
+            if abandon and i == 1:
+                _wait_for(taken)
+            return tree(tables, path, *args)
+        if abandon and i not in (None, 0):
+            taken.touch()
+            _wait_for(sent)
+        got = tree(tables, path, *args)
+        searched.append((i, got))
+        return got
+
+    def steered_fork():
+        pid = fork()
+        if pid:
+            _wait_for(started)
+        return pid
+
+    def steered_write(fd, line):
+        write_all(fd, line)
+        if " found " in line:
+            sent.touch()
+
+    monkeypatch.setattr(search, "_FORK_AFTER", 0)
+    monkeypatch.setattr(search, "_cover_tree", steered_tree)
+    monkeypatch.setattr(search, "_write_all", steered_write)
+    monkeypatch.setattr(os, "fork", steered_fork)
+    return searched
+
+
 class TestHelpers:
     """Forked helpers never outlive a call, whatever ends it."""
-
-    @pytest.fixture
-    def forks(self, monkeypatch):
-        calls = []
-        fork = os.fork
-        monkeypatch.setattr(os, "fork", lambda: calls.append(1) or fork())
-        return calls
 
     @pytest.mark.parametrize("I,verdict", [((0, 1, 2, 10, 13), VALID),
                                            ((0, 1, 4, 15, 20), INVALID)])
@@ -448,6 +512,25 @@ class TestHelpers:
         monkeypatch.setattr(search, "_cover_tree", slow)
         assert _cert_key(decide_valid(2, 5, I, jobs=2)) == expected
         assert forks
+        _no_child_left()
+
+    def test_the_witness_of_a_helper_cube(self, monkeypatch, tmp_path):
+        # the caller never searches cube 1, so the certificate's witness is
+        # the one the helper sent
+        expected = _cert_key(decide_valid(2, 5, HAND_OFF, jobs=1))
+        searched = _steer(monkeypatch, tmp_path, abandon=False)
+        assert _cert_key(decide_valid(2, 5, HAND_OFF, jobs=2)) == expected
+        assert 1 not in [i for i, _ in searched]
+        _no_child_left()
+
+    def test_the_caller_abandons_its_cube(self, monkeypatch, tmp_path):
+        # the helper's witness in cube 1 decides the class while the caller
+        # searches cube 2, which it drops at its first poll
+        expected = _cert_key(decide_valid(2, 5, HAND_OFF, jobs=1))
+        searched = _steer(monkeypatch, tmp_path, abandon=True)
+        assert _cert_key(decide_valid(2, 5, HAND_OFF, jobs=2)) == expected
+        assert [i for i, _ in searched] == [None, 0, 2]
+        assert searched[-1][1] is None
         _no_child_left()
 
     def test_no_fork_while_other_threads_run(self, forks):
