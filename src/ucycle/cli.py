@@ -128,6 +128,11 @@ def cmd_atlas(args):
             fh.write(text + "\n")
     else:
         print(text)
+    undecided = len(result.classes(search_mod.INCONCLUSIVE))
+    if undecided:
+        print(f"inconclusive: {undecided} classes ran out of budget",
+              file=sys.stderr)
+        return EXIT_INCONCLUSIVE
     return EXIT_OK
 
 
@@ -271,7 +276,8 @@ def load_golden(table_id):
 
 def diff_golden(atlas_lines, table_id):
     """Orbit-wise comparison of an atlas against a checked-in table; a line
-    that is not set<TAB>verdict raises ValueError naming it."""
+    that is not a `format_line` record raises ValueError naming it.  An
+    inconclusive class never matches."""
     meta, rows = load_golden(table_id)
     L = meta["q"] ** meta["n"]
     golden = {canonicalize_affine(row, L).canonical for row in rows}
@@ -281,7 +287,7 @@ def diff_golden(atlas_lines, table_id):
         if not line or line.startswith("#"):
             continue
         try:
-            rep, verdict = search_mod.parse_line(line)
+            rep, verdict, _ = search_mod.parse_line(line)
         except ValueError:
             raise ValueError(f"bad line {num}: {line!r}")
         if verdict == meta["verdict"]:

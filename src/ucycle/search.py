@@ -37,15 +37,21 @@ option (t, w) colours the positions t + I with the symbols of w.
   exhausted, invalid when all are.  `nodes_explored` is the prefix's nodes
   plus each cube's own nodes in cube order, up to and including the
   deciding cube: one number whatever the CPU count.
-* CPUs.  The caller searches cubes itself; once it has spent 2,048 nodes
-  with two cubes left, its own included, it forks one helper per further
-  CPU (`jobs`).  Helpers take cube indices from one pipe and each sends its
-  results back on its own pipe; the caller reads them before each cube and
-  every 1,024 nodes, abandons its own cube once the answer no longer
-  depends on it, and kills and reaps every helper before it returns.  Each
-  cube runs under the node budget and every process reads the clock
-  against the same start; a budget raises where a one-process run would,
-  with the node count at the limit + 1.
+* CPUs.  One driver (`_drive`) runs numbered units on up to `jobs`
+  processes: the cubes of one search, or the classes of an atlas, each
+  decided there by a one-process `decide_valid`.  The caller runs units
+  itself; once they have spent 2,048 nodes with two units left, its own
+  included, it forks one helper per further process.  Helpers take the
+  next unit from one pipe that holds it as a single token, so the pipe
+  never fills however many units there are, and each sends its results
+  back on its own pipe.  The caller reads them before each unit and every
+  1,024 nodes, yields the results in unit order, drops a cube once the
+  answer no longer depends on it, and kills and reaps every helper when it
+  is done.  While other threads run, or where `os.fork` is missing, it
+  runs everything in one process.  Each cube runs under the node budget
+  and every process reads the clock against the same start; a budget
+  raises where a one-process run would, with the node count at the
+  limit + 1.
 
 The live masks are N-bit ints and the trail keeps n of them per fixed
 position, so the exact cover's memory grows as n*N**2 bits and its time per
@@ -103,7 +109,8 @@ Two further sound rules:
 
 ``invalid`` is only ever reported after exhaustion under these rules (a
 stabilized set exhausts the tree at its root); running out of budget raises
-:class:`BudgetExceeded` instead.
+:class:`BudgetExceeded` instead, and the atlas records such a class as
+``inconclusive``.
 """
 from __future__ import annotations
 
@@ -111,7 +118,7 @@ import math
 import os
 import sys
 import time
-from contextlib import ExitStack, suppress
+from contextlib import closing, nullcontext, suppress
 from dataclasses import dataclass
 
 from .core import (
@@ -127,6 +134,7 @@ from .core import (
 
 VALID = "valid"
 INVALID = "invalid"
+INCONCLUSIVE = "inconclusive"   # an atlas class that ran out of budget
 
 # Largest N for the exact-cover search.  Its live masks are N-bit ints and
 # its trail keeps n of them per fixed position, so time per node and memory
@@ -208,9 +216,6 @@ def decide_valid(q, n, I, node_limit=None, time_limit=None, jobs=None):
                 if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
     if jobs < 1:
         raise ValueError(f"jobs must be positive, got {jobs}")
-    threading = sys.modules.get("threading")
-    if not hasattr(os, "fork") or threading and threading.active_count() > 1:
-        jobs = 1    # a fork copies no other thread, but may copy its locks
     N = q ** n
     if N > DESK_SCALE:
         raise ValueError("q**n too large for in-memory search")
@@ -601,39 +606,10 @@ def _cover_search(q, n, I, N, node_limit, time_limit, start, jobs=1):
         return found, syms, prefix
     forced, options = syms
     paths = [forced + [opt] for opt in options]
-    results = {}      # cube -> (kind, nodes, symbols)
-    spent = prefix    # the caller's own nodes
-    nxt = 0           # the next cube, until the cubes go into `tasks`
-    tasks = None      # read end of the pipe of cube indices
-    helpers = {}      # helper pid -> read end of its result pipe
-    bufs = {}         # result pipe -> bytes of a line not yet complete
 
-    def answer():
-        # (found, symbols, nodes) by the cubes decided so far, in cube
-        # order; None while it depends on an undecided cube
-        total = prefix
-        for i in range(len(paths)):
-            if i not in results:
-                return None
-            kind, nodes, syms = results[i]
-            if kind == "time":
-                raise BudgetExceeded("time budget exceeded", total + nodes,
-                                     time.monotonic() - start)
-            if node_limit is not None and total + nodes > node_limit:
-                raise BudgetExceeded("node budget exceeded", node_limit + 1,
-                                     time.monotonic() - start)
-            total += nodes
-            if kind == "found":
-                return True, syms, total
-        return False, None, total
-
-    def settled(i):
-        # a lower cube found a witness or ran out of budget
-        return any(j < i and r[0] != "exhausted" for j, r in results.items())
-
-    def run(i, poll=None):
-        # cube i as a `results` entry; None when abandoned.  Its budget is
-        # what the prefix and the lower cubes known exhausted leave.
+    def run(i, results, poll):
+        # cube i as (kind, nodes, symbols); None when abandoned.  Its budget
+        # is what the prefix and the lower cubes known exhausted leave.
         limit = node_limit
         if limit is not None:
             limit -= prefix + sum(r[1] for j, r in results.items()
@@ -649,22 +625,61 @@ def _cover_search(q, n, I, N, node_limit, time_limit, start, jobs=1):
         found, syms, nodes = got
         return "found" if found else "exhausted", nodes, syms
 
+    total = prefix
+    with closing(_drive(len(paths), run, jobs,
+                        ("found", "nodes", "time"))) as cubes:
+        for kind, nodes, syms in cubes:
+            if kind == "time":
+                raise BudgetExceeded("time budget exceeded", total + nodes,
+                                     time.monotonic() - start)
+            if node_limit is not None and total + nodes > node_limit:
+                raise BudgetExceeded("node budget exceeded", node_limit + 1,
+                                     time.monotonic() - start)
+            total += nodes
+            if kind == "found":
+                return True, syms, total
+    return False, None, total
+
+
+def _drive(count, run, jobs, stop=()):
+    """Run units 0 .. count - 1 on at most `jobs` processes, as the module
+    docstring says, and yield their results, (kind, nodes, symbols), in unit
+    order.  `run(i, results, poll)` gives unit i's result, or None once
+    `poll(nodes)` is true; `results` holds the units decided so far.  A
+    unit whose kind is in `stop` is the last one yielded.  Closing the
+    generator kills and reaps every helper."""
+    threading = sys.modules.get("threading")
+    if not hasattr(os, "fork") or threading and threading.active_count() > 1:
+        jobs = 1    # a fork copies no other thread, but may copy its locks
+    results = {}
+    spent = 0         # the caller's own nodes
+    nxt = 0           # the next unit, until the fork
+    tasks = ()        # then a pipe that holds the next unit as one token
+    helpers = {}      # helper pid -> read end of its result pipe
+    bufs = {}         # result pipe -> bytes of a line not yet complete
+
+    def settled(i):
+        # a unit below i settled the answer; none can without `stop` kinds
+        return bool(stop) and any(j < i and r[0] in stop
+                                  for j, r in results.items())
+
     def take():
+        # the next unit, None once all are taken; after the fork a taker
+        # swaps the pipe's one token for its successor, so it never fills
         nonlocal nxt
-        if tasks is not None:
-            b = os.read(tasks, 2)
-            return int.from_bytes(b, "little") if b else None
-        nxt += 1
-        return nxt - 1 if nxt <= len(paths) else None
+        if tasks:
+            i = int.from_bytes(os.read(tasks[0], 8), "little")
+            os.write(tasks[1], (i + 1).to_bytes(8, "little"))
+        else:
+            i = nxt
+            nxt += 1
+        return i if i < count else None
 
     def fork():
         nonlocal tasks
-        r, w = os.pipe()
-        os.write(w, b"".join(i.to_bytes(2, "little")
-                             for i in range(nxt, len(paths))))
-        os.close(w)
-        tasks = r
-        for _ in range(min(jobs - 1, len(paths) - nxt)):
+        tasks = os.pipe()
+        os.write(tasks[1], nxt.to_bytes(8, "little"))
+        for _ in range(min(jobs - 1, count - nxt)):
             fd, out = os.pipe()
             try:
                 pid = os.fork()
@@ -677,7 +692,7 @@ def _cover_search(q, n, I, N, node_limit, time_limit, start, jobs=1):
                 status = 1
                 try:
                     while (i := take()) is not None:
-                        kind, nodes, syms = run(i)
+                        kind, nodes, syms = run(i, results, None)
                         msg = f"{i} {kind} {nodes} " + (
                             ",".join(map(str, syms)) if syms else "-")
                         _write_all(out, msg)
@@ -695,7 +710,7 @@ def _cover_search(q, n, I, N, node_limit, time_limit, start, jobs=1):
         # for some
         if not bufs:
             if block:
-                raise RuntimeError("search helpers exited before every cube "
+                raise RuntimeError("search helpers exited before every unit "
                                    "was decided")
             return
         import select
@@ -714,28 +729,31 @@ def _cover_search(q, n, I, N, node_limit, time_limit, start, jobs=1):
                                    else list(map(int, syms.split(","))))
 
     def poll(nodes, i=None):
-        # every 1,024 nodes of the caller's own cube i, and after each cube:
-        # fork once the caller has spent enough with two cubes left, then
-        # read what helpers sent; true when cube i no longer matters
-        left = len(paths) - nxt + (i is not None)
-        if tasks is None and jobs > 1 and left > 1 and \
+        # every 1,024 nodes of the caller's own unit i, and after each unit:
+        # fork once the caller has spent enough with two units left, then
+        # read what helpers sent; true when unit i no longer matters
+        left = count - nxt + (i is not None)
+        if not tasks and jobs > 1 and left > 1 and \
                 spent + nodes >= _FORK_AFTER:
             fork()
         drain(False)
         return i is not None and settled(i)
 
     try:
-        while (got := answer()) is None:
-            i = take()
-            if i is None:
-                drain(True)
-            elif not settled(i):
-                res = run(i, lambda nodes: poll(nodes, i))
-                if res is not None:
-                    results[i] = res
-                    spent += res[1]
-                poll(0)
-        return got
+        for k in range(count):
+            while k not in results:
+                i = take()
+                if i is None:
+                    drain(True)
+                elif not settled(i):
+                    res = run(i, results, lambda nodes: poll(nodes, i))
+                    if res is not None:
+                        results[i] = res
+                        spent += res[1]
+                    poll(0)
+            yield results[k]
+            if results[k][0] in stop:
+                return
     finally:
         if helpers:
             import signal
@@ -746,8 +764,8 @@ def _cover_search(q, n, I, N, node_limit, time_limit, start, jobs=1):
                 with suppress(ChildProcessError):
                     os.waitpid(pid, 0)
                 os.close(fd)
-        if tasks is not None:
-            os.close(tasks)
+        for fd in tasks:
+            os.close(fd)
 
 
 def _write_all(fd, line):
@@ -778,17 +796,23 @@ def parse_set(text):
         raise ValueError(f"bad index set {text!r}; expected e.g. 0,9,18")
 
 
-def format_line(rep, verdict):
-    """One atlas record: the set, a tab, the verdict (``0,1,3<TAB>invalid``)."""
-    return ",".join(map(str, rep)) + "\t" + verdict
+def format_line(rep, verdict, witness=None):
+    """One atlas record: the set, a tab, the verdict (``0,1,3<TAB>invalid``)
+    and, in a checkpoint, a tab and the `text()` of a valid class's
+    witness."""
+    line = ",".join(map(str, rep)) + "\t" + verdict
+    return line + "\t" + witness if witness else line
 
 
 def parse_line(line):
-    """The (set, verdict) of a `format_line` record; ValueError otherwise."""
-    setpart, _, verdict = line.partition("\t")
-    if verdict not in (VALID, INVALID):
-        raise ValueError(f"bad verdict {verdict!r}")
-    return parse_set(setpart), verdict
+    """The (set, verdict, witness text or None) of a `format_line` record;
+    ValueError otherwise."""
+    setpart, verdict, *witness = line.split("\t")
+    # only a valid record may carry one more field, its witness
+    if verdict not in (VALID, INVALID, INCONCLUSIVE) or \
+            len(witness) > (verdict == VALID):
+        raise ValueError(f"bad record {line!r}")
+    return parse_set(setpart), verdict, witness[0] if witness else None
 
 
 @dataclass
@@ -808,13 +832,17 @@ class Atlas:
         return [format_line(rep, v) for rep, v in self.verdicts.items()]
 
 
-def _parse_checkpoint(path, reps):
+def _parse_checkpoint(path, params, reps):
     """Verdicts recorded in a checkpoint file for the classes `reps`.
 
     A last line without its newline was torn by an interrupted write: it is
     cut off the file, so the next append starts a fresh line, and its class
-    is recomputed.  Any other line that is not a `format_line` record, or
-    whose set is not one of `reps`, raises ValueError naming the line.
+    is recomputed, as is a class recorded `inconclusive`.  A `valid` line
+    must carry a witness that `verify_cover` accepts for its class under
+    `params`; an `invalid` line is trusted.  Any other line that is not a
+    `format_line` record, or whose set is not one of `reps`, raises
+    ValueError naming the line, as does a `valid` line without such a
+    witness.
     """
     done = {}
     if not (path and os.path.exists(path)):
@@ -829,55 +857,65 @@ def _parse_checkpoint(path, reps):
         if not line or line.startswith("#"):
             continue
         try:
-            key, verdict = parse_line(line)
+            key, verdict, witness = parse_line(line)
         except ValueError:
             raise ValueError(f"checkpoint {path}: bad line {line!r}")
         if key not in reps:
             raise ValueError(f"checkpoint {path}: line {line!r} does not "
                              "name a class representative")
-        done[key] = verdict
+        if verdict == VALID and not _covers(witness, params, key):
+            raise ValueError(f"checkpoint {path}: line {line!r} has no "
+                             "witness that covers every word")
+        if verdict != INCONCLUSIVE:
+            done[key] = verdict
     return done
 
 
-def _decide_worker(args):
-    q, n, rep, node_limit, time_limit = args
-    cert = decide_valid(q, n, rep, node_limit=node_limit,
-                        time_limit=time_limit, jobs=1)
-    return rep, cert.verdict
+def _covers(text, params, I):
+    """Whether `text` reads back as an I-cycle for `params`."""
+    try:
+        chi = CyclicString.from_text(text or "", params.q)
+        return verify_cover(chi, params, I).complete
+    except ValueError:
+        return False
 
 
 def atlas(q, n, node_limit=None, time_limit=None, checkpoint=None, jobs=1):
     """Classify every affine class of n-element subsets of Z_{q**n}.
 
-    Verdicts come back in canonical order regardless of how the per-class
-    work was scheduled.  With a `checkpoint` path each decided class is
-    appended to that file as one `format_line` record and flushed, in the
-    order the classes finish, so `tail -f` shows the progress of a long
-    run.  A rerun with the same file decides only the classes it lacks and
-    returns byte-identical lines.
+    The classes are the units of `_drive` on at most `jobs` processes,
+    each decided by `decide_valid(..., jobs=1)` in whichever process takes
+    it.  A class that runs out of budget is `inconclusive`, and the run
+    goes on.  Verdicts come back in canonical order.  With a `checkpoint`
+    path each decided class is appended to that file as one `format_line`
+    record, a valid one with its witness, and flushed, in canonical order
+    whatever the number of processes, so `tail -f` shows the progress of a
+    long run.  A rerun with the same file decides only the classes it
+    lacks or left inconclusive and returns byte-identical lines.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be positive, got {jobs}")
-    CycleParams.unreduced(q, n)  # the size check, before the class list
+    params = CycleParams.unreduced(q, n)  # the size check, before the list
     reps = affine_class_representatives(q ** n, n)
-    done = _parse_checkpoint(checkpoint, set(reps))
+    done = _parse_checkpoint(checkpoint, params, set(reps))
     pending = [rep for rep in reps if rep not in done]
 
-    results = dict(done)
-    work = [(q, n, rep, node_limit, time_limit) for rep in pending]
-    with ExitStack() as stack:
-        ck = stack.enter_context(open(checkpoint, "a")) if checkpoint else None
-        if jobs > 1 and pending:
-            import multiprocessing
+    def run(i, results, poll):
+        try:
+            cert = decide_valid(q, n, pending[i], node_limit=node_limit,
+                                time_limit=time_limit, jobs=1)
+        except BudgetExceeded as exc:
+            return INCONCLUSIVE, exc.nodes, None
+        return cert.verdict, cert.nodes_explored, \
+            cert.witness and cert.witness.symbols
 
-            pool = stack.enter_context(multiprocessing.Pool(jobs))
-            decided = pool.imap_unordered(_decide_worker, work)
-        else:
-            decided = map(_decide_worker, work)
-        for rep, verdict in decided:
-            results[rep] = verdict
+    verdicts = dict(done)
+    with open(checkpoint, "a") if checkpoint else nullcontext() as ck, \
+            closing(_drive(len(pending), run, jobs)) as decided:
+        for rep, (verdict, _, syms) in zip(pending, decided):
+            verdicts[rep] = verdict
             if ck:
-                ck.write(format_line(rep, verdict) + "\n")
+                witness = syms and CyclicString(q, tuple(syms)).text()
+                ck.write(format_line(rep, verdict, witness) + "\n")
                 ck.flush()
-
-    return Atlas(q=q, n=n, verdicts={rep: results[rep] for rep in reps})
+    return Atlas(q=q, n=n, verdicts={rep: verdicts[rep] for rep in reps})

@@ -24,6 +24,11 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _verdicts(lines):
+    """The set<TAB>verdict part of atlas or checkpoint lines."""
+    return ["\t".join(ln.split("\t")[:2]) for ln in lines]
+
+
 def refuse_to_allocate(*args):
     raise AssertionError("allocated before the size check")
 
@@ -554,7 +559,7 @@ class TestAtlasAndGolden:
         ck.write_text(fresh_lines[0] + "\n" + torn)
         code, out, _ = run_cli(capsys, *argv, "--resume", str(ck))
         assert code == 0
-        assert out.splitlines() == sorted(fresh_lines)
+        assert out.splitlines() == sorted(_verdicts(fresh_lines))
         lines = ck.read_text().splitlines()
         assert sorted(lines) == sorted(fresh_lines)
         assert all(ln.split("\t")[1] in ("valid", "invalid") for ln in lines)
@@ -578,6 +583,60 @@ class TestAtlasAndGolden:
         assert code == 2
         assert "0,2,5\\tinvalid" in err
 
+    @pytest.mark.parametrize("line", [
+        "0,1,3\tvalid",                 # the one invalid (2,3) class
+        "0,1,3\tvalid\t00010111",       # a de Bruijn cycle, not a 0,1,3-cycle
+        "0,1,2\tvalid\t00001111",
+        "0,1,2\tvalid\t0001011",
+        "0,1,2\tvalid\t00020111",
+        "0,1,2\tvalid\t0001011x",
+    ])
+    def test_atlas_resume_rejects_an_unverified_valid_line(
+            self, tmp_path, capsys, line):
+        ck = tmp_path / "ck.tsv"
+        ck.write_text(line + "\n")
+        code, out, err = run_cli(capsys, "atlas", "--q", "2", "--n", "3",
+                                 "--size", "3", "--resume", str(ck))
+        assert code == 2 and out == ""
+        assert repr(line) in err and "no witness" in err
+
+    def test_atlas_resume_trusts_an_invalid_line(self, tmp_path, capsys):
+        # invalid lines carry no certificate yet, so a wrong one is believed
+        ck = tmp_path / "ck.tsv"
+        ck.write_text("0,1,2\tinvalid\n")
+        code, out, _ = run_cli(capsys, "atlas", "--q", "2", "--n", "3",
+                               "--size", "3", "--resume", str(ck))
+        assert code == 0
+        assert "0,1,2\tinvalid" in out.splitlines()
+
+    def test_atlas_budget_leaves_classes_inconclusive(self, capsys,
+                                                      monkeypatch):
+        # a class out of budget no longer ends the run; forking after the
+        # first class makes the --jobs 2 run use a helper
+        monkeypatch.setattr(search, "_FORK_AFTER", 0)
+        runs = [run_cli(capsys, "atlas", "--q", "2", "--n", "4", "--size",
+                        "4", "--budget-nodes", "5", "--jobs", jobs)
+                for jobs in ("1", "2")]
+        for code, out, err in runs:
+            assert code == 3
+            assert len(out.splitlines()) == 25
+            assert "inconclusive: 22 classes ran out of budget" in err
+        assert runs[0][1] == runs[1][1]
+        verdicts = [ln.split("\t")[1] for ln in runs[0][1].splitlines()]
+        assert verdicts.count("inconclusive") == 22
+        assert verdicts.count("invalid") == 3
+
+    def test_atlas_resume_retries_inconclusive_classes(self, tmp_path,
+                                                       capsys):
+        argv = ["atlas", "--q", "2", "--n", "4", "--size", "4"]
+        _, fresh, _ = run_cli(capsys, *argv)
+        ck = tmp_path / "ck.tsv"
+        code, _, _ = run_cli(capsys, *argv, "--budget-nodes", "50",
+                             "--resume", str(ck))
+        assert code == 3 and "inconclusive" in ck.read_text()
+        code, out, _ = run_cli(capsys, *argv, "--resume", str(ck))
+        assert code == 0 and out == fresh
+
     def test_atlas_checkpoint_has_one_line_per_class_under_jobs(
             self, tmp_path, capsys):
         ck = tmp_path / "ck.tsv"
@@ -588,7 +647,7 @@ class TestAtlasAndGolden:
         assert code == 0
         out_lines = out_file.read_text().splitlines()
         assert len(out_lines) == 4
-        assert sorted(ck.read_text().splitlines()) == out_lines
+        assert sorted(_verdicts(ck.read_text().splitlines())) == out_lines
 
     def test_atlas_size_other_than_n_is_usage_error(self, capsys,
                                                      monkeypatch):
@@ -627,6 +686,15 @@ class TestAtlasAndGolden:
                                str(out_file), "--table", "obs1")
         assert code == 1
         assert "missing=1" in out
+
+    def test_diff_golden_never_matches_an_inconclusive_class(self, tmp_path,
+                                                              capsys):
+        atlas_file = tmp_path / "atlas.tsv"
+        atlas_file.write_text("0,9,18\tinconclusive\n")
+        code, out, _ = run_cli(capsys, "diff-golden", "--atlas",
+                               str(atlas_file), "--table", "obs1")
+        assert code == 1
+        assert "matched=0 missing=1" in out
 
     @pytest.mark.parametrize("bad", ["0,1,2 invalid", "0,1,x\tinvalid",
                                      "0,1,2\tmaybe"])
@@ -685,7 +753,7 @@ class TestSubprocessEntry:
 
     def test_import_starts_no_process_machinery(self):
         # `import ucycle.cli` stays free of the modules a search loads only
-        # when it forks, and of the ones the atlas pool loads
+        # when it forks, and of process pools, which nothing uses
         banned = ["multiprocessing", "concurrent.futures", "pickle",
                   "signal", "subprocess"]
         code = ("import sys, ucycle.cli\n"

@@ -552,6 +552,71 @@ class TestHelpers:
             decide_valid(2, 3, (0, 1, 2), jobs=0)
 
 
+class TestDriver:
+    """One driver runs the cubes of a search and the classes of an atlas:
+    results in unit order for any process count, and no helper left."""
+
+    @pytest.mark.parametrize("q,n", [(2, 4), (3, 3)])
+    def test_atlas_is_the_same_for_any_jobs(self, q, n, forks, monkeypatch,
+                                            tmp_path):
+        monkeypatch.setattr(search, "_FORK_AFTER", 0)
+        runs = []
+        for jobs in (1, 2, 3):
+            ck = tmp_path / f"ck{jobs}.tsv"
+            lines = atlas(q, n, checkpoint=str(ck), jobs=jobs).lines()
+            runs.append((lines, ck.read_bytes()))
+            assert bool(forks) == (jobs > 1), jobs
+            forks.clear()
+            _no_child_left()
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_no_child_left_after_a_budgeted_atlas(self, forks, monkeypatch):
+        monkeypatch.setattr(search, "_FORK_AFTER", 0)
+        a = atlas(2, 4, node_limit=5, jobs=2)
+        assert len(a.classes(search.INCONCLUSIVE)) == 22
+        assert forks
+        _no_child_left()
+
+    def test_no_child_left_after_a_failing_atlas(self, forks, monkeypatch):
+        # every class after the first fails, in the caller or in a helper
+        monkeypatch.setattr(search, "_FORK_AFTER", 0)
+        decide, first = search.decide_valid, (0, 1, 2, 3)
+
+        def failing(q, n, I, **kw):
+            if I != first:
+                raise ZeroDivisionError("class search failed")
+            return decide(q, n, I, **kw)
+
+        monkeypatch.setattr(search, "decide_valid", failing)
+        with pytest.raises((RuntimeError, ZeroDivisionError),
+                           match="class search failed"):
+            atlas(2, 4, jobs=2)
+        assert forks
+        _no_child_left()
+
+    def test_many_units_come_back_in_order(self, forks, monkeypatch):
+        # far more unit indices than a pipe holds: the helper takes them
+        # one at a time, so the caller never blocks on a full pipe
+        import signal
+
+        def timeout(*_):
+            raise TimeoutError("driver did not finish")
+
+        monkeypatch.setattr(search, "_FORK_AFTER", 0)
+        count = 70_000
+        old = signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(120)
+        try:
+            got = list(search._drive(count, lambda i, results, poll:
+                                     ("done", 0, [i]), 2))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, old)
+        assert got == [("done", 0, [i]) for i in range(count)]
+        assert forks
+        _no_child_left()
+
+
 def _scan_greedy_completion_order(N, I, q):
     """Oracle: the greedy completion order by a full O(N) scan per pick."""
     n = len(I)
