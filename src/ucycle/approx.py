@@ -20,19 +20,10 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .core import (DESK_SCALE, CoverageReport, CyclicString,
-                   VerificationError, is_prime, normalize_index_set,
-                   verify_cover, windows)
+                   VerificationError, desk_size, is_prime,
+                   normalize_index_set, verify_cover, windows)
 
 RNG_ALGORITHM = "MT19937 (random.Random)"
-
-
-@dataclass(frozen=True)
-class DilationPlan:
-    p: int
-    k: int
-    min_gap: int
-    index_set: tuple
-    words: int  # S
 
 
 @dataclass
@@ -73,9 +64,9 @@ def _min_circular_gap(residues, p):
 
 
 def plan_dilation(I, S, min_p=None):
-    """Prime p = smallest prime > n*n*(S+3) that keeps the elements of I
-    distinct mod p, and the multiplier k maximizing the minimum circular gap
-    of k*I mod p (smallest k on ties).  `min_p` can force a larger prime
+    """(p, k): the smallest prime p > n*n*(S+3) that keeps the elements of
+    I distinct mod p, and the multiplier k maximizing the minimum circular
+    gap of k*I mod p (smallest k on ties).  `min_p` can force a larger prime
     when the plan will be embedded in a longer string.
 
     The gap always reaches S.  A gap below S means k*(i - j) = g (mod p)
@@ -94,7 +85,7 @@ def plan_dilation(I, S, min_p=None):
     while len({i % p for i in I}) < n:
         p = smallest_prime_above(p)
     if n == 1:
-        return DilationPlan(p=p, k=1, min_gap=p, index_set=I, words=S)
+        return p, 1
     best_k, best_gap = 1, -1
     for k in range(1, p):
         gap = _min_circular_gap([k * i % p for i in I], p)
@@ -102,7 +93,7 @@ def plan_dilation(I, S, min_p=None):
             best_k, best_gap = k, gap
             if best_gap >= p // n:
                 break  # n gaps sum to p, so floor(p/n) is already the max
-    return DilationPlan(p=p, k=best_k, min_gap=best_gap, index_set=I, words=S)
+    return p, best_k
 
 
 def patch_sequence(I, words, q, min_p=None):
@@ -118,8 +109,7 @@ def patch_sequence(I, words, q, min_p=None):
     if len(set(words)) != len(words):
         raise ValueError("words must be distinct")
     S = len(words)
-    plan = plan_dilation(I, S, min_p=min_p)
-    p, k = plan.p, plan.k
+    p, k = plan_dilation(I, S, min_p=min_p)
     raw = [0] * p
     for t in range(1, S + 1):
         for j, i in enumerate(I):
@@ -176,8 +166,9 @@ def type1_construct(q, n, I, seed):
     survive all later appends; only seam-crossing witnesses can break, and
     their words rejoin the missing set of the next round.
     """
-    if q ** n > DESK_SCALE:
-        raise ValueError(f"q**n = {q ** n} exceeds desk scale {DESK_SCALE}")
+    if q < 2:
+        raise ValueError("alphabet size must be >= 2")
+    word_count = desk_size(q, n)
     I = tuple(sorted(I))
     if len(set(I)) != n or len(I) != n:
         raise ValueError("index set must have n distinct elements")
@@ -191,7 +182,7 @@ def type1_construct(q, n, I, seed):
                             report=rep)
 
     span = max(I) - min(I)
-    m = max(span + 1, math.ceil(4 * q ** n * math.log(n)))
+    m = max(span + 1, math.ceil(4 * word_count * math.log(n)))
     t1, missed = type2_random(q, n, I, m, seed)
     symbols = list(t1.symbols) + list(t1.symbols)
     patch_lengths = []
@@ -200,7 +191,7 @@ def type1_construct(q, n, I, seed):
         chi = CyclicString(q, tuple(symbols))
         rep = verify_cover(chi, (q, n), I)
         if rep.complete:
-            if len(chi) < q ** n:
+            if len(chi) < word_count:
                 raise VerificationError(
                     "full cover shorter than the word count")
             return ApproxResult(

@@ -30,6 +30,7 @@ from .core import (
     CyclicString,
     UcycleError,
     canonicalize_affine,
+    desk_size,
     verify_cover,
 )
 
@@ -209,7 +210,7 @@ def cmd_decompose(args):
     doc["verdict"] = "decomposed"
     lines = [f"{len(dec.trails)} trails of length {args.d}"]
     for t in dec.trails:
-        lines.append(" ".join(f"{u}>{v}" for u, v in t.edges))
+        lines.append(" ".join("%d>%d" % e for e in decomp_mod.trail_edges(t)))
     if args.emit_chi:
         chi, _ = decomp_mod.chi_from_decomposition(dec)
         doc["chi"] = chi.text()
@@ -229,7 +230,7 @@ def cmd_approx(args):
         _emit_cycle(args, result.chi, result.report,
                     extra={"construction": result.construction_log})
         return EXIT_OK
-    m = args.m if args.m is not None else max(1, int(4 * q ** n))
+    m = args.m if args.m is not None else 4 * desk_size(q, n)
     chi, missing = approx_mod.type2_random(q, n, I, m, seed=args.seed)
     report = verify_cover(chi, (q, n), I)
     doc = {"cycle": chi.text(), "missing": missing, "m": m,
@@ -249,7 +250,7 @@ def cmd_verify(args):
     I = search_mod.parse_set(args.set)
     chi = _read_cycle(args.file, args.q)
     q, n = args.q, args.n
-    if args.reduced or len(chi) == q ** n - 1:
+    if args.reduced or len(chi) == desk_size(q, n) - 1:
         report = verify_cover(chi, CycleParams.reduced(q, n), I)
     else:
         report = verify_cover(chi, (q, n), I)

@@ -167,6 +167,20 @@ def equal_up_to_rotation_and_translate(a: CyclicString, b: CyclicString):
 # ---------------------------------------------------------------------------
 
 
+def desk_size(q, n):
+    """q**n, or ValueError when q < 2, n < 1 or q**n > DESK_SCALE.  From
+    n = 25 on, q**n >= 2**25 is over the bound for every q, so a huge n is
+    refused without computing the power, and the message names q and n
+    rather than a number too long to print."""
+    if q < 2 or n < 1:
+        raise ValueError("need q >= 2 and n >= 1")
+    if n < DESK_SCALE.bit_length():
+        size = q ** n
+        if size <= DESK_SCALE:
+            return size
+    raise ValueError(f"{q}**{n} exceeds desk scale {DESK_SCALE}")
+
+
 @dataclass(frozen=True)
 class CycleParams:
     """Alphabet size q, window size n, modulus L in {q**n, q**n - 1}."""
@@ -176,11 +190,7 @@ class CycleParams:
     L: int
 
     def __post_init__(self):
-        if self.q < 2 or self.n < 1:
-            raise ValueError("need q >= 2 and n >= 1")
-        full = self.q ** self.n
-        if full > DESK_SCALE:
-            raise ValueError(f"q**n = {full} exceeds desk scale {DESK_SCALE}")
+        full = desk_size(self.q, self.n)
         if self.L not in (full, full - 1):
             raise ValueError(f"modulus {self.L} must be q**n or q**n - 1")
 
@@ -190,11 +200,11 @@ class CycleParams:
 
     @classmethod
     def unreduced(cls, q, n):
-        return cls(q, n, q ** n)
+        return cls(q, n, desk_size(q, n))
 
     @classmethod
     def reduced(cls, q, n):
-        return cls(q, n, q ** n - 1)
+        return cls(q, n, desk_size(q, n) - 1)
 
 
 def normalize_index_set(I, L):

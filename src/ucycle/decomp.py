@@ -4,7 +4,9 @@ K~_n has vertex set {1..n} and all n*n ordered pairs as edges, loops
 included.  For d | n^2 and d >= 3 the edge set splits into n^2/d closed
 trails of length d ("closed trail": chained edges, all distinct, vertices
 free to repeat); d = 1 fails for n >= 2 because only n loops exist, and
-d = 2 fails because loops cannot sit on a 2-trail.
+d = 2 fails because loops cannot sit on a 2-trail.  A closed trail is
+its cyclic vertex tuple, so its edges (`trail_edges`) chain by
+construction, and `check_decomposition` checks them once per decomposition.
 
 Routes, tried in this order:
 
@@ -49,26 +51,9 @@ class Impossible(UcycleError):
         self.reason = reason
 
 
-@dataclass(frozen=True)
-class ClosedTrail:
-    """Closed walk stored as its cyclic vertex tuple v_0 .. v_(L-1); its
-    edges are (v_a, v_(a+1 mod L)), so consecutive edges chain by
-    construction.  Edge-distinctness is a property of a whole decomposition
-    and is checked there (`check_decomposition`)."""
-
-    vertices: tuple
-
-    def __post_init__(self):
-        if not self.vertices:
-            raise ValueError("empty trail")
-
-    def __len__(self):
-        return len(self.vertices)
-
-    @property
-    def edges(self):
-        v = self.vertices
-        return tuple(zip(v, v[1:] + v[:1]))
+def trail_edges(trail):
+    """The edges (v_a, v_(a+1 mod L)) of the closed trail v_0 .. v_(L-1)."""
+    return tuple(zip(trail, trail[1:] + trail[:1]))
 
 
 @dataclass
@@ -88,7 +73,7 @@ class TrailDecomposition:
             "schema": 1,
             "n": self.n,
             "d": self.d,
-            "trails": [[[u, v] for u, v in t.edges] for t in self.trails],
+            "trails": [list(map(list, trail_edges(t))) for t in self.trails],
         }
 
 
@@ -101,7 +86,7 @@ def check_decomposition(n, d, trails):
     for t in trails:
         if len(t) != d:
             raise VerificationError(f"trail length {len(t)} != {d}")
-    edges = [e for t in trails for e in t.edges]
+    edges = [e for t in trails for e in trail_edges(t)]
     distinct = dict.fromkeys(edges)  # trail order: name the first bad edge
     if len(distinct) != len(edges):
         seen = set()
@@ -138,7 +123,7 @@ def decompose_loopless(m, lengths, node_limit=2_000_000):
         raise ValueError("every length must be >= 2")
     result = _split_trails(list(range(1, m + 1)), lengths, node_limit)
     if result is not None:
-        edges = sorted(e for t in result for e in t.edges)
+        edges = sorted(e for t in result for e in trail_edges(t))
         if edges != [(u, v) for u in range(1, m + 1)
                      for v in range(1, m + 1) if u != v]:
             raise VerificationError("trail split does not cover every "
@@ -220,7 +205,7 @@ def _split_trails(verts, lengths, node_limit):
             stack.pop()
             continue
         walk, rest = step
-        result.append(ClosedTrail(tuple(u for u, _ in walk)))
+        result.append(tuple(u for u, _ in walk))
         if not rest:
             return result
         stack.append(branches(rest))
@@ -248,8 +233,8 @@ def _blowup_trails(base, k):
     for t in base:
         # cols[a] lists vertex a of each of the k*k trails of t
         cols = [[(v - 1) * k + 1 + f[1 if a % 2 else 2 if a else 0]
-                 for f in fs] for a, v in enumerate(t.vertices)]
-        trails.extend(map(ClosedTrail, zip(*cols)))
+                 for f in fs] for a, v in enumerate(t)]
+        trails.extend(zip(*cols))
     return trails
 
 
@@ -261,7 +246,7 @@ def _search_trails(n, d, node_limit):
     if not cert.valid:
         raise Impossible(f"no {{0, {D}}}-cycle over {n} symbols exists",
                          reason="exhausted")
-    return [ClosedTrail(tuple(x + 1 for x in syms))
+    return [tuple(x + 1 for x in syms)
             for syms in chi_to_trail_symbols(cert.witness, D)]
 
 
@@ -279,7 +264,7 @@ def decompose_equal(n, d, node_limit=2_000_000):
     if (n * n) % d:
         raise ValueError(f"{d} does not divide n*n = {n * n}")
     if n == 1:
-        return TrailDecomposition(1, 1, [ClosedTrail((1,))], "euler")
+        return TrailDecomposition(1, 1, [(1,)], "euler")
     if d == 1:
         raise Impossible(
             f"length 1 needs {n * n} loops but only {n} exist",
@@ -292,7 +277,7 @@ def decompose_equal(n, d, node_limit=2_000_000):
              None)
     if d == n * n:
         debruijn = de_bruijn_sequence(n, 2).symbols
-        trails, route = [ClosedTrail(tuple(x + 1 for x in debruijn))], "euler"
+        trails, route = [tuple(x + 1 for x in debruijn)], "euler"
     elif m is not None:
         base = decompose_equal(m, d, node_limit).trails
         trails, route = _blowup_trails(base, n // m), "blowup"
@@ -308,7 +293,7 @@ def chi_from_decomposition(decomposition):
     it is returned with the CoverageReport that verified it."""
     q = decomposition.n
     D = len(decomposition.trails)
-    norm = sorted(least_rotation(t.vertices) for t in decomposition.trails)
+    norm = sorted(least_rotation(t) for t in decomposition.trails)
     chi = trails_to_chi([[v - 1 for v in seq] for seq in norm], q)
     rep = verify_cover(chi, CycleParams.unreduced(q, 2), (0, D % (q * q)))
     if not rep.complete:

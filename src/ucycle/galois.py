@@ -36,8 +36,8 @@ import functools
 import operator
 from dataclasses import dataclass
 
-from .core import (DESK_SCALE, CycleParams, CyclicString, UcycleError,
-                   VerificationError, is_prime, units, verify_cover, windows)
+from .core import (CycleParams, CyclicString, UcycleError, VerificationError,
+                   desk_size, is_prime, units, verify_cover, windows)
 
 ORDINARY = "ordinary"
 EXCEPTIONAL = "exceptional"
@@ -165,8 +165,7 @@ def build_field(p, m, modulus=None):
         raise ValueError(f"{p} is not prime")
     if m < 1:
         raise ValueError(f"field degree must be positive, got {m}")
-    if p ** m > DESK_SCALE:
-        raise ValueError("field exceeds desk scale")
+    size = desk_size(p, m)
     if modulus is None:
         modulus, exp = find_primitive_modulus(p, m)
     else:
@@ -176,7 +175,7 @@ def build_field(p, m, modulus=None):
         exp = _power_table(p, m, modulus)
         if exp is None:
             raise ValueError("modulus does not make x primitive")
-    log = [-1] * p ** m
+    log = [-1] * size
     for j, e in enumerate(exp):
         log[e] = j
     return FieldCtx(p, m, modulus, tuple(exp), tuple(log))
@@ -189,13 +188,11 @@ def build_field(p, m, modulus=None):
 
 @dataclass(frozen=True)
 class SubfieldBasis:
-    """Basis generator**0 .. generator**(n-1) of F_{p**(k*n)} over the
-    subfield F_q, q = p**k, with the symbol encoding of F_q."""
+    """F_{p**(k*n)} over its subfield F_q, q = p**k, with the symbol
+    encoding of F_q (see `subfield_basis`)."""
 
     ctx: FieldCtx
     k: int
-    generator: int
-    basis: tuple          # n field elements, the powers of generator
     sym_elem: tuple       # symbol s -> subfield element
     elem_sym: dict        # inverse of sym_elem
 
@@ -250,9 +247,9 @@ def subfield_generator(ctx, k):
     return ctx.exp[(ctx.mult_order // (ctx.p ** k - 1)) % ctx.mult_order]
 
 
-def subfield_basis(ctx, k, generator=None):
-    """The basis 1, a, ..., a**(n-1) of ctx over F_q = F_{p**k}, for a the
-    given `generator` or the table primitive alpha."""
+def subfield_basis(ctx, k):
+    """ctx over F_q = F_{p**k}, once 1, alpha, ..., alpha**(n-1) is checked
+    to be a basis, alpha the table primitive."""
     p, g = ctx.p, subfield_generator(ctx, k)
     n = ctx.m // k
     q = p ** k
@@ -270,13 +267,11 @@ def subfield_basis(ctx, k, generator=None):
         raise VerificationError("subfield enumeration collided")
     elem_sym = {e: s for s, e in enumerate(sym_elem)}
 
-    a = generator if generator is not None else ctx.alpha
-    basis = tuple(ctx.pow(a, j) for j in range(n))
     if _reduce_mod_p([ctx.digits(ctx.mul(ctx.pow(g, i), b))
-                      for b in basis for i in range(k)], p) is not None:
+                      for b in ctx.exp[:n] for i in range(k)], p) is not None:
         raise ValueError("not a basis over the subfield")
-    return SubfieldBasis(ctx=ctx, k=k, generator=a, basis=basis,
-                         sym_elem=tuple(sym_elem), elem_sym=elem_sym)
+    return SubfieldBasis(ctx=ctx, k=k, sym_elem=tuple(sym_elem),
+                         elem_sym=elem_sym)
 
 
 @dataclass
@@ -288,9 +283,10 @@ class LambdaSeq:
     generator: int
 
 
-def lambda_sequence(sb: SubfieldBasis, v):
+def lambda_sequence(sb: SubfieldBasis, g, v):
     """The length q**n - 1 string whose j-th symbol is v . coords(g**j),
-    the F_q-coordinates of g**j against the basis, g = sb.generator.
+    the F_q-coordinates of g**j against the basis 1, g, ..., g**(n-1), for
+    g a generator of the multiplicative group of sb.ctx.
 
     This is the linear recurring sequence of g's minimal polynomial c:
     s_j = v_j for j < n, since g**j is basis vector j, and then
@@ -301,7 +297,7 @@ def lambda_sequence(sb: SubfieldBasis, v):
     if len(v) != n or all(s == 0 for s in v):
         raise ValueError("v must be a nonzero length-n symbol vector")
     taps = [ctx.mul(ctx.p - 1, sb.sym_elem[c])
-            for c in min_poly(sb, sb.generator)[:n]]
+            for c in min_poly(sb, g)[:n]]
     elems = [sb.sym_elem[s] for s in v]
     for j in range(q ** n - 1 - n):
         acc = 0
@@ -309,7 +305,7 @@ def lambda_sequence(sb: SubfieldBasis, v):
             acc = ctx.add(acc, ctx.mul(t, x))
         elems.append(acc)
     out = tuple(sb.elem_sym[e] for e in elems[:q ** n - 1])
-    return LambdaSeq(chi=CyclicString(q, out), generator=sb.generator)
+    return LambdaSeq(chi=CyclicString(q, out), generator=g)
 
 
 # ---------------------------------------------------------------------------
@@ -497,9 +493,7 @@ def build_reduced_cycle(I, q, n):
         beta_pows = [ctx.exp[(u * i) % order] for i in I]
         if _fq_dependency(sb, beta_pows) is not None:
             continue
-        beta = ctx.exp[u % order]
-        v = tuple([1] + [0] * (n - 1))
-        seq = lambda_sequence(subfield_basis(ctx, k, generator=beta), v)
+        seq = lambda_sequence(sb, ctx.exp[u % order], (1,) + (0,) * (n - 1))
         report = verify_cover(seq.chi, CycleParams.reduced(q, n), I)
         if not report.complete:
             raise VerificationError(

@@ -21,11 +21,11 @@ have period 4, so 4 | k = q**3/d closes each trail (the paper asks 8 | k).
 from __future__ import annotations
 
 from .core import (
-    DESK_SCALE,
     CycleParams,
     CyclicString,
     UcycleError,
     VerificationError,
+    desk_size,
     verify_cover,
     windows,
 )
@@ -92,9 +92,7 @@ def de_bruijn_sequence(q, order):
     """
     if q < 2 or order < 1:
         raise ValueError("need q >= 2 and order >= 1")
-    if q ** order > DESK_SCALE:
-        raise ValueError(f"q**order = {q ** order} exceeds desk scale "
-                         f"{DESK_SCALE}")
+    size = desk_size(q, order)
     seq = []
     word = [0]
     while word:
@@ -105,7 +103,7 @@ def de_bruijn_sequence(q, order):
             word.pop()
         if word:
             word[-1] += 1
-    if len(seq) != q ** order:
+    if len(seq) != size:
         raise VerificationError("Lyndon words do not fill q**order symbols")
     return CyclicString(q, tuple(seq))
 

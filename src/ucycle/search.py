@@ -122,7 +122,6 @@ from contextlib import closing, nullcontext, suppress
 from dataclasses import dataclass
 
 from .core import (
-    DESK_SCALE,
     BudgetExceeded,
     CycleParams,
     CyclicString,
@@ -149,7 +148,7 @@ class ValidityCertificate:
     witness: CyclicString | None
     nodes_explored: int
     elapsed: float
-    method: str  # "search" or "stabilizer-count"
+    method: str  # "search" or "stabilizer"
 
     @property
     def valid(self):
@@ -192,7 +191,7 @@ def decide_valid(q, n, I, node_limit=None, time_limit=None, jobs=None):
     Otherwise it is the depth-first search over positions in first-need
     order (trail by trail when |I| = 2), and `nodes_explored` counts
     symbol assignments.  A set that some shift s != 0 maps onto itself is
-    refuted first, with 0 nodes and method "stabilizer-count": the window
+    refuted first, with 0 nodes and method "stabilizer": the window
     at t + s reads 0**n whenever the one at t does.
 
     `jobs` caps the processes one exact-cover search may use; None means
@@ -216,10 +215,8 @@ def decide_valid(q, n, I, node_limit=None, time_limit=None, jobs=None):
                 if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
     if jobs < 1:
         raise ValueError(f"jobs must be positive, got {jobs}")
-    N = q ** n
-    if N > DESK_SCALE:
-        raise ValueError("q**n too large for in-memory search")
     params = CycleParams.unreduced(q, n)
+    N = params.L
     I = normalize_index_set(I, N)
     if len(I) != n:
         raise ValueError(f"index set must have {n} distinct residues mod {N}")
@@ -229,7 +226,7 @@ def decide_valid(q, n, I, node_limit=None, time_limit=None, jobs=None):
         return ValidityCertificate(
             index_set=I, verdict=INVALID, witness=None,
             nodes_explored=0, elapsed=time.monotonic() - start,
-            method="stabilizer-count",
+            method="stabilizer",
         )
 
     if n >= 3 and N <= _COVER_MAX_N:
@@ -837,7 +834,8 @@ def _parse_checkpoint(path, params, reps):
 
     A last line without its newline was torn by an interrupted write: it is
     cut off the file, so the next append starts a fresh line, and its class
-    is recomputed, as is a class recorded `inconclusive`.  A `valid` line
+    is recomputed.  A class recorded `inconclusive` and never decided comes
+    back `inconclusive`, for the caller to retry.  A `valid` line
     must carry a witness that `verify_cover` accepts for its class under
     `params`; an `invalid` line is trusted.  Any other line that is not a
     `format_line` record, or whose set is not one of `reps`, raises
@@ -866,7 +864,7 @@ def _parse_checkpoint(path, params, reps):
         if verdict == VALID and not _covers(witness, params, key):
             raise ValueError(f"checkpoint {path}: line {line!r} has no "
                              "witness that covers every word")
-        if verdict != INCONCLUSIVE:
+        if done.get(key, INCONCLUSIVE) == INCONCLUSIVE:
             done[key] = verdict
     return done
 
@@ -891,14 +889,16 @@ def atlas(q, n, node_limit=None, time_limit=None, checkpoint=None, jobs=1):
     record, a valid one with its witness, and flushed, in canonical order
     whatever the number of processes, so `tail -f` shows the progress of a
     long run.  A rerun with the same file decides only the classes it
-    lacks or left inconclusive and returns byte-identical lines.
+    lacks or left inconclusive and returns byte-identical lines; it appends
+    a class that is still inconclusive only if the file does not say so.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be positive, got {jobs}")
     params = CycleParams.unreduced(q, n)  # the size check, before the list
-    reps = affine_class_representatives(q ** n, n)
+    reps = affine_class_representatives(params.L, n)
     done = _parse_checkpoint(checkpoint, params, set(reps))
-    pending = [rep for rep in reps if rep not in done]
+    pending = [rep for rep in reps
+               if done.get(rep, INCONCLUSIVE) == INCONCLUSIVE]
 
     def run(i, results, poll):
         try:
@@ -914,7 +914,7 @@ def atlas(q, n, node_limit=None, time_limit=None, checkpoint=None, jobs=1):
             closing(_drive(len(pending), run, jobs)) as decided:
         for rep, (verdict, _, syms) in zip(pending, decided):
             verdicts[rep] = verdict
-            if ck:
+            if ck and verdict != done.get(rep):
                 witness = syms and CyclicString(q, tuple(syms)).text()
                 ck.write(format_line(rep, verdict, witness) + "\n")
                 ck.flush()

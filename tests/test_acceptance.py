@@ -204,6 +204,7 @@ def test_c11_additive_transport():
     for q, n in fields:
         p, k = prime_power(q)
         ctx = build_field(p, k * n)
+        sb = subfield_basis(ctx, k)
         order = q ** n - 1
         per_field = 0
         while per_field < 2:
@@ -211,12 +212,10 @@ def test_c11_additive_transport():
             verdict = is_exceptional_bruteforce(I, q, n)
             if verdict.verdict != ORDINARY:
                 continue
-            beta = verdict.witness_generator
-            sb = subfield_basis(ctx, k, generator=beta)
             v = tuple(rng.randrange(q) for _ in range(n))
             if all(s == 0 for s in v):
                 continue
-            seq = lambda_sequence(sb, v)
+            seq = lambda_sequence(sb, verdict.witness_generator, v)
             psi = psi_map(seq, sb, I)
             for g1 in range(q ** n):
                 for g2 in range(q ** n):
@@ -266,11 +265,13 @@ def test_c13_dilation_plans():
             if S < 1:
                 continue
             I = tuple(range(n))
-            plan = plan_dilation(I, S)
+            p, k = plan_dilation(I, S)
             bound = n * n * (S + 3)
-            assert plan.p > bound
-            assert all(not _is_prime(x) for x in range(bound + 1, plan.p))
-            assert plan.min_gap >= S, (n, S)
+            assert p > bound
+            assert all(not _is_prime(x) for x in range(bound + 1, p))
+            dilated = sorted(k * i % p for i in I)
+            gaps = [b - a for a, b in zip(dilated, dilated[1:])]
+            assert min(gaps + [dilated[0] + p - dilated[-1]]) >= S, (n, S)
             count += 1
     report("C13", f"dilation plans: {count} (n, S) instances, exact smallest "
                   "prime and accepting multiplier every time, 100%")

@@ -19,25 +19,32 @@ from ucycle.approx import (
 )
 
 
+def circular_gap(residues, p):
+    """Least distance mod p between cyclically consecutive residues; 0 when
+    two coincide, p for a single one."""
+    rs = sorted(residues)
+    return min([b - a for a, b in zip(rs, rs[1:])] + [rs[0] + p - rs[-1]])
+
+
 class TestDilationPlan:
     def test_small_pair_s1(self):
-        plan = plan_dilation((0, 1), 1)
-        assert plan.p == 17  # smallest prime above 2*2*(1+3) = 16
-        assert plan.min_gap >= 1
+        p, k = plan_dilation((0, 1), 1)
+        assert p == 17  # smallest prime above 2*2*(1+3) = 16
+        assert circular_gap([k * i % p for i in (0, 1)], p) >= 1
 
     def test_small_pair_s4(self):
-        assert plan_dilation((0, 1), 4).p == 29  # above 2*2*7 = 28
+        assert plan_dilation((0, 1), 4)[0] == 29  # above 2*2*7 = 28
 
     def test_singleton_degenerate(self):
-        plan = plan_dilation((5,), 3)
-        assert plan.k == 1 and plan.min_gap == plan.p
+        p, k = plan_dilation((5,), 3)
+        assert k == 1 and circular_gap([5 % p], p) == p
 
     def test_gap_is_attained(self):
-        plan = plan_dilation((0, 3, 11), 5)
-        residues = sorted(plan.k * i % plan.p for i in (0, 3, 11))
-        gaps = [residues[i + 1] - residues[i] for i in range(2)]
-        gaps.append(residues[0] + plan.p - residues[-1])
-        assert min(gaps) == plan.min_gap >= 5
+        # k is the least multiplier of the widest spread, which reaches S
+        p, k = plan_dilation((0, 3, 11), 5)
+        gaps = [circular_gap([j * i % p for i in (0, 3, 11)], p)
+                for j in range(p)]
+        assert gaps.index(max(gaps)) == k and gaps[k] >= 5
 
     def test_primes(self):
         assert smallest_prime_above(16) == 17

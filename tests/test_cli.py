@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -473,7 +474,31 @@ class TestDeskScale:
         code, out, err = run_cli(capsys, "approx", "--q", "33554432",
                                  "--n", "1", "--set", "0", "--type", "1")
         assert code == 2 and out == ""
-        assert "q**n = 33554432 exceeds desk scale 16777216" in err
+        assert "33554432**1 exceeds desk scale 16777216" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["search", "--set", "0,1"],
+        ["atlas", "--size", "1000000000"],
+        ["gen-ap"],
+        ["gen-reduced", "--set", "0,1"],
+        ["classify", "--set", "0,1"],
+        ["verify", "--set", "0,1", "--file"],
+        ["approx", "--set", "0,1", "--type", "1"],
+        ["approx", "--set", "0,1", "--type", "2"]],
+        ids=["search", "atlas", "gen-ap", "gen-reduced", "classify", "verify",
+             "approx-type1", "approx-type2"])
+    def test_huge_window_is_refused_at_once(self, tmp_path, capsys, argv):
+        # each command computed 3**n before comparing it with the bound,
+        # 15 to 41 s at n = 3e7, and four then failed to print it
+        if argv[0] == "verify":
+            (tmp_path / "cycle.txt").write_text("012\n")
+            argv = argv + [str(tmp_path / "cycle.txt")]
+        start = time.monotonic()
+        code, out, err = run_cli(capsys, argv[0], "--q", "3",
+                                 "--n", "1000000000", *argv[1:])
+        assert time.monotonic() - start < 2
+        assert code == 2 and out == ""
+        assert "3**1000000000 exceeds desk scale 16777216" in err
 
 
 class TestInputChecks:
@@ -506,7 +531,8 @@ class TestInputChecks:
                       "0,1,8"], None, 2, "distinct exponents mod 7",
                      id="gen-reduced-collision"),
         pytest.param(["search", "--q", "2", "--n", "25", "--set",
-                      ",".join(map(str, range(25)))], None, 2, "too large",
+                      ",".join(map(str, range(25)))], None, 2,
+                     "2**25 exceeds desk scale 16777216",
                      id="search-scale"),
         pytest.param(["search", "--q", "2", "--n", "3", "--set", "0,1,2",
                       "--budget-secs", "60", "--format", "json"], None, 0,
@@ -628,14 +654,22 @@ class TestAtlasAndGolden:
 
     def test_atlas_resume_retries_inconclusive_classes(self, tmp_path,
                                                        capsys):
+        # budgeted resumes left 25, 30 and 35 lines: each appended the same
+        # 5 inconclusive classes again
         argv = ["atlas", "--q", "2", "--n", "4", "--size", "4"]
         _, fresh, _ = run_cli(capsys, *argv)
         ck = tmp_path / "ck.tsv"
-        code, _, _ = run_cli(capsys, *argv, "--budget-nodes", "50",
-                             "--resume", str(ck))
-        assert code == 3 and "inconclusive" in ck.read_text()
+        for _ in range(3):
+            code, _, _ = run_cli(capsys, *argv, "--budget-nodes", "50",
+                                 "--resume", str(ck))
+            lines = ck.read_text().splitlines()
+            assert code == 3 and len(lines) == 25
+        undecided = sum(ln.endswith("\tinconclusive") for ln in lines)
         code, out, _ = run_cli(capsys, *argv, "--resume", str(ck))
         assert code == 0 and out == fresh
+        added = ck.read_text().splitlines()[25:]
+        assert len(added) == undecided == 5
+        assert "inconclusive" not in "".join(added)
 
     def test_atlas_checkpoint_has_one_line_per_class_under_jobs(
             self, tmp_path, capsys):

@@ -99,21 +99,21 @@ class TestLambdaSequences:
     def test_classic_reduced_debruijn(self):
         ctx = build_field(2, 3)
         sb = subfield_basis(ctx, 1)
-        seq = lambda_sequence(sb, (1, 0, 0))
+        seq = lambda_sequence(sb, ctx.alpha, (1, 0, 0))
         rep = verify_cover(seq.chi, CycleParams.reduced(2, 3), (0, 1, 2))
         assert rep.complete
 
     def test_v_components_are_rotations(self):
         ctx = build_field(2, 3)
         sb = subfield_basis(ctx, 1)
-        s1 = lambda_sequence(sb, (1, 0, 0))
-        s2 = lambda_sequence(sb, (0, 1, 0))
+        s1 = lambda_sequence(sb, ctx.alpha, (1, 0, 0))
+        s2 = lambda_sequence(sb, ctx.alpha, (0, 1, 0))
         assert equal_up_to_rotation(s1.chi, s2.chi)
 
     def test_ternary_pairs(self):
         ctx = build_field(3, 2)
         sb = subfield_basis(ctx, 1)
-        seq = lambda_sequence(sb, (1, 0))
+        seq = lambda_sequence(sb, ctx.alpha, (1, 0))
         assert len(seq.chi) == 8
         rep = verify_cover(seq.chi, CycleParams.reduced(3, 2), (0, 1))
         assert rep.complete
@@ -122,7 +122,7 @@ class TestLambdaSequences:
         ctx = build_field(2, 3)
         sb = subfield_basis(ctx, 1)
         with pytest.raises(ValueError):
-            lambda_sequence(sb, (0, 0, 0))
+            lambda_sequence(sb, ctx.alpha, (0, 0, 0))
 
     @pytest.mark.parametrize("q,n", [(2, 3), (2, 5), (3, 2), (3, 3), (4, 2),
                                      (5, 2), (9, 2)])
@@ -132,9 +132,9 @@ class TestLambdaSequences:
         p, k = prime_power(q)
         ctx = build_field(p, k * n)
         rng = random.Random(q * 100 + n)
+        sb = subfield_basis(ctx, k)
         for u in _frobenius_leaders(q, n):
             g = ctx.exp[u]
-            sb = subfield_basis(ctx, k, generator=g)
             coords = {}
             for c in itertools.product(range(q), repeat=n):
                 elem = 0
@@ -154,7 +154,7 @@ class TestLambdaSequences:
                         acc = ctx.add(acc, ctx.mul(sb.sym_elem[vi],
                                                    sb.sym_elem[ci]))
                     expected.append(sb.elem_sym[acc])
-                seq = lambda_sequence(sb, v)
+                seq = lambda_sequence(sb, g, v)
                 assert seq.chi.symbols == tuple(expected), (u, v)
                 assert seq.generator == g
 
@@ -377,16 +377,13 @@ class TestPsiTransport:
         I = tuple(range(n))
         v = is_exceptional_bruteforce(I, q, n)
         assert v.verdict == ORDINARY
-        beta = v.witness_generator
-        sb_beta = subfield_basis(ctx, prime_power(q)[1], generator=beta)
-        seq = lambda_sequence(sb_beta, (1,) + (0,) * (n - 1))
-        psi = psi_map(seq, sb_beta, I)
+        seq = lambda_sequence(sb, v.witness_generator, (1,) + (0,) * (n - 1))
+        psi = psi_map(seq, sb, I)
         for g1 in range(q ** n):
             for g2 in range(q ** n):
                 s = ctx.add(g1, g2)
                 combined = tuple(
-                    sb_beta.elem_sym[ctx.add(sb_beta.sym_elem[a],
-                                             sb_beta.sym_elem[b])]
+                    sb.elem_sym[ctx.add(sb.sym_elem[a], sb.sym_elem[b])]
                     for a, b in zip(psi[g1], psi[g2]))
                 assert psi[s] == combined
         assert len(set(psi.values())) == q ** n

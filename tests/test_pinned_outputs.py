@@ -54,6 +54,7 @@ from ucycle.decomp import (
     chi_from_decomposition,
     decompose_equal,
     decompose_loopless,
+    trail_edges,
 )
 from ucycle.galois import (
     ORDINARY,
@@ -81,7 +82,7 @@ def _report_lines(chi, params, I):
 
 
 def _trails(trails):
-    return repr([t.edges for t in trails])
+    return repr([trail_edges(t) for t in trails])
 
 
 def pinned_outputs():
@@ -132,7 +133,7 @@ def pinned_outputs():
         seq, _ = build_reduced_cycle(I, q, n)
         out.append(seq.chi.text())
         p, k = prime_power(q)
-        sb = subfield_basis(build_field(p, k * n), k, generator=seq.generator)
+        sb = subfield_basis(build_field(p, k * n), k)
         out.append(repr(sorted(psi_map(seq, sb, I).items())))
     return out
 
@@ -157,7 +158,7 @@ def galois_outputs():
             # F_2 is left out: its subfield basis could not be built before
             if m % k == 0 and 2 < p ** m <= 4096:
                 sb = subfield_basis(ctx, k)
-                out.append(repr((k, sb.basis, sb.sym_elem)))
+                out.append(repr((k, ctx.exp[:m // k], sb.sym_elem)))
     for code in range(16):
         modulus = tuple([(code >> i) & 1 for i in range(4)] + [1])
         try:

@@ -306,7 +306,7 @@ class TestPruningSoundness:
     def test_stabilized_sets_match_brute_force(self, I):
         # sets fixed by a translation exercise the counting refutation
         cert = decide_valid(2, 4, I)
-        assert cert.method == "stabilizer-count"
+        assert cert.method == "stabilizer"
         assert (cert.verdict == VALID) == brute_force_valid(2, 4, I)
 
 
