@@ -16,35 +16,12 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from itertools import islice
 
-from .core import (DESK_SCALE, CoverageReport, CyclicString,
-                   VerificationError, desk_size, is_prime,
-                   normalize_index_set, verify_cover, windows)
+from .core import (DESK_SCALE, CyclicString, VerificationError, desk_size,
+                   is_prime, normalize_index_set, verify_cover, windows)
 
 RNG_ALGORITHM = "MT19937 (random.Random)"
-
-
-@dataclass
-class ApproxResult:
-    chi: CyclicString
-    seed: int
-    random_length: int
-    patch_lengths: list
-    missing_before_patch: int
-    report: CoverageReport  # the verifier's verdict on chi
-
-    @property
-    def construction_log(self):
-        return {
-            "rng": RNG_ALGORITHM,
-            "seed": self.seed,
-            "random_length": self.random_length,
-            "patch_lengths": self.patch_lengths,
-            "missing_before_patch": self.missing_before_patch,
-            "total_length": len(self.chi),
-        }
 
 
 def smallest_prime_above(x):
@@ -126,20 +103,25 @@ def patch_sequence(I, words, q, min_p=None):
 def type2_random(q, n, I, m, seed):
     """Uniform random string of length m from the seeded stream, plus the
     exact count of n-words never achieved on translates of I, which must be
-    n residues distinct mod m."""
+    n residues distinct mod m.  The count holds up to m windows of n
+    symbols each, so m*n is bounded like m and q**n."""
     if q < 2:
         raise ValueError("alphabet size must be >= 2")
     if m < 1:
         raise ValueError("m must be positive")
     if m > DESK_SCALE:
         raise ValueError(f"random length {m} exceeds desk scale {DESK_SCALE}")
+    if m * n > DESK_SCALE:
+        raise ValueError(f"{m} windows of {n} symbols exceed desk scale "
+                         f"{DESK_SCALE}")
+    words = desk_size(q, n)
     I = normalize_index_set(I, m)
     if len(I) != n:
         raise ValueError(f"index set size {len(I)} != window size {n}")
     rng = random.Random(seed)
     symbols = tuple(rng.randrange(q) for _ in range(m))
     chi = CyclicString(q, symbols)
-    return chi, q ** n - len(set(windows(symbols, I)))
+    return chi, words - len(set(windows(symbols, I)))
 
 
 def linear_missing(q, n, I, chi):
@@ -149,13 +131,15 @@ def linear_missing(q, n, I, chi):
     low = min(I)
     span = max(I) - low
     inside = max(0, len(chi) - span)
-    shifted = [i - low for i in I]
-    return q ** n - len(set(islice(windows(chi.symbols, shifted), inside)))
+    shifted = windows(chi.symbols, [i - low for i in I])
+    return desk_size(q, n) - len(set(islice(shifted, inside)))
 
 
 def type1_construct(q, n, I, seed):
     """Doubled random stage plus doubled patch stage, re-verified; extra
     patch blocks are appended until the verifier reports full coverage.
+    Returns the cover, the verifier's report on it, and the construction
+    log (the generator, seed and stage lengths).
 
     I is read as the distinct integers given, not reduced mod q**n: the
     random stage is longer than max(I) - min(I), so the elements stay
@@ -172,14 +156,20 @@ def type1_construct(q, n, I, seed):
     I = tuple(sorted(I))
     if len(set(I)) != n or len(I) != n:
         raise ValueError("index set must have n distinct elements")
+
+    def done(chi, rep, random_length, patch_lengths, missed):
+        return chi, rep, {"rng": RNG_ALGORITHM, "seed": seed,
+                          "random_length": random_length,
+                          "patch_lengths": patch_lengths,
+                          "missing_before_patch": missed,
+                          "total_length": len(chi)}
+
     if n == 1:
         chi = CyclicString(q, tuple(range(q)))
         rep = verify_cover(chi, (q, 1), I)
         if not rep.complete:
             raise VerificationError("alphabet run failed verification")
-        return ApproxResult(chi=chi, seed=seed, random_length=q,
-                            patch_lengths=[], missing_before_patch=0,
-                            report=rep)
+        return done(chi, rep, q, [], 0)
 
     span = max(I) - min(I)
     m = max(span + 1, math.ceil(4 * word_count * math.log(n)))
@@ -194,10 +184,7 @@ def type1_construct(q, n, I, seed):
             if len(chi) < word_count:
                 raise VerificationError(
                     "full cover shorter than the word count")
-            return ApproxResult(
-                chi=chi, seed=seed, random_length=m,
-                patch_lengths=patch_lengths, missing_before_patch=missed,
-                report=rep)
+            return done(chi, rep, m, patch_lengths, missed)
         block = patch_sequence(I, rep.missing, q, min_p=span + 1)
         patch_lengths.append(len(block))
         symbols = symbols + list(block.symbols) + list(block.symbols)

@@ -30,6 +30,7 @@ from .core import (
     CyclicString,
     UcycleError,
     canonicalize_affine,
+    content_lines,
     desk_size,
     verify_cover,
 )
@@ -226,16 +227,15 @@ def cmd_approx(args):
     if args.type == 1:
         if args.m is not None:
             raise ValueError("--m applies only to --type 2")
-        result = approx_mod.type1_construct(q, n, I, seed=args.seed)
-        _emit_cycle(args, result.chi, result.report,
-                    extra={"construction": result.construction_log})
+        chi, report, log = approx_mod.type1_construct(q, n, I, seed=args.seed)
+        _emit_cycle(args, chi, report, extra={"construction": log})
         return EXIT_OK
     m = args.m if args.m is not None else 4 * desk_size(q, n)
     chi, missing = approx_mod.type2_random(q, n, I, m, seed=args.seed)
     report = verify_cover(chi, (q, n), I)
     doc = {"cycle": chi.text(), "missing": missing, "m": m,
            "seed": args.seed, "verification": report.to_json_dict()}
-    lines = [chi.text(), f"# missing words: {missing} of {q ** n}"]
+    lines = [chi.text(), f"# missing words: {missing} of {desk_size(q, n)}"]
     _emit(args, doc, lines)
     return EXIT_OK
 
@@ -266,13 +266,8 @@ def cmd_verify(args):
 def load_golden(table_id):
     meta = GOLDEN_TABLES[table_id]
     text = (resources.files("ucycle") / "data" / meta["file"]).read_text()
-    rows = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        rows.append(search_mod.parse_set(line))
-    return meta, rows
+    return meta, [search_mod.parse_set(line)
+                  for _, line in content_lines(text.splitlines())]
 
 
 def diff_golden(atlas_lines, table_id):
@@ -283,10 +278,7 @@ def diff_golden(atlas_lines, table_id):
     L = meta["q"] ** meta["n"]
     golden = {canonicalize_affine(row, L).canonical for row in rows}
     mine = set()
-    for num, line in enumerate(atlas_lines, 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for num, line in content_lines(atlas_lines):
         try:
             rep, verdict, _ = search_mod.parse_line(line)
         except ValueError:

@@ -4,12 +4,18 @@ Everything downstream funnels through :func:`verify_cover`: the construction
 and search modules emit cyclic strings whose coverage claims are re-checked
 here, independently of how they were produced.
 
-Three primitives live here and are the only implementations in the package;
-new code must call them rather than re-derive them:
+These primitives live here and are the only implementations in the
+package; new code must call them rather than re-derive them:
 
 * :func:`windows` -- the lazy scan of the words a cyclic string reads through
   an index set at every translate;
 * :func:`least_rotation` -- the lexicographically least rotation (Booth);
+* :func:`desk_size` -- q**n, refused past ``DESK_SCALE`` before any work
+  that scales with it;
+* :func:`least_prime_factor` -- trial division, for primality and prime
+  powers;
+* :func:`content_lines` -- the lines of a text file that are neither blank
+  nor ``#`` comments;
 * ``_least_gap_walk`` -- the affine images k*I + b that start (0, d), d the
   least gcd(y - x, L) over the pairs of I, about |I|^2 of them; affine
   canonicalization and class enumeration both walk it.
@@ -67,9 +73,10 @@ class CyclicString:
         if not symbols:
             raise ValueError("cyclic string must be nonempty")
         alphabet = range(self.q)
-        # 1.0 and True equal 1, so a range check alone lets them in
-        if not (set(symbols).issubset(alphabet)
-                and {type(s) for s in symbols} == {int}):
+        # 1.0 and True equal 1, so a range check alone lets them in; the
+        # range is not made a set, which would hold all q symbols
+        if not ({type(s) for s in symbols} == {int}
+                and all(s in alphabet for s in set(symbols))):
             s = next(s for s in symbols
                      if type(s) is not int or s not in alphabet)
             raise ValueError(f"symbol {s} out of range for q={self.q}")
@@ -99,9 +106,7 @@ class CyclicString:
     def from_text(cls, text, q):
         """Read back `text()`, or a file of it: blank lines and lines that
         start with '#' are skipped, and at most one line may remain."""
-        lines = [(k, line.strip())
-                 for k, line in enumerate(text.splitlines(), 1)
-                 if line.strip() and not line.lstrip().startswith("#")]
+        lines = list(content_lines(text.splitlines()))
         if len(lines) > 1:
             raise ValueError(f"expected one cycle line, found {len(lines)} "
                              f"(lines {', '.join(str(k) for k, _ in lines)})")
@@ -118,6 +123,15 @@ class CyclicString:
                         raise ValueError(f"bad symbol {part!r} on line {k}"
                                          ) from None
         return cls(q, symbols)
+
+
+def content_lines(lines):
+    """Yield (line number from 1, stripped line) for each of `lines` that is
+    neither blank nor a comment starting with '#'."""
+    for k, line in enumerate(lines, 1):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            yield k, line
 
 
 def least_rotation(seq):
@@ -292,7 +306,8 @@ def verify_cover(chi: CyclicString, params, I):
     Every word read is a q-ary n-word (a CyclicString holds only symbols in
     range(q)), so the string is complete exactly when it reads all q**n of
     them (q**n - 1 besides the all-zeroes word in the reduced case); the
-    words themselves are listed only to name the missing ones.
+    words themselves are listed only to name the missing ones, so q**n
+    must pass `desk_size` before the scan.
     """
     if isinstance(params, CycleParams):
         q, n = params.q, params.n
@@ -309,6 +324,7 @@ def verify_cover(chi: CyclicString, params, I):
     I = normalize_index_set(I, N)
     if len(I) != n:
         raise ValueError(f"index set size {len(I)} != window size {n}")
+    words = desk_size(q, n) - reduced
 
     first = {}
     for t, word in enumerate(windows(chi.symbols, I)):
@@ -319,7 +335,7 @@ def verify_cover(chi: CyclicString, params, I):
     if reduced and (0,) * n in first:
         found -= 1
     missing = []
-    if found < q ** n - reduced:
+    if found < words:
         required = product(range(q), repeat=n)
         if reduced:
             next(required)  # the all-zeroes word comes first
@@ -354,16 +370,19 @@ def units(L):
     return [k for k in range(1, max(L, 2)) if gcd(k, L) == 1]
 
 
-def is_prime(n):
-    """Trial division: whether n is a prime."""
-    if n < 2:
-        return False
+def least_prime_factor(n):
+    """The least prime dividing n >= 2: trial division up to sqrt(n)."""
     d = 2
     while d * d <= n:
         if n % d == 0:
-            return False
+            return d
         d += 1
-    return True
+    return n
+
+
+def is_prime(n):
+    """Whether n is a prime."""
+    return n >= 2 and least_prime_factor(n) == n
 
 
 def _least_gap(I, L):

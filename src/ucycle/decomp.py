@@ -37,8 +37,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .core import (DESK_SCALE, BudgetExceeded, CycleParams, UcycleError,
-                   VerificationError, least_rotation, verify_cover)
+from .core import (BudgetExceeded, CycleParams, UcycleError,
+                   VerificationError, desk_size, least_rotation, verify_cover)
 from .lift import chi_to_trail_symbols, de_bruijn_sequence, trails_to_chi
 from .search import decide_valid
 
@@ -254,13 +254,14 @@ def decompose_equal(n, d, node_limit=2_000_000):
     """Decompose K~_n into n*n/d closed trails of length d.
 
     Raises Impossible for the two genuinely infeasible lengths (1 and 2,
-    for n >= 2) and ValueError when d does not divide n*n.  The result's
-    `route` names the construction that produced it.
+    for n >= 2) and ValueError when d does not divide n*n or n*n exceeds
+    the desk scale.  The result's `route` names the construction that
+    produced it.
     """
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
-    if n * n > DESK_SCALE:
-        raise ValueError(f"n*n = {n * n} exceeds desk scale {DESK_SCALE}")
+    if n > 1:  # desk_size wants an alphabet; K~_1 is the one loop below
+        desk_size(n, 2)
     if (n * n) % d:
         raise ValueError(f"{d} does not divide n*n = {n * n}")
     if n == 1:

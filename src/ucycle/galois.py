@@ -37,7 +37,8 @@ import operator
 from dataclasses import dataclass
 
 from .core import (CycleParams, CyclicString, UcycleError, VerificationError,
-                   desk_size, is_prime, units, verify_cover, windows)
+                   desk_size, is_prime, least_prime_factor, units,
+                   verify_cover, windows)
 
 ORDINARY = "ordinary"
 EXCEPTIONAL = "exceptional"
@@ -49,16 +50,12 @@ class ExceptionalInput(UcycleError):
 
 def prime_power(q):
     """(p, k) with q = p**k, or ValueError."""
-    for p in range(2, q + 1):
-        if q % p == 0:
-            k = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                k += 1
-            if m == 1:
-                return p, k
-            raise ValueError(f"{q} is not a prime power")
+    if q >= 2:
+        p, k = least_prime_factor(q), 1
+        while p ** k < q:
+            k += 1
+        if p ** k == q:
+            return p, k
     raise ValueError(f"{q} is not a prime power")
 
 
@@ -160,12 +157,13 @@ def find_primitive_modulus(p, m):
 
 def build_field(p, m, modulus=None):
     """Construct F_{p**m} from one walk over the powers of x, modulo the
-    given monic modulus or the first primitive one."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    given monic modulus or the first primitive one.  The size is checked
+    before p is tested, so a huge p costs nothing."""
     if m < 1:
         raise ValueError(f"field degree must be positive, got {m}")
     size = desk_size(p, m)
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     if modulus is None:
         modulus, exp = find_primitive_modulus(p, m)
     else:
@@ -240,18 +238,15 @@ def _reduce_mod_p(vectors, p):
     return None
 
 
-def subfield_generator(ctx, k):
-    """Fixed generator of the subfield F_{p**k} inside ctx."""
-    if ctx.m % k:
-        raise ValueError("subfield degree must divide m")
-    return ctx.exp[(ctx.mult_order // (ctx.p ** k - 1)) % ctx.mult_order]
-
-
 def subfield_basis(ctx, k):
     """ctx over F_q = F_{p**k}, once 1, alpha, ..., alpha**(n-1) is checked
-    to be a basis, alpha the table primitive."""
-    p, g = ctx.p, subfield_generator(ctx, k)
-    n = ctx.m // k
+    to be a basis, alpha the table primitive.  Symbol s = sum_i d_i * p**i
+    is sum_i d_i * g**i, g the fixed generator alpha**((p**m - 1)/(q - 1))
+    of F_q; so symbol p**i is g**i."""
+    if ctx.m % k:
+        raise ValueError("subfield degree must divide m")
+    p, n = ctx.p, ctx.m // k
+    g = ctx.exp[(ctx.mult_order // (p ** k - 1)) % ctx.mult_order]
     q = p ** k
     sym_elem = []
     for s in range(q):
@@ -272,6 +267,16 @@ def subfield_basis(ctx, k):
         raise ValueError("not a basis over the subfield")
     return SubfieldBasis(ctx=ctx, k=k, sym_elem=tuple(sym_elem),
                          elem_sym=elem_sym)
+
+
+def _extension(q, n):
+    """The basis of F_(q**n) over F_q.  q**n passes `desk_size` before q
+    is factored, so a huge q is refused at once."""
+    if n < 1:
+        raise ValueError(f"field degree must be positive, got {n}")
+    desk_size(q, n)
+    p, k = prime_power(q)
+    return subfield_basis(build_field(p, k * n), k)
 
 
 @dataclass
@@ -332,11 +337,11 @@ def _fq_dependency(sb, elements):
 
     The elements g**i * e (g the subfield generator, i < k) go through the
     F_p elimination; a dependency c among them reads off as the symbols
-    s_j = sum_i c[j*k + i] * p**i, the encoding of `sym_elem`.
+    s_j = sum_i c[j*k + i] * p**i, the encoding of `sym_elem`, in which
+    g**i is symbol p**i.
     """
     ctx, k, p = sb.ctx, sb.k, sb.ctx.p
-    g = subfield_generator(ctx, k)
-    g_pows = [ctx.pow(g, i) for i in range(k)]
+    g_pows = [sb.sym_elem[p ** i] for i in range(k)]
     dep = _reduce_mod_p([ctx.digits(ctx.mul(gi, e))
                          for e in elements for gi in g_pows], p)
     if dep is None:
@@ -380,10 +385,8 @@ def is_exceptional_bruteforce(I, q, n):
     orbit.  Exceptional verdicts carry one dependency vector per orbit's
     least generator exponent, each re-verifiable by direct evaluation.
     """
-    p, k = prime_power(q)
-    ctx = build_field(p, k * n)
-    sb = subfield_basis(ctx, k)
-    order = q ** n - 1
+    sb = _extension(q, n)
+    ctx, order = sb.ctx, sb.ctx.mult_order
     if len(I) != n:
         raise ValueError(f"need {n} exponents")
     # exponents that collide mod the group order repeat the same power, so
@@ -434,8 +437,7 @@ def jacobi_log(ctx: FieldCtx):
 @functools.lru_cache(maxsize=8)
 def _jacobi_table(q):
     """Jacobi logarithm table of F_{q**3}, built once per q."""
-    p, k = prime_power(q)
-    return tuple(jacobi_log(build_field(p, 3 * k)))
+    return tuple(jacobi_log(_extension(q, 3).ctx))
 
 
 def exceptional_triple(i, j, k, q):
@@ -481,10 +483,8 @@ def build_reduced_cycle(I, q, n):
     reduced verifier before being returned.  Only the least exponent of
     each Frobenius orbit is examined (`_frobenius_leaders`).
     """
-    p, k = prime_power(q)
-    ctx = build_field(p, k * n)
-    sb = subfield_basis(ctx, k)
-    order = q ** n - 1
+    sb = _extension(q, n)
+    ctx, order = sb.ctx, sb.ctx.mult_order
     I = tuple(sorted(i % order for i in I))
     if len(set(I)) != n:
         raise ValueError(f"need {n} distinct exponents mod {order}")

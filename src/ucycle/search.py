@@ -127,6 +127,7 @@ from .core import (
     CyclicString,
     VerificationError,
     affine_class_representatives,
+    content_lines,
     normalize_index_set,
     verify_cover,
 )
@@ -850,10 +851,7 @@ def _parse_checkpoint(path, params, reps):
         whole = data.rfind(b"\n") + 1
         if whole < len(data):
             fh.truncate(whole)
-    for line in data[:whole].decode().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for _, line in content_lines(data[:whole].decode().splitlines()):
         try:
             key, verdict, witness = parse_line(line)
         except ValueError:

@@ -148,31 +148,30 @@ class TestType2:
 
 class TestType1:
     def test_contiguous_window(self):
-        result = type1_construct(2, 6, tuple(range(6)), seed=3)
-        rep = verify_cover(result.chi, (2, 6), tuple(range(6)))
+        chi, _, _ = type1_construct(2, 6, tuple(range(6)), seed=3)
+        rep = verify_cover(chi, (2, 6), tuple(range(6)))
         assert rep.complete
-        assert len(result.chi) <= 16 * 64 * math.log(6)
+        assert len(chi) <= 16 * 64 * math.log(6)
 
     def test_noncontiguous_window(self):
-        result = type1_construct(2, 4, (0, 1, 3, 9), seed=5)
-        rep = verify_cover(result.chi, (2, 4), (0, 1, 3, 9))
+        chi, _, _ = type1_construct(2, 4, (0, 1, 3, 9), seed=5)
+        rep = verify_cover(chi, (2, 4), (0, 1, 3, 9))
         assert rep.complete
 
     def test_trivial_n1(self):
-        result = type1_construct(3, 1, (0,), seed=0)
-        assert result.chi.symbols == (0, 1, 2)
-        rep = verify_cover(result.chi, (3, 1), (0,))
+        chi, _, _ = type1_construct(3, 1, (0,), seed=0)
+        assert chi.symbols == (0, 1, 2)
+        rep = verify_cover(chi, (3, 1), (0,))
         assert rep.complete
 
     def test_length_at_least_word_count(self):
-        result = type1_construct(2, 4, (0, 1, 2, 3), seed=2)
-        assert len(result.chi) >= 2 ** 4
+        chi, _, _ = type1_construct(2, 4, (0, 1, 2, 3), seed=2)
+        assert len(chi) >= 2 ** 4
 
     def test_log_records_stages(self):
-        result = type1_construct(2, 5, (0, 1, 2, 3, 4), seed=7)
-        log = result.construction_log
+        chi, _, log = type1_construct(2, 5, (0, 1, 2, 3, 4), seed=7)
         assert log["seed"] == 7
-        assert log["total_length"] == len(result.chi)
+        assert log["total_length"] == len(chi)
         assert log["random_length"] == math.ceil(4 * 32 * math.log(5))
 
 

@@ -3,17 +3,20 @@
 import json
 import os
 import pathlib
+import signal
 import subprocess
 import sys
 import time
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 import ucycle
-from ucycle import approx, decomp, lift, search
+from ucycle import approx, decomp, galois, lift, search
 from ucycle.cli import build_parser, load_golden, main
-from ucycle.core import CycleParams, CyclicString, verify_cover
+from ucycle.core import DESK_SCALE, CycleParams, CyclicString, verify_cover
 from ucycle.lift import de_bruijn_sequence
 
 REF_27 = "021210210210102021102210210"
@@ -32,6 +35,25 @@ def _verdicts(lines):
 
 def refuse_to_allocate(*args):
     raise AssertionError("allocated before the size check")
+
+
+class Hung(Exception):
+    """A command ran past its time limit (not an error `main` catches)."""
+
+
+def run_within(capsys, seconds, *argv):
+    """run_cli under a timer that raises Hung after `seconds`: a command
+    that takes longer fails the test instead of stalling the suite."""
+    def hang(*_):
+        raise Hung(f"{' '.join(argv)[:80]} ran past {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, hang)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return run_cli(capsys, *argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
 
 
 class TestSearchCommand:
@@ -499,6 +521,72 @@ class TestDeskScale:
         assert time.monotonic() - start < 2
         assert code == 2 and out == ""
         assert "3**1000000000 exceeds desk scale 16777216" in err
+
+    @pytest.mark.parametrize("q,n,I", [
+        ("1000000007", "2", "0,1"), ("2305843009213693951", "1", "0")],
+        ids=["prime-1e9", "prime-2**61"])
+    @pytest.mark.parametrize("command", ["gen-reduced", "classify"])
+    def test_huge_alphabet_is_refused_before_factoring(
+            self, capsys, monkeypatch, command, q, n, I):
+        # prime_power tried every p up to q before the field's size check:
+        # 10 s at 1e9 + 7, and 2**61 - 1 would never finish
+        monkeypatch.setattr(galois, "build_field", refuse_to_allocate)
+        code, out, err = run_within(capsys, 2, command, "--q", q, "--n", n,
+                                    "--set", I)
+        assert code == 2 and out == ""
+        assert f"{q}**{n} exceeds desk scale 16777216" in err
+
+    @pytest.mark.parametrize("n,m,expected", [
+        (40, ["--m", "40"], "2**40 exceeds desk scale 16777216"),
+        (15000, ["--m", "15000"],
+         "15000 windows of 15000 symbols exceed desk scale 16777216"),
+        (22, [], "16777216 windows of 22 symbols exceed desk scale")],
+        ids=["n40", "n15000", "n22-default-m"])
+    def test_approx_type2_window_is_bounded(self, capsys, monkeypatch,
+                                            n, m, expected):
+        # --m let any window size through: at n = 40 the verifier walked
+        # all 2**40 words to list the missing ones, and the draw kept m
+        # windows of n symbols, 2**24 of 22 at the default m for n = 22
+        monkeypatch.setattr(approx, "random",
+                            SimpleNamespace(Random=refuse_to_allocate))
+        code, out, err = run_within(
+            capsys, 2, "approx", "--q", "2", "--n", str(n), "--set",
+            ",".join(map(str, range(n))), "--type", "2", *m)
+        assert code == 2 and out == ""
+        assert expected in err
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(q=st.one_of(st.sampled_from([
+               2 ** 61 - 1, 2 ** 31 - 1, 1_000_000_007, 4099,
+               2 ** 60, 3 ** 38, 6 * (2 ** 31 - 1), 4097]),
+               st.integers(2, 2 ** 61 - 1)),
+           n=st.one_of(st.integers(1, 30), st.integers(1, 10 ** 9)))
+    def test_every_command_refuses_past_desk_scale_at_once(
+            self, tmp_path, capsys, q, n):
+        # each (q, n) past the bound, primes and composites among q; for
+        # n <= 30 the set has n elements, so the checks after its size
+        # check are reached too
+        assume(n >= 25 or q ** n > DESK_SCALE)
+        cycle = tmp_path / "cycle.txt"
+        cycle.write_text("01\n")
+        I = ",".join(map(str, range(min(n, 30))))
+        for argv in (["search", "--set", I],
+                     ["atlas", "--size", str(n)],
+                     ["gen-ap"],
+                     ["gen-reduced", "--set", I],
+                     ["classify", "--set", I],
+                     ["approx", "--set", I, "--type", "1"],
+                     ["approx", "--set", I, "--type", "2"],
+                     ["approx", "--set", I, "--type", "2",
+                      "--m", str(min(n, 30))],
+                     ["verify", "--set", I, "--file", str(cycle)],
+                     ["verify", "--set", I, "--file", str(cycle),
+                      "--reduced"]):
+            code, out, err = run_within(capsys, 2, argv[0], "--q", str(q),
+                                        "--n", str(n), *argv[1:])
+            assert (code, out) == (2, ""), (argv, err)
+            assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestInputChecks:

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -14,8 +15,11 @@ from ucycle.core import (
     affine_class_representatives,
     affine_orbit,
     canonicalize_affine,
+    content_lines,
     equal_up_to_rotation,
     equal_up_to_rotation_and_translate,
+    is_prime,
+    least_prime_factor,
     least_rotation,
     normalize_index_set,
     units,
@@ -445,6 +449,37 @@ class TestStrings:
     def test_normalize_rejects_collisions(self):
         with pytest.raises(ValueError):
             normalize_index_set((0, 8), 8)
+
+    def test_huge_alphabet_is_not_listed(self):
+        # the range check built a set of all q symbols: 2**61 - 1 of them
+        # for `verify --q 2305843009213693951`, 67 MB traced at q = 10**6
+        tracemalloc.start()
+        try:
+            CyclicString(10 ** 6, (0, 999_999))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    def test_content_lines_skip_blanks_and_comments(self):
+        lines = ["# header", "0,1,3\tvalid\n", "   ", "  # indented",
+                 "  0,1,2\tinvalid  ", ""]
+        assert list(content_lines(lines)) == [(2, "0,1,3\tvalid"),
+                                              (5, "0,1,2\tinvalid")]
+
+
+class TestFactoring:
+    def test_least_prime_factor_against_the_definition(self):
+        for n in range(2, 2000):
+            p = min(d for d in range(2, n + 1) if n % d == 0)
+            assert least_prime_factor(n) == p, n
+            assert is_prime(n) == (p == n), n
+        assert not any(map(is_prime, (-7, 0, 1)))
+
+    def test_large_prime_costs_its_square_root(self):
+        # 2**31 - 1 takes 46,341 divisions, not 2**31
+        assert least_prime_factor(2 ** 31 - 1) == 2 ** 31 - 1
+        assert least_prime_factor(3 * (2 ** 31 - 1)) == 3
 
 
 def test_every_export_is_an_attribute():

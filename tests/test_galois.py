@@ -91,8 +91,12 @@ class TestFieldConstruction:
     def test_prime_power_helper(self):
         assert prime_power(8) == (2, 3)
         assert prime_power(9) == (3, 2)
-        with pytest.raises(ValueError):
-            prime_power(12)
+        assert prime_power(3 ** 19) == (3, 19)
+        # a prime near 1e9 took a billion trial divisions
+        assert prime_power(1_000_000_007) == (1_000_000_007, 1)
+        for q in (0, 1, 12, 2 * 1_000_000_007):
+            with pytest.raises(ValueError, match=f"{q} is not a prime power"):
+                prime_power(q)
 
 
 class TestLambdaSequences:

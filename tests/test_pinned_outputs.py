@@ -107,10 +107,10 @@ def pinned_outputs():
 
     for q, n, I, seed in [(2, 3, (0, 1, 3), 1), (2, 4, (0, 2, 3, 7), 7),
                           (3, 2, (0, 5), 3), (2, 6, (0, 1, 3, 7, 12, 20), 5)]:
-        res = type1_construct(q, n, I, seed)
-        out.append(res.chi.text())
-        out.append(repr(sorted(res.construction_log.items())))
-        out.extend(_report_lines(res.chi, (q, n), I))
+        chi, _, log = type1_construct(q, n, I, seed)
+        out.append(chi.text())
+        out.append(repr(sorted(log.items())))
+        out.extend(_report_lines(chi, (q, n), I))
     for q, n, I, m, seed in [(2, 3, (0, 1, 2), 12, 4), (3, 3, (0, 2, 5), 40, 9),
                              (2, 5, (0, 3, 4, 9, 11), 64, 2)]:
         chi, missing = type2_random(q, n, I, m, seed)
