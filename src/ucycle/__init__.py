@@ -17,7 +17,6 @@ from .core import (
     window,
 )
 from .search import (
-    Atlas,
     ValidityCertificate,
     atlas,
     decide_valid,
@@ -26,7 +25,6 @@ from .search import (
 
 __all__ = [
     "AffineClass",
-    "Atlas",
     "BudgetExceeded",
     "CoverageReport",
     "CycleParams",

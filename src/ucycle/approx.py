@@ -32,9 +32,8 @@ def smallest_prime_above(x):
 
 
 def _min_circular_gap(residues, p):
+    # distinct: `plan_dilation` keeps I distinct mod p and k is a unit
     rs = sorted(residues)
-    if len(rs) != len(set(rs)):
-        return 0
     gaps = [rs[i + 1] - rs[i] for i in range(len(rs) - 1)]
     gaps.append(rs[0] + p - rs[-1])
     return min(gaps)

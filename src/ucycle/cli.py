@@ -57,11 +57,16 @@ def _emit(args, doc, text_lines):
         out = json.dumps(payload, indent=2, sort_keys=True)
     else:
         out = "\n".join(text_lines)
+    _write(args, out)
+
+
+def _write(args, text):
+    """`text` and a newline, to the `--out` file or to stdout."""
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(out + "\n")
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
     else:
-        print(out)
+        print(text)
 
 
 def _emit_cycle(args, chi, report, extra=None):
@@ -81,10 +86,9 @@ def _emit_cycle(args, chi, report, extra=None):
 def _read_cycle(path, q):
     """The cycle in a text file as `--out` writes it, its `#` lines skipped;
     a ValueError names the file."""
-    with open(path) as fh:
-        text = fh.read()
     try:
-        return CyclicString.from_text(text, q)
+        with open(path, encoding="utf-8") as fh:
+            return CyclicString.from_text(fh.read(), q)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -119,18 +123,14 @@ def cmd_atlas(args):
     if args.size != args.n:
         raise ValueError(f"--size {args.size} must equal --n {args.n}: "
                          "a valid index set has n elements")
-    result = search_mod.atlas(args.q, args.n,
-                              node_limit=args.budget_nodes,
-                              time_limit=args.budget_secs,
-                              checkpoint=args.resume,
-                              jobs=args.jobs)
-    text = "\n".join(result.lines())
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-    undecided = len(result.classes(search_mod.INCONCLUSIVE))
+    verdicts = search_mod.atlas(args.q, args.n,
+                                node_limit=args.budget_nodes,
+                                time_limit=args.budget_secs,
+                                checkpoint=args.resume,
+                                jobs=args.jobs)
+    _write(args, "\n".join(search_mod.format_line(rep, v)
+                            for rep, v in verdicts.items()))
+    undecided = sum(v == search_mod.INCONCLUSIVE for v in verdicts.values())
     if undecided:
         print(f"inconclusive: {undecided} classes ran out of budget",
               file=sys.stderr)
@@ -200,8 +200,7 @@ def cmd_classify(args):
 def cmd_decompose(args):
     try:
         dec = decomp_mod.decompose_equal(args.n, args.d,
-                                         node_limit=args.budget_nodes
-                                         or 2_000_000)
+                                         node_limit=args.budget_nodes)
     except decomp_mod.Impossible as exc:
         doc = {"verdict": "impossible", "reason": exc.reason,
                "n": args.n, "d": args.d}
@@ -265,7 +264,8 @@ def cmd_verify(args):
 
 def load_golden(table_id):
     meta = GOLDEN_TABLES[table_id]
-    text = (resources.files("ucycle") / "data" / meta["file"]).read_text()
+    text = (resources.files("ucycle") / "data" / meta["file"]).read_text(
+        encoding="utf-8")
     return meta, [search_mod.parse_set(line)
                   for _, line in content_lines(text.splitlines())]
 
@@ -277,14 +277,9 @@ def diff_golden(atlas_lines, table_id):
     meta, rows = load_golden(table_id)
     L = meta["q"] ** meta["n"]
     golden = {canonicalize_affine(row, L).canonical for row in rows}
-    mine = set()
-    for num, line in content_lines(atlas_lines):
-        try:
-            rep, verdict, _ = search_mod.parse_line(line)
-        except ValueError:
-            raise ValueError(f"bad line {num}: {line!r}")
-        if verdict == meta["verdict"]:
-            mine.add(canonicalize_affine(rep, L).canonical)
+    mine = {canonicalize_affine(rep, L).canonical
+            for _, _, rep, verdict, _ in search_mod.read_records(atlas_lines)
+            if verdict == meta["verdict"]}
     return {
         "table": table_id,
         "golden_classes": len(golden),
@@ -296,10 +291,9 @@ def diff_golden(atlas_lines, table_id):
 
 
 def cmd_diff_golden(args):
-    with open(args.atlas) as fh:
-        lines = fh.readlines()
     try:
-        report = diff_golden(lines, args.table)
+        with open(args.atlas, encoding="utf-8") as fh:
+            report = diff_golden(fh, args.table)
     except ValueError as exc:
         raise ValueError(f"atlas {args.atlas}: {exc}") from None
     ok = not report["missing"] and not report["extra"]
@@ -405,7 +399,7 @@ def build_parser():
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--emit-chi", action="store_true")
     _add_common(sp, budgets=("nodes",))
-    sp.set_defaults(func=cmd_decompose)
+    sp.set_defaults(func=cmd_decompose, budget_nodes=decomp_mod.NODE_BUDGET)
 
     sp = sub.add_parser("approx", help="approximate cycles")
     sp.add_argument("--q", type=int, required=True)

@@ -42,6 +42,9 @@ from .core import (BudgetExceeded, CycleParams, UcycleError,
 from .lift import chi_to_trail_symbols, de_bruijn_sequence, trails_to_chi
 from .search import decide_valid
 
+# the node budget of every decomposition search, and of `decompose`
+NODE_BUDGET = 2_000_000
+
 
 class Impossible(UcycleError):
     """No decomposition exists; `reason` says how that was established."""
@@ -106,7 +109,7 @@ def check_decomposition(n, d, trails):
 # ---------------------------------------------------------------------------
 
 
-def decompose_loopless(m, lengths, node_limit=2_000_000):
+def decompose_loopless(m, lengths, node_limit=NODE_BUDGET):
     """Edge-disjoint closed trails of the prescribed lengths covering the
     loopless complete digraph on m vertices.
 
@@ -250,7 +253,7 @@ def _search_trails(n, d, node_limit):
             for syms in chi_to_trail_symbols(cert.witness, D)]
 
 
-def decompose_equal(n, d, node_limit=2_000_000):
+def decompose_equal(n, d, node_limit=NODE_BUDGET):
     """Decompose K~_n into n*n/d closed trails of length d.
 
     Raises Impossible for the two genuinely infeasible lengths (1 and 2,

@@ -802,46 +802,37 @@ def format_line(rep, verdict, witness=None):
     return line + "\t" + witness if witness else line
 
 
-def parse_line(line):
-    """The (set, verdict, witness text or None) of a `format_line` record;
-    ValueError otherwise."""
-    setpart, verdict, *witness = line.split("\t")
-    # only a valid record may carry one more field, its witness
-    if verdict not in (VALID, INVALID, INCONCLUSIVE) or \
-            len(witness) > (verdict == VALID):
-        raise ValueError(f"bad record {line!r}")
-    return parse_set(setpart), verdict, witness[0] if witness else None
-
-
-@dataclass
-class Atlas:
-    q: int
-    n: int
-    verdicts: dict  # canonical representative -> verdict, in canonical order
-
-    @property
-    def totals(self):
-        return {v: len(self.classes(v)) for v in (VALID, INVALID)}
-
-    def classes(self, verdict):
-        return [rep for rep, v in self.verdicts.items() if v == verdict]
-
-    def lines(self):
-        return [format_line(rep, v) for rep, v in self.verdicts.items()]
+def read_records(lines):
+    """Yield (line number from 1, line, set, verdict, witness text or None)
+    for each `format_line` record of `lines`, blank and `#` lines skipped.
+    Any other line raises ValueError ``bad line K: 'text'``."""
+    for num, line in content_lines(lines):
+        try:
+            setpart, verdict, *witness = line.split("\t")
+            # only a valid record may carry one more field, its witness
+            if verdict not in (VALID, INVALID, INCONCLUSIVE) or \
+                    len(witness) > (verdict == VALID):
+                raise ValueError
+            rep = parse_set(setpart)
+        except ValueError:
+            raise ValueError(f"bad line {num}: {line!r}") from None
+        yield num, line, rep, verdict, witness[0] if witness else None
 
 
 def _parse_checkpoint(path, params, reps):
     """Verdicts recorded in a checkpoint file for the classes `reps`.
 
-    A last line without its newline was torn by an interrupted write: it is
-    cut off the file, so the next append starts a fresh line, and its class
-    is recomputed.  A class recorded `inconclusive` and never decided comes
-    back `inconclusive`, for the caller to retry.  A `valid` line
-    must carry a witness that `verify_cover` accepts for its class under
-    `params`; an `invalid` line is trusted.  Any other line that is not a
-    `format_line` record, or whose set is not one of `reps`, raises
-    ValueError naming the line, as does a `valid` line without such a
-    witness.
+    Every complete line is checked before the file changes.  A `valid`
+    line must carry a witness that `verify_cover` accepts for its class
+    under `params`; an `invalid` line is trusted.  A line that is not a
+    `format_line` record, whose set is not one of `reps`, or that is
+    `valid` without such a witness raises ValueError naming the file and
+    the line, and leaves the file as it was; so does a file with no
+    complete line at all.  Then a last line without its newline, torn by
+    an interrupted write, is cut off the file, so the next append starts a
+    fresh line, and its class is recomputed.  A class recorded
+    `inconclusive` and never decided comes back `inconclusive`, for the
+    caller to retry.
     """
     done = {}
     if not (path and os.path.exists(path)):
@@ -849,21 +840,24 @@ def _parse_checkpoint(path, params, reps):
     with open(path, "rb+") as fh:
         data = fh.read()
         whole = data.rfind(b"\n") + 1
+        try:
+            if data and not whole:
+                raise ValueError("no complete line; remove the file to "
+                                 "start afresh")
+            for num, line, key, verdict, witness in read_records(
+                    data[:whole].decode("utf-8").splitlines()):
+                if key not in reps:
+                    raise ValueError(f"line {num}: {line!r} does not name "
+                                     "a class representative")
+                if verdict == VALID and not _covers(witness, params, key):
+                    raise ValueError(f"line {num}: {line!r} has no witness "
+                                     "that covers every word")
+                if done.get(key, INCONCLUSIVE) == INCONCLUSIVE:
+                    done[key] = verdict
+        except ValueError as exc:
+            raise ValueError(f"checkpoint {path}: {exc}") from None
         if whole < len(data):
             fh.truncate(whole)
-    for _, line in content_lines(data[:whole].decode().splitlines()):
-        try:
-            key, verdict, witness = parse_line(line)
-        except ValueError:
-            raise ValueError(f"checkpoint {path}: bad line {line!r}")
-        if key not in reps:
-            raise ValueError(f"checkpoint {path}: line {line!r} does not "
-                             "name a class representative")
-        if verdict == VALID and not _covers(witness, params, key):
-            raise ValueError(f"checkpoint {path}: line {line!r} has no "
-                             "witness that covers every word")
-        if done.get(key, INCONCLUSIVE) == INCONCLUSIVE:
-            done[key] = verdict
     return done
 
 
@@ -882,13 +876,14 @@ def atlas(q, n, node_limit=None, time_limit=None, checkpoint=None, jobs=1):
     The classes are the units of `_drive` on at most `jobs` processes,
     each decided by `decide_valid(..., jobs=1)` in whichever process takes
     it.  A class that runs out of budget is `inconclusive`, and the run
-    goes on.  Verdicts come back in canonical order.  With a `checkpoint`
-    path each decided class is appended to that file as one `format_line`
-    record, a valid one with its witness, and flushed, in canonical order
-    whatever the number of processes, so `tail -f` shows the progress of a
-    long run.  A rerun with the same file decides only the classes it
-    lacks or left inconclusive and returns byte-identical lines; it appends
-    a class that is still inconclusive only if the file does not say so.
+    goes on.  Returns {class representative: verdict} in canonical order.
+    With a `checkpoint` path each decided class is appended to that file
+    as one `format_line` record, a valid one with its witness, and
+    flushed, in canonical order whatever the number of processes, so
+    `tail -f` shows the progress of a long run.  A rerun with the same
+    file decides only the classes it lacks or left inconclusive and
+    returns the same map; it appends a class that is still inconclusive
+    only if the file does not say so.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be positive, got {jobs}")
@@ -908,12 +903,13 @@ def atlas(q, n, node_limit=None, time_limit=None, checkpoint=None, jobs=1):
             cert.witness and cert.witness.symbols
 
     verdicts = dict(done)
-    with open(checkpoint, "a") if checkpoint else nullcontext() as ck, \
-            closing(_drive(len(pending), run, jobs)) as decided:
+    append = open(checkpoint, "a", encoding="utf-8") if checkpoint \
+        else nullcontext()
+    with append as ck, closing(_drive(len(pending), run, jobs)) as decided:
         for rep, (verdict, _, syms) in zip(pending, decided):
             verdicts[rep] = verdict
             if ck and verdict != done.get(rep):
                 witness = syms and CyclicString(q, tuple(syms)).text()
                 ck.write(format_line(rep, verdict, witness) + "\n")
                 ck.flush()
-    return Atlas(q=q, n=n, verdicts={rep: verdicts[rep] for rep in reps})
+    return {rep: verdicts[rep] for rep in reps}

@@ -589,9 +589,83 @@ class TestDeskScale:
             assert err.startswith("error: ") and "Traceback" not in err
 
 
+class TestHostileInput:
+    """Parseable but hostile input inside the desk scale: each call ends
+    with exit 0-3 within 2 s and no traceback, and a refused call leaves
+    its input files as they were."""
+
+    BAD_BYTES = b"\xff\xfe\x00bad\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--q", "2", "--n", "3", "--set", "0,1,2", "--file"],
+        ["gen-ap", "--q", "3", "--n", "3", "--seed-cycle"],
+        ["double-ap3", "--q", "2", "--d", "1", "--input"],
+        ["diff-golden", "--table", "obs1", "--atlas"],
+        ["atlas", "--q", "2", "--n", "3", "--size", "3", "--resume"]],
+        ids=["verify", "gen-ap", "double-ap3", "diff-golden", "atlas"])
+    def test_non_utf8_file_is_named(self, tmp_path, capsys, argv):
+        # each decoded the file outside the try that adds its path
+        path = tmp_path / "input.txt"
+        path.write_bytes(self.BAD_BYTES)
+        code, out, err = run_cli(capsys, *argv, str(path))
+        assert code == 2 and out == ""
+        assert f"{path}: 'utf-8' codec can't decode byte 0xff" in err
+        assert path.read_bytes() == self.BAD_BYTES
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(qn=st.sampled_from([(2, 2), (2, 3), (2, 4), (3, 2), (3, 3),
+                               (4, 2), (5, 2), (7, 2)]),
+           data=st.data(),
+           m=st.sampled_from([0, -1, -2 ** 24, 1, 2 ** 24, 2 ** 24 + 1]),
+           d=st.integers(-2, 9),
+           cycle=st.sampled_from([b"", BAD_BYTES, b"01\n10\n",
+                                  b"0123456789\n"]),
+           checkpoint=st.sampled_from([
+               b"0,1,3\tinvalid\n0,1,2\tval",       # torn
+               b"0,1,3\tinvalid",                    # no newline
+               b"0,1,2,3\tinvalid\n0,9,18\tinvalid\n",  # other runs'
+               b"0,1,2\tvalid\n"]))                 # no witness
+    def test_hostile_input_ends_at_once(self, tmp_path, capsys, qn, data,
+                                        m, d, cycle, checkpoint):
+        # sets with duplicates, negatives and members up to 10**30; --m
+        # at 0, negative, below n and around 2**24 (n >= 2, since at n = 1
+        # --m 2**24 is inside the bound and 14 s of real work);
+        # cycle files that are empty, not UTF-8, two cycles or a symbol
+        # >= q; checkpoints torn, with no newline, of other runs, or with
+        # a valid line and no witness
+        members = data.draw(st.lists(st.one_of(
+            st.integers(-3, 3),
+            st.sampled_from([10 ** 30, 10 ** 30 + 1, -10 ** 30])),
+            min_size=qn[1], max_size=qn[1]))
+        q, n = map(str, qn)
+        sizes = ["--q", q, "--n", n]
+        cyc, ck = tmp_path / "cycle.txt", tmp_path / "ck.tsv"
+        cyc.write_bytes(cycle)
+        ck.write_bytes(checkpoint)
+        I = "--set=" + ",".join(map(str, members))
+        for argv in (["search", *sizes, I, "--budget-secs", "1"],
+                     ["atlas", *sizes, "--size", n, "--resume", str(ck),
+                      "--budget-secs", "1"],
+                     ["diff-golden", "--atlas", str(ck), "--table", "obs1"],
+                     ["gen-reduced", *sizes, I],
+                     ["classify", *sizes, I],
+                     ["approx", *sizes, I, "--type", "1"],
+                     ["approx", *sizes, I, "--type", "2", "--m", str(m)],
+                     ["verify", *sizes, I, "--file", str(cyc)],
+                     ["gen-ap", *sizes, "--seed-cycle", str(cyc)],
+                     ["double-ap3", "--q", q, "--d", str(d), "--input",
+                      str(cyc)]):
+            before = cyc.read_bytes(), ck.read_bytes()
+            code, _, err = run_within(capsys, 2, *argv)
+            assert code in (0, 1, 2, 3) and "Traceback" not in err, argv
+            if code == 2:
+                assert (cyc.read_bytes(), ck.read_bytes()) == before, argv
+
+
 class TestInputChecks:
     """Checks a command reaches on bad input, each with its exit code and
-    message; the last case is a budget echoed in the JSON config."""
+    message; the last two cases are budgets echoed in the JSON config."""
 
     @pytest.mark.parametrize("argv,text,code,expected", [
         pytest.param(["verify", "--q", "3", "--n", "2", "--set", "0,1,2",
@@ -625,6 +699,9 @@ class TestInputChecks:
         pytest.param(["search", "--q", "2", "--n", "3", "--set", "0,1,2",
                       "--budget-secs", "60", "--format", "json"], None, 0,
                      '"time_limit": 60.0', id="search-time-budget"),
+        pytest.param(["decompose", "--n", "6", "--d", "9", "--format",
+                      "json"], None, 0, '"node_limit": 2000000',
+                     id="decompose-node-budget"),
     ])
     def test_input_check(self, tmp_path, capsys, argv, text, code, expected):
         if text is not None:
@@ -677,6 +754,22 @@ class TestAtlasAndGolden:
         lines = ck.read_text().splitlines()
         assert sorted(lines) == sorted(fresh_lines)
         assert all(ln.split("\t")[1] in ("valid", "invalid") for ln in lines)
+
+    @pytest.mark.parametrize("text,expected", [
+        ("00010111", "no complete line; remove the file to start afresh"),
+        ("garbage line\n0,1", "bad line 1: 'garbage line'")],
+        ids=["no-newline", "bad-line-then-torn-line"])
+    def test_atlas_resume_checks_before_it_cuts(self, tmp_path, capsys,
+                                                  text, expected):
+        # the unterminated last line was cut before any line was checked:
+        # a cycle file passed by mistake was emptied and overwritten
+        ck = tmp_path / "ck.tsv"
+        ck.write_bytes(text.encode())
+        code, out, err = run_cli(capsys, "atlas", "--q", "2", "--n", "3",
+                                 "--size", "3", "--resume", str(ck))
+        assert code == 2 and out == ""
+        assert f"checkpoint {ck}: {expected}" in err
+        assert ck.read_bytes() == text.encode()
 
     def test_atlas_resume_rejects_a_bad_complete_line(self, tmp_path, capsys):
         ck = tmp_path / "ck.tsv"

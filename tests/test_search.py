@@ -27,6 +27,7 @@ from ucycle.search import (
     BudgetExceeded,
     atlas,
     decide_valid,
+    format_line,
     two_element_validity,
 )
 
@@ -563,7 +564,7 @@ class TestDriver:
         runs = []
         for jobs in (1, 2, 3):
             ck = tmp_path / f"ck{jobs}.tsv"
-            lines = atlas(q, n, checkpoint=str(ck), jobs=jobs).lines()
+            lines = list(atlas(q, n, checkpoint=str(ck), jobs=jobs).items())
             runs.append((lines, ck.read_bytes()))
             assert bool(forks) == (jobs > 1), jobs
             forks.clear()
@@ -573,7 +574,7 @@ class TestDriver:
     def test_no_child_left_after_a_budgeted_atlas(self, forks, monkeypatch):
         monkeypatch.setattr(search, "_FORK_AFTER", 0)
         a = atlas(2, 4, node_limit=5, jobs=2)
-        assert len(a.classes(search.INCONCLUSIVE)) == 22
+        assert list(a.values()).count(search.INCONCLUSIVE) == 22
         assert forks
         _no_child_left()
 
@@ -735,11 +736,11 @@ class TestInvariants:
 class TestAtlas:
     def test_atlas_3_3(self):
         a = atlas(3, 3)
-        assert a.classes(INVALID) == [(0, 9, 18)]
+        assert [rep for rep, v in a.items() if v == INVALID] == [(0, 9, 18)]
 
     def test_atlas_2_4_valid_classes(self):
         a = atlas(2, 4)
-        assert a.classes(VALID) == [
+        assert [rep for rep, v in a.items() if v == VALID] == [
             (0, 1, 2, 3), (0, 1, 2, 6), (0, 1, 2, 7), (0, 1, 3, 4),
             (0, 1, 3, 7), (0, 1, 3, 8), (0, 1, 3, 9), (0, 1, 3, 14),
             (0, 2, 4, 6),
@@ -747,11 +748,11 @@ class TestAtlas:
 
     def test_atlas_2_3_single_invalid(self):
         a = atlas(2, 3)
-        assert a.classes(INVALID) == [(0, 1, 3)]
+        assert [rep for rep, v in a.items() if v == INVALID] == [(0, 1, 3)]
 
     def test_lines_are_sorted_and_tab_separated(self):
         a = atlas(2, 3)
-        lines = a.lines()
+        lines = [format_line(rep, v) for rep, v in a.items()]
         assert lines == sorted(lines)
         assert all("\t" in ln for ln in lines)
 
@@ -762,4 +763,4 @@ class TestAtlas:
         lines = ck.read_text().splitlines()
         ck.write_text("\n".join(lines[:2]) + "\n")
         resumed = atlas(2, 3, checkpoint=str(ck))
-        assert resumed.lines() == full.lines()
+        assert list(resumed.items()) == list(full.items())
