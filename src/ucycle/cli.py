@@ -9,7 +9,10 @@ the budget flags are checked as they are parsed (`node_budget`,
 
 Exit codes: 0 verified result (including proven negative verdicts),
 1 a check that failed (`verify` on an incomplete cycle, `diff-golden` on a
-mismatch), 2 usage errors, 3 budget/inconclusive outcomes.
+mismatch), 2 usage errors, 3 budget/inconclusive outcomes and running out
+of memory, which claim no verdict.  `search --format json` names the
+`engine` that ran the exact cover: "c" for the compiled kernel, else
+"python".
 """
 from __future__ import annotations
 
@@ -109,6 +112,7 @@ def cmd_search(args):
         "nodes": cert.nodes_explored,
         "elapsed": round(cert.elapsed, 6),
         "method": cert.method,
+        "engine": cert.engine,
     }
     lines = [f"{cert.verdict}"]
     if cert.witness is not None:
@@ -446,6 +450,10 @@ def main(argv=None):
         return args.func(args)
     except search_mod.BudgetExceeded as exc:
         print(f"inconclusive: {exc} (nodes={exc.nodes})", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
+    except MemoryError:
+        # sizes inside the desk scale can still exceed the memory at hand
+        print("error: out of memory", file=sys.stderr)
         return EXIT_INCONCLUSIVE
     except (ValueError, OSError, UcycleError) as exc:
         print(f"error: {exc}", file=sys.stderr)

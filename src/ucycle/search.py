@@ -17,16 +17,18 @@ option (t, w) colours the positions t + I with the symbols of w.
   closes at once on its word, and the node fails if a closed translate
   already reads that word.
 * Most constrained item (MRV; Haralick and Elliott, AIJ 1980).  Each node
-  scans the frontier for the translate with the fewest live unused words.
-  The scan stops at the first translate it meets with at most one: with
-  none the node fails, with one that word is forced.  Otherwise the node
-  branches on the least translate among those with the fewest, trying
-  words in ascending order.  Once at most one translate is untouched, one
-  pass over the frontier also finds the words with no candidate translate,
-  which fail the node, and those with exactly one, which are forced;
-  before that, every word still has two untouched candidates.  Forced
+  scans the frontier, in ascending translate order, for the translate with
+  the fewest live unused words.  The scan stops at the first translate it
+  meets with at most one: with none the node fails, with one that word is
+  forced.  Otherwise the node branches on the least translate among those
+  with the fewest, trying words in ascending order.  Once at most one
+  translate is untouched, one pass over the frontier also finds the words
+  with no candidate translate, which fail the node, and those with exactly
+  one, which are forced; before that, every word still has two untouched
+  candidates.  Forced
   moves reach the same state in any order, so the verdict and the witness
-  do not depend on which one the scan meets first.
+  do not depend on which one the scan meets first; the node count does,
+  hence the fixed scan order.
 * Cubes (cube-and-conquer; Heule, Kullmann, Wieringa and Biere, HVC 2011).
   The search is split at its first real branch, after the pin and its
   forced moves (at q = 2, the complement rule's branch below).  Each option
@@ -40,7 +42,7 @@ option (t, w) colours the positions t + I with the symbols of w.
 * CPUs.  One driver (`_drive`) runs numbered units on up to `jobs`
   processes: the cubes of one search, or the classes of an atlas, each
   decided there by a one-process `decide_valid`.  The caller runs units
-  itself; once they have spent 2,048 nodes with two units left, its own
+  itself; once they have spent 65,536 nodes with two units left, its own
   included, it forks one helper per further process.  Helpers take the
   next unit from one pipe that holds it as a single token, so the pipe
   never fills however many units there are, and each sends its results
@@ -53,15 +55,24 @@ option (t, w) colours the positions t + I with the symbols of w.
   raises where a one-process run would, with the node count at the
   limit + 1.
 
-The live masks are N-bit ints and the trail keeps n of them per fixed
-position, so the exact cover's memory grows as n*N**2 bits and its time per
-node with N.  Sets with |I| <= 2, and sets past N = 4096, are searched
-depth-first over positions instead (`_dfs`), in O(n*N) memory, taking the
-positions in the order that translates first need them.  For I = {a, b}
-the translates are walked 0, D, 2D, ... with D = b - a, coset by coset of
-<D>, so each window closes as soon as it opens and the {0, D} sets of the
-decomposition route finish one trail before they start the next; that
-serves them up to N = 127**2.  Other sets take the translates 0, 1, 2, ...
+Kernel.  Where a C compiler is on PATH, `_cover_tree` runs in C
+(`kernel.c`, built on the first exact-cover search of a process by
+`kernel.load`); the cube order, `_drive`, the clock and the final
+`verify_cover` stay here.  The kernel walks the same tree in the same
+order, so the certificate, node count included, is the same on either
+engine.  The Python body is the fallback and the reference that the tests
+hold the kernel to.  `ValidityCertificate.engine` says which one ran.
+
+The live masks are N-bit ints (ceil(N/64) 64-bit words in the kernel) and
+the trail keeps n of them per fixed position, so the exact cover's memory
+grows as n*N**2 bits and its time per node with N.  Sets with |I| <= 2,
+and sets past N = 4096, are searched depth-first over positions instead
+(`_dfs`), in O(n*N) memory, taking the positions in the order that
+translates first need them.  For I = {a, b} the translates are walked 0,
+D, 2D, ... with D = b - a, coset by coset of <D>, so each window closes as
+soon as it opens and the {0, D} sets of the decomposition route finish one
+trail before they start the next; that serves them up to N = 127**2.
+Other sets take the translates 0, 1, 2, ...
 
 Symmetry breaking.  Rotating a string, relabeling its symbols and, at
 q = 2, complementing it all map complete strings to complete strings, so
@@ -150,6 +161,7 @@ class ValidityCertificate:
     nodes_explored: int
     elapsed: float
     method: str  # "search" or "stabilizer"
+    engine: str  # "c" when the compiled kernel ran the exact cover
 
     @property
     def valid(self):
@@ -199,7 +211,9 @@ def decide_valid(q, n, I, node_limit=None, time_limit=None, jobs=None):
     the CPUs this process may run on (`os.sched_getaffinity`, else
     `os.cpu_count()`).  It is one process where `os.fork` is missing or
     while other threads run.  The verdict, witness and `nodes_explored`
-    are the same for every `jobs`.
+    are the same for every `jobs`, and for either engine: the certificate's
+    `engine` is "c" when the compiled kernel ran the exact cover, else
+    "python".
 
     Deterministic: translate 0 is pinned to the word 0**n, at q = 2 the
     exact cover then places 1**n on translates 1 .. N//2 in ascending
@@ -227,28 +241,30 @@ def decide_valid(q, n, I, node_limit=None, time_limit=None, jobs=None):
         return ValidityCertificate(
             index_set=I, verdict=INVALID, witness=None,
             nodes_explored=0, elapsed=time.monotonic() - start,
-            method="stabilizer",
+            method="stabilizer", engine="python",
         )
 
+    engine = "python"
     if n >= 3 and N <= _COVER_MAX_N:
         found, chi_syms, nodes = _cover_search(q, n, I, N, node_limit,
                                                time_limit, start, jobs)
+        from . import kernel
+
+        if kernel.load() is not None:
+            engine = "c"
     else:
         found, chi_syms, nodes = _dfs(q, n, I, N, node_limit, time_limit,
                                       start)
     elapsed = time.monotonic() - start
+    witness = None
     if found:
         witness = CyclicString(q, tuple(chi_syms))
         report = verify_cover(witness, params, I)
         if not report.complete:
             raise VerificationError("search produced a non-covering witness")
-        return ValidityCertificate(
-            index_set=I, verdict=VALID, witness=witness,
-            nodes_explored=nodes, elapsed=elapsed, method="search",
-        )
     return ValidityCertificate(
-        index_set=I, verdict=INVALID, witness=None,
-        nodes_explored=nodes, elapsed=elapsed, method="search",
+        index_set=I, verdict=VALID if found else INVALID, witness=witness,
+        nodes_explored=nodes, elapsed=elapsed, method="search", engine=engine,
     )
 
 
@@ -400,8 +416,14 @@ def _periodic(block, period, N):
 
 
 def _cover_tables(q, n, I, N):
-    """What every cube of one exact cover reads: (q, n, N, powers, cmask,
-    pos_tr, tr_pos)."""
+    """What every cube of one exact cover reads: the compiled kernel bound
+    to I (`kernel.bind`) or, where it did not load, the Python search's
+    (q, n, N, powers, cmask, pos_tr, tr_pos)."""
+    from . import kernel
+
+    tree = kernel.bind(q, n, N, I)
+    if tree is not None:
+        return tree
     powers = [q ** (n - 1 - j) for j in range(n)]
     # cmask[c][j]: bitmask of the words whose coordinate j reads c
     cmask = [tuple(_periodic(((1 << p) - 1) << c * p, q * p, N)
@@ -417,7 +439,11 @@ def _cover_tree(tables, path, limit, time_limit, start, poll=None):
     forced moves and, at the first real branch, returns (None, (forced
     options, branch options), nodes).  Otherwise it replays the pin and
     `path`, counting a node only for the last option, and exhausts that
-    cube.  Every 1,024 nodes `poll(nodes)` may abandon it (result None)."""
+    cube.  Every 1,024 nodes `poll(nodes)` may abandon it (result None).
+    The compiled kernel runs it when it loaded; the body below is the
+    fallback and the reference the kernel is tested against."""
+    if callable(tables):
+        return tables(path, limit, time_limit, start, poll)
     q, n, N, powers, cmask, pos_tr, tr_pos = tables
     target = q ** (n - 1)
     chi = [-1] * N
@@ -493,9 +519,10 @@ def _cover_tree(tables, path, limit, time_limit, start, poll=None):
 
     def branch():
         # the item to branch on, as its (translate, word) options; the scan
-        # stops at the first translate with at most one live word
+        # takes translates in ascending order, as the kernel does, and stops
+        # at the first with at most one live word
         best = two_n * N
-        for t in frontier:
+        for t in sorted(frontier):
             key = (live[t] & free).bit_count() * N + t
             if key < best:
                 best = key
@@ -590,7 +617,10 @@ def _cover_tree(tables, path, limit, time_limit, start, poll=None):
         opts = branch()
 
 
-_FORK_AFTER = 2048    # caller's nodes before it forks helpers
+# The caller's nodes before it forks helpers.  A fork costs a few ms, the
+# kernel's time for some 10,000 nodes, so a search smaller than this one
+# (every (2,5) class) runs faster in one process.
+_FORK_AFTER = 65536
 
 
 def _cover_search(q, n, I, N, node_limit, time_limit, start, jobs=1):

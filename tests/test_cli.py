@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import ucycle
-from ucycle import approx, decomp, galois, lift, search
+from ucycle import approx, decomp, galois, kernel, lift, search
 from ucycle.cli import build_parser, load_golden, main
 from ucycle.core import DESK_SCALE, CycleParams, CyclicString, verify_cover
 from ucycle.lift import de_bruijn_sequence
@@ -70,6 +70,15 @@ class TestSearchCommand:
         doc = json.loads(out)
         # the complement rule reads 111 on a translate r <= 4, here r = 3
         assert code == 0 and doc["witness"] == "00011101"
+
+    def test_json_names_the_engine(self, capsys, monkeypatch):
+        argv = ["search", "--q", "2", "--n", "3", "--set", "0,1,2",
+                "--format", "json"]
+        engine = "python" if kernel.load() is None else "c"
+        assert json.loads(run_cli(capsys, *argv)[1])["engine"] == engine
+        monkeypatch.setattr(kernel, "load", lambda: None)
+        doc = json.loads(run_cli(capsys, *argv)[1])
+        assert doc["engine"] == "python" and doc["schema"] == 1
 
     def test_budget_exit_three(self, capsys):
         code, _, err = run_cli(capsys, "search", "--q", "2", "--n", "5",
@@ -968,9 +977,10 @@ class TestSubprocessEntry:
 
     def test_import_starts_no_process_machinery(self):
         # `import ucycle.cli` stays free of the modules a search loads only
-        # when it forks, and of process pools, which nothing uses
+        # when it forks or builds its kernel, and of process pools, which
+        # nothing uses
         banned = ["multiprocessing", "concurrent.futures", "pickle",
-                  "signal", "subprocess"]
+                  "signal", "subprocess", "ctypes", "ucycle.kernel"]
         code = ("import sys, ucycle.cli\n"
                 f"print([m for m in {banned!r} if m in sys.modules])\n")
         src = str(pathlib.Path(ucycle.__file__).resolve().parents[1])
@@ -979,6 +989,45 @@ class TestSubprocessEntry:
                               env=dict(os.environ, PYTHONPATH=src))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    # the position search's tables for 2**24 positions; the exact cover's
+    # kernel state for (2,12), about 30 MB, once the kernel is built and
+    # the cap leaves 16 MB above what the process already maps
+    OUT_OF_MEMORY = {
+        "position-search": ("cap = 300 << 20\n",
+                            "4096 --n 2 --set 0,1"),
+        "kernel": ("import ucycle.cli\n"
+                   "from ucycle import kernel\n"
+                   "if kernel.load() is None:\n"
+                   "    sys.exit(99)\n"
+                   "with open('/proc/self/statm', encoding='ascii') as fh:\n"
+                   "    mapped = int(fh.read().split()[0])\n"
+                   "cap = mapped * resource.getpagesize() + (16 << 20)\n",
+                   "2 --n 12 --set " + ",".join(map(str, range(12)))),
+    }
+
+    @pytest.mark.parametrize("case", list(OUT_OF_MEMORY))
+    def test_out_of_memory_exits_three(self, case):
+        # a size inside the desk scale that the memory at hand cannot hold:
+        # one line and exit 3, since no verdict is claimed, not a traceback
+        if not os.path.exists("/proc/self/statm"):
+            pytest.skip("needs Linux address-space limits")
+        setup, sizes = self.OUT_OF_MEMORY[case]
+        code = ("import resource, sys\n" + setup +
+                "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+                "from ucycle.cli import main\n"
+                f"sys.exit(main('search --q {sizes} --budget-nodes 1000'"
+                ".split()))\n")
+        src = str(pathlib.Path(ucycle.__file__).resolve().parents[1])
+        start = time.monotonic()
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=src))
+        if proc.returncode == 99:
+            pytest.skip("the kernel did not load")
+        assert (proc.returncode, proc.stdout, proc.stderr) == \
+            (3, "", "error: out of memory\n")
+        assert time.monotonic() - start < 10
 
     def test_usage_exit_two(self):
         proc = subprocess.run(

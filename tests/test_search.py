@@ -1,11 +1,16 @@
 """Validity search: verdicts, pruning soundness, and atlas reproduction."""
 
+import hashlib
 import itertools
 import math
 import os
 import pathlib
+import random
+import shutil
+import signal
 import subprocess
 import sys
+import tempfile
 import time
 
 import pytest
@@ -20,7 +25,7 @@ from ucycle.core import (
     verify_cover,
     window,
 )
-from ucycle import search
+from ucycle import kernel, search
 from ucycle.search import (
     INVALID,
     VALID,
@@ -325,13 +330,13 @@ class TestCubes:
 
     def test_jobs_give_identical_certificates(self, forks, monkeypatch):
         # forking after every first cube makes the small classes use helpers
-        # too; the refute25 classes fork at the default point
+        # too.  (3,4) 0,1,2,6 forks at the default point: its witness lies
+        # in the first of four cubes, after 140,296 nodes
         small = [(q, n, rep) for q, n in [(2, 4), (3, 3)]
                  for rep in affine_class_representatives(q ** n, n)]
         for fork_after in (0, search._FORK_AFTER):
             monkeypatch.setattr(search, "_FORK_AFTER", fork_after)
-            cases = small if fork_after == 0 else \
-                [(2, 5, I) for I in REFUTE25]
+            cases = small if fork_after == 0 else [(3, 4, (0, 1, 2, 6))]
             for q, n, I in cases:
                 certs = [decide_valid(q, n, I, jobs=jobs)
                          for jobs in (1, 2, 3)]
@@ -380,6 +385,18 @@ class TestCubes:
 
 
 @pytest.fixture
+def python_engine(monkeypatch):
+    """The exact cover on its Python body, as where no compiler exists."""
+    monkeypatch.setattr(kernel, "load", lambda: None)
+
+
+class TestCubesPython(TestCubes):
+    """The same checks on the Python search."""
+
+    pytestmark = pytest.mark.usefixtures("python_engine")
+
+
+@pytest.fixture
 def forks(monkeypatch):
     calls = []
     fork = os.fork
@@ -399,8 +416,8 @@ def _wait_for(path, timeout=30):
         time.sleep(0.001)
 
 
-# cube 0 of this class is exhausted after 1,930 nodes, cube 1 holds the
-# first witness (234 nodes), and cube 2 is exhausted after 1,269 nodes
+# cube 0 of this class is exhausted after 1,971 nodes, cube 1 holds the
+# first witness (235 nodes), and cube 2 is exhausted after 1,257 nodes
 HAND_OFF = (0, 1, 2, 6, 8)
 
 
@@ -453,6 +470,12 @@ def _steer(monkeypatch, tmp_path, abandon):
 
 class TestHelpers:
     """Forked helpers never outlive a call, whatever ends it."""
+
+    @pytest.fixture(autouse=True)
+    def fork_early(self, monkeypatch):
+        # the (2,5) classes here take 10,469 nodes at most, below the
+        # default fork point; each forks once its first cube has spent 2,048
+        monkeypatch.setattr(search, "_FORK_AFTER", 2048)
 
     @pytest.mark.parametrize("I,verdict", [((0, 1, 2, 10, 13), VALID),
                                            ((0, 1, 4, 15, 20), INVALID)])
@@ -553,6 +576,153 @@ class TestHelpers:
             decide_valid(2, 3, (0, 1, 2), jobs=0)
 
 
+class TestHelpersPython(TestHelpers):
+    """The same checks on the Python search."""
+
+    pytestmark = pytest.mark.usefixtures("python_engine")
+
+
+def _outcome(q, n, I, **kw):
+    try:
+        cert = decide_valid(q, n, I, **kw)
+    except BudgetExceeded as exc:
+        return "budget", exc.nodes
+    return _cert_key(cert)
+
+
+# sha256 of one line `rep verdict witness nodes method` per (2,5) class, in
+# canonical order, as the Python search gives them
+CERTS_25_SHA256 = (
+    "f66a56a45a132fcf66aceefb1d85f0b95f2b3e97de039b1ff6417ecd7b70542c")
+
+
+class TestKernel:
+    """The compiled exact cover against its Python reference: the same
+    certificates, budget points and errors, and no silent fallback."""
+
+    def test_loads_where_cc_is_on_path(self):
+        if shutil.which("cc") is None:
+            pytest.skip("no cc on PATH: the Python search runs alone")
+        assert kernel.load() is not None
+        assert decide_valid(2, 4, (0, 1, 2, 6)).engine == "c"
+
+    def test_python_engine_when_it_is_off(self, python_engine):
+        assert decide_valid(2, 4, (0, 1, 2, 6)).engine == "python"
+
+    def test_leaves_no_build_directory(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        lib = kernel.load.__wrapped__()
+        assert (lib is None) == (shutil.which("cc") is None)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_same_certificates_on_every_small_class(self, forks,
+                                                    monkeypatch):
+        # at jobs 2 and 3 every class forks after its first cube
+        monkeypatch.setattr(search, "_FORK_AFTER", 0)
+        cases = [(q, n, rep) for q, n in [(2, 4), (3, 3)]
+                 for rep in affine_class_representatives(q ** n, n)]
+        for jobs in (1, 2, 3):
+            compiled = [_outcome(*c, jobs=jobs) for c in cases]
+            with monkeypatch.context() as m:
+                m.setattr(kernel, "load", lambda: None)
+                assert [_outcome(*c, jobs=jobs) for c in cases] == compiled
+        assert forks
+
+    def test_every_2_5_certificate(self):
+        # all 454 classes on the default engine against the Python
+        # search's pinned certificates; a seeded sample below runs both
+        lines = []
+        for rep in affine_class_representatives(32, 5):
+            cert = decide_valid(2, 5, rep, jobs=1)
+            lines.append(" ".join([",".join(map(str, rep)), cert.verdict,
+                                   cert.witness.text() if cert.witness
+                                   else "-", str(cert.nodes_explored),
+                                   cert.method]))
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == CERTS_25_SHA256, digest
+
+    @pytest.mark.parametrize("limit", [None, 5_000])
+    def test_same_certificates_on_a_2_5_sample(self, limit, monkeypatch):
+        sample = random.Random(25).sample(
+            affine_class_representatives(32, 5), 24)
+        compiled = [_outcome(2, 5, I, node_limit=limit, jobs=1)
+                    for I in sample]
+        monkeypatch.setattr(kernel, "load", lambda: None)
+        assert [_outcome(2, 5, I, node_limit=limit, jobs=1)
+                for I in sample] == compiled
+
+    @pytest.mark.parametrize("q,n,limit", [(3, 4, 5_000), (2, 7, 3_000),
+                                           (2, 10, 400), (4, 5, 1_000),
+                                           (2, 12, 150), (16, 3, 300)])
+    def test_same_budget_point_on_seeded_samples(self, q, n, limit,
+                                                 monkeypatch):
+        # N = 81, 128, 1024 and 4096: a live set spans several words
+        N = q ** n
+        rng = random.Random(N + q)
+        sets = [tuple(rng.sample(range(N), n)) for _ in range(3)]
+        compiled = [_outcome(q, n, I, node_limit=limit, jobs=1)
+                    for I in sets]
+        monkeypatch.setattr(kernel, "load", lambda: None)
+        assert [_outcome(q, n, I, node_limit=limit, jobs=1)
+                for I in sets] == compiled
+
+    def test_node_limit_reaches_the_kernel_whole(self):
+        # (4,3) 0,8,24 runs past 30M nodes.  A limit passed as a C int
+        # instead of a long long was once ignored here, and one past 2**31
+        # must not wrap
+        with pytest.raises(BudgetExceeded, match="node budget") as info:
+            decide_valid(4, 3, (0, 8, 24), node_limit=100, jobs=1)
+        assert info.value.nodes == 101
+        I = REFUTE25[0]
+        assert _outcome(2, 5, I, node_limit=2 ** 40, jobs=1) == \
+            _outcome(2, 5, I, jobs=1)
+
+    def test_an_interrupt_stops_the_search(self):
+        # a signal is handled when the kernel hands back to Python every
+        # 1,024 nodes; (4,3) 0,8,24 would run for minutes
+        import ucycle
+
+        src = str(pathlib.Path(ucycle.__file__).resolve().parents[1])
+        code = ("import sys\n"
+                "from ucycle import search\n"
+                "search.decide_valid(2, 5, (0, 1, 2, 6, 26), jobs=1)\n"
+                "print('ready', flush=True)\n"
+                "try:\n"
+                "    search.decide_valid(4, 3, (0, 8, 24), jobs=1)\n"
+                "except KeyboardInterrupt:\n"
+                "    print('interrupted')\n")
+        proc = subprocess.Popen([sys.executable, "-c", code],
+                                stdout=subprocess.PIPE, text=True,
+                                env=dict(os.environ, PYTHONPATH=src))
+        try:
+            assert proc.stdout.readline() == "ready\n"
+            time.sleep(0.2)
+            proc.send_signal(signal.SIGINT)
+            out, _ = proc.communicate(timeout=10)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert out == "interrupted\n"
+
+    @pytest.mark.parametrize("exc", [ZeroDivisionError, KeyboardInterrupt])
+    def test_an_exception_in_poll_reaches_the_caller(self, exc):
+        # poll runs every 1,024 nodes; a helper's failure and an interrupt
+        # both arrive there
+        tables = search._cover_tables(2, 5, REFUTE25[0], 32)
+        _, (forced, options), _ = search._cover_tree(tables, None, None,
+                                                     None, 0)
+        polled = []
+
+        def poll(nodes):
+            polled.append(nodes)
+            raise exc("poll failed")
+
+        with pytest.raises(exc, match="poll failed"):
+            search._cover_tree(tables, forced + [options[0]], None, None, 0,
+                               poll)
+        assert polled == [1024]
+
+
 class TestDriver:
     """One driver runs the cubes of a search and the classes of an atlas:
     results in unit order for any process count, and no helper left."""
@@ -598,8 +768,6 @@ class TestDriver:
     def test_many_units_come_back_in_order(self, forks, monkeypatch):
         # far more unit indices than a pipe holds: the helper takes them
         # one at a time, so the caller never blocks on a full pipe
-        import signal
-
         def timeout(*_):
             raise TimeoutError("driver did not finish")
 
