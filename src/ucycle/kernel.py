@@ -3,12 +3,16 @@
 `load()` runs the system C compiler, ``cc -O2 -shared -fPIC``, on
 `kernel.c` into a private temporary directory, loads the library with
 ctypes and deletes the directory at once.  Nothing is cached on disk, so
-each process pays the compile, about 0.2 s, on its first exact-cover
-search; a forked helper inherits the loaded library.  Where no `cc` is on
-PATH or the build fails, `load()` returns None and `search._cover_tree`
+each process pays the compile, about 0.2 s, once, before
+`search.decide_valid` starts its clock; a forked helper inherits the
+loaded library.  Where no `cc` is on PATH, no temporary directory can be
+made or the build fails, `load()` returns None and `search._cover_tree`
 runs its Python body, which is also the reference the tests compare the
-kernel against.  `search` imports this module only when it searches, so
-`import ucycle` loads neither ctypes nor the compiler.
+kernel against.  `bind`'s tree hands back to the caller's `tick` every
+1,024 nodes and maps `cover_run`'s return codes to outcome kinds; the
+clock and the budget's exception belong to `search`.  `search` imports
+this module only when it searches, so `import ucycle` loads neither
+ctypes nor the compiler.
 """
 from __future__ import annotations
 
@@ -18,12 +22,10 @@ import os
 import shutil
 import subprocess
 import tempfile
-import time
 
-from .core import BudgetExceeded
-
-# cover_run's return codes, in kernel.c's order
-EXHAUSTED, FOUND, BRANCH, OVER, TICK = range(5)
+# the outcome kinds of cover_run's return codes, in kernel.c's order:
+# EXHAUSTED, FOUND, BRANCH, OVER and TICK
+KINDS = ("exhausted", "found", "branch", "nodes", "tick")
 
 _INTS = ctypes.POINTER(ctypes.c_int)
 
@@ -35,19 +37,18 @@ def load():
     if cc is None:
         return None
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "kernel.c")
-    tmp = tempfile.mkdtemp(prefix="ucycle-kernel-")
     try:
-        path = os.path.join(tmp, "kernel.so")
-        build = subprocess.run([cc, "-O2", "-shared", "-fPIC", "-o", path,
-                                src], stdin=subprocess.DEVNULL,
-                               capture_output=True)
-        if build.returncode:
-            return None
-        lib = ctypes.CDLL(path)
-    except OSError:     # no compiler to run, or a library that will not load
-        return None
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
+        with tempfile.TemporaryDirectory(prefix="ucycle-kernel-",
+                                         ignore_cleanup_errors=True) as tmp:
+            path = os.path.join(tmp, "kernel.so")
+            build = subprocess.run([cc, "-O2", "-shared", "-fPIC", "-o",
+                                    path, src], stdin=subprocess.DEVNULL,
+                                   capture_output=True)
+            if build.returncode:
+                return None
+            lib = ctypes.CDLL(path)
+    except OSError:     # no temporary directory, no compiler to run, or a
+        return None     # library that will not load
     # without argtypes ctypes would pass the node limit as a C int
     lib.cover_new.argtypes = [ctypes.c_int, ctypes.c_int, _INTS]
     lib.cover_new.restype = ctypes.c_void_p
@@ -63,8 +64,8 @@ def load():
 
 def bind(q, n, N, I):
     """The kernel bound to the exact cover of I over q**n = N words, called
-    as `tree(path, limit, time_limit, start, poll)` and answering as
-    `search._cover_tree` does; None where the kernel did not load."""
+    as `tree(path, limit, tick)` and answering as `search._cover_tree`
+    does; None where the kernel did not load."""
     lib = load()
     if lib is None:
         return None
@@ -72,37 +73,31 @@ def bind(q, n, N, I):
     out = (ctypes.c_int * (4 * N))()
     nodes, nforced, nopts = ctypes.c_longlong(), ctypes.c_int(), ctypes.c_int()
 
-    def tree(path, limit, time_limit, start, poll):
+    def tree(path, limit, tick):
         flat = [x for opt in path for x in opt] if path is not None else ()
         steps = (ctypes.c_int * len(flat))(*flat)
         state = lib.cover_new(q, n, iset)
         if not state:
             raise MemoryError("exact-cover kernel: out of memory")
         try:
-            # every 1,024 nodes the kernel returns here, so an exception
-            # from the clock or `poll`, or a signal, ends it as in Python
-            while (rc := lib.cover_run(
+            # every 1,024 nodes the kernel returns here, so `tick`, an
+            # exception it raises, or a signal, ends it as in Python
+            while (kind := KINDS[lib.cover_run(
                     state, steps, -1 if path is None else len(path),
                     -1 if limit is None else limit, nodes, out, nforced,
-                    nopts)) == TICK:
-                if time_limit is not None and \
-                        time.monotonic() - start > time_limit:
-                    raise BudgetExceeded("time budget exceeded", nodes.value,
-                                         time.monotonic() - start)
-                if poll is not None and poll(nodes.value):
-                    return None
+                    nopts)]) == "tick":
+                if tick and (end := tick(nodes.value)):
+                    return None if end == "abandon" else \
+                        (end, nodes.value, None)
         finally:
             lib.cover_free(state)
-        if rc == FOUND:
-            return True, out[:N], nodes.value
-        if rc == EXHAUSTED:
-            return False, None, nodes.value
-        if rc == BRANCH:
+        syms = None
+        if kind == "found":
+            syms = out[:N]
+        elif kind == "branch":
             k = 2 * (nforced.value + nopts.value)
             pairs = list(zip(out[0:k:2], out[1:k:2]))
-            return None, (pairs[:nforced.value], pairs[nforced.value:]), \
-                nodes.value
-        raise BudgetExceeded("node budget exceeded", nodes.value,
-                             time.monotonic() - start)
+            syms = pairs[:nforced.value], pairs[nforced.value:]
+        return kind, nodes.value, syms
 
     return tree

@@ -51,17 +51,21 @@ option (t, w) colours the positions t + I with the symbols of w.
   answer no longer depends on it, and kills and reaps every helper when it
   is done.  While other threads run, or where `os.fork` is missing, it
   runs everything in one process.  Each cube runs under the node budget
-  and every process reads the clock against the same start; a budget
-  raises where a one-process run would, with the node count at the
-  limit + 1.
+  and every process reads the clock against the same deadline.  Every
+  search returns an outcome (kind, nodes, symbols), a budget that ran out
+  included, and only `decide_valid` raises: where a one-process run
+  would, with the node count at the limit + 1.
 
 Kernel.  Where a C compiler is on PATH, `_cover_tree` runs in C
-(`kernel.c`, built on the first exact-cover search of a process by
-`kernel.load`); the cube order, `_drive`, the clock and the final
-`verify_cover` stay here.  The kernel walks the same tree in the same
-order, so the certificate, node count included, is the same on either
-engine.  The Python body is the fallback and the reference that the tests
-hold the kernel to.  `ValidityCertificate.engine` says which one ran.
+(`kernel.c`, built by `kernel.load` when a process first reaches the
+exact cover, before `decide_valid` starts its clock, so the compile
+counts against no budget); the cube order, `_drive`, the clock and the
+final `verify_cover` stay here.  Both engines call the same `tick` every
+1,024 nodes and return the same outcomes.  The kernel walks the same
+tree in the same order, so the certificate, node count included, is the
+same on either engine.  The Python body is the fallback and the reference
+that the tests hold the kernel to.  `ValidityCertificate.engine` says
+which one ran.
 
 The live masks are N-bit ints (ceil(N/64) 64-bit words in the kernel) and
 the trail keeps n of them per fixed position, so the exact cover's memory
@@ -152,6 +156,10 @@ INCONCLUSIVE = "inconclusive"   # an atlas class that ran out of budget
 # grow with N; past 4096 the position search wins on both.
 _COVER_MAX_N = 4096
 
+# the kinds of a search outcome (kind, nodes, symbols) that are a budget
+# run out, with the message `decide_valid` raises for each
+_BUDGETS = {"nodes": "node budget exceeded", "time": "time budget exceeded"}
+
 
 @dataclass
 class ValidityCertificate:
@@ -223,7 +231,8 @@ def decide_valid(q, n, I, node_limit=None, time_limit=None, jobs=None):
     complete string in that order; it reads 0 at every position of I and
     passes `verify_cover`, in the calling process, before it is returned.
     A node or time budget that runs out raises `BudgetExceeded` and
-    reports no verdict.
+    reports no verdict.  The clock starts after the kernel's compile, so
+    neither the time budget nor `elapsed` includes it.
     """
     if jobs is None:
         jobs = (len(os.sched_getaffinity(0))
@@ -235,54 +244,45 @@ def decide_valid(q, n, I, node_limit=None, time_limit=None, jobs=None):
     I = normalize_index_set(I, N)
     if len(I) != n:
         raise ValueError(f"index set must have {n} distinct residues mod {N}")
-    start = time.monotonic()
-
-    if _stabilized(I, N):
-        return ValidityCertificate(
-            index_set=I, verdict=INVALID, witness=None,
-            nodes_explored=0, elapsed=time.monotonic() - start,
-            method="stabilizer", engine="python",
-        )
-
+    stabilized = _stabilized(I, N)
+    cover = not stabilized and n >= 3 and N <= _COVER_MAX_N
     engine = "python"
-    if n >= 3 and N <= _COVER_MAX_N:
-        found, chi_syms, nodes = _cover_search(q, n, I, N, node_limit,
-                                               time_limit, start, jobs)
+    if cover:
         from . import kernel
 
         if kernel.load() is not None:
             engine = "c"
-    else:
-        found, chi_syms, nodes = _dfs(q, n, I, N, node_limit, time_limit,
-                                      start)
+    start = time.monotonic()    # after the compile: no budget pays for it
+    deadline = None if time_limit is None else start + time_limit
+    kind, nodes, chi_syms = (
+        ("exhausted", 0, None) if stabilized
+        else _cover_search(q, n, I, N, node_limit, deadline, jobs) if cover
+        else _dfs(q, n, I, N, node_limit, deadline))
     elapsed = time.monotonic() - start
+    if kind in _BUDGETS:
+        raise BudgetExceeded(_BUDGETS[kind], nodes, elapsed)
     witness = None
-    if found:
+    if kind == "found":
         witness = CyclicString(q, tuple(chi_syms))
         report = verify_cover(witness, params, I)
         if not report.complete:
             raise VerificationError("search produced a non-covering witness")
     return ValidityCertificate(
-        index_set=I, verdict=VALID if found else INVALID, witness=witness,
-        nodes_explored=nodes, elapsed=elapsed, method="search", engine=engine,
+        index_set=I, verdict=VALID if kind == "found" else INVALID,
+        witness=witness, nodes_explored=nodes, elapsed=elapsed,
+        method="stabilizer" if stabilized else "search", engine=engine,
     )
 
 
-def _dfs(q, n, I, N, node_limit, time_limit, start):
+def _dfs(q, n, I, N, node_limit, deadline):
     target = q ** (n - 1)
-    order = _first_need_order(N, I, I[1] - I[0] if n == 2 else 1)
-    # highest symbol allowed at each depth: 0 on I (translate 0 reads 0**n),
-    # then any symbol the first-occurrence relabeling admits
-    top = [0] * n + [q - 1] * (N - n)
     powers = [q ** (n - 1 - j) for j in range(n)]
-    pos_wins = [[] for _ in range(N)]
-    for j, i in enumerate(I):
-        w = powers[j]
-        for t in range(N):
-            pos_wins[(i + t) % N].append((t, w))
-    pos_wins = [tuple(x) for x in pos_wins]
-
     W = q ** n
+    # flat arrays first: a size the memory cannot hold then fails at one
+    # large allocation, with room left to raise MemoryError.  top: the
+    # highest symbol allowed at each depth, 0 on I (translate 0 reads
+    # 0**n), then any symbol the first-occurrence relabeling admits
+    top = [0] * n + [q - 1] * (N - n)
     # state[t] packs (unassigned count)*W + (partial word code); an update
     # completes the window exactly when the packed value drops below W
     chi = [-1] * N
@@ -294,12 +294,19 @@ def _dfs(q, n, I, N, node_limit, time_limit, start):
     maxseen = [-1] * (N + 1)
     undo = [()] * N
     qrange = tuple(range(q))
+    order = _first_need_order(N, I, I[1] - I[0] if n == 2 else 1)
+    pos_wins = [[] for _ in range(N)]
+    for j, i in enumerate(I):
+        w = powers[j]
+        for t in range(N):
+            pos_wins[(i + t) % N].append((t, w))
+    pos_wins = [tuple(x) for x in pos_wins]
 
     nodes = 0
     depth = 0
     while True:
         if depth == N:
-            return True, chi, nodes
+            return "found", nodes, chi
         p = order[depth]
         cap = maxseen[depth] + 1
         if cap > top[depth]:
@@ -311,12 +318,10 @@ def _dfs(q, n, I, N, node_limit, time_limit, start):
             if counts[s] < target:
                 nodes += 1
                 if node_limit is not None and nodes > node_limit:
-                    raise BudgetExceeded("node budget exceeded", nodes,
-                                         time.monotonic() - start)
-                if time_limit is not None and nodes % 8192 == 0:
-                    if time.monotonic() - start > time_limit:
-                        raise BudgetExceeded("time budget exceeded", nodes,
-                                             time.monotonic() - start)
+                    return "nodes", nodes, None
+                if deadline is not None and nodes % 8192 == 0 and \
+                        time.monotonic() > deadline:
+                    return "time", nodes, None
                 completed = []
                 applied = 0
                 ok = True
@@ -363,7 +368,7 @@ def _dfs(q, n, I, N, node_limit, time_limit, start):
         sym[depth] = -1
         depth -= 1
         if depth < 0:
-            return False, None, nodes
+            return "exhausted", nodes, None
         p2 = order[depth]
         s2 = chi[p2]
         for c in undo[depth]:
@@ -433,17 +438,19 @@ def _cover_tables(q, n, I, N):
     return q, n, N, powers, cmask, pos_tr, tr_pos
 
 
-def _cover_tree(tables, path, limit, time_limit, start, poll=None):
-    """The exact cover of the module docstring from a fresh state, as
-    (found, symbols, nodes).  With `path` None it runs the pin and its
-    forced moves and, at the first real branch, returns (None, (forced
-    options, branch options), nodes).  Otherwise it replays the pin and
-    `path`, counting a node only for the last option, and exhausts that
-    cube.  Every 1,024 nodes `poll(nodes)` may abandon it (result None).
-    The compiled kernel runs it when it loaded; the body below is the
-    fallback and the reference the kernel is tested against."""
+def _cover_tree(tables, path, limit, tick=None):
+    """The exact cover of the module docstring from a fresh state, as the
+    outcome (kind, nodes, symbols).  With `path` None it runs the pin and
+    its forced moves and, at the first real branch, returns ("branch",
+    nodes, (forced options, branch options)).  Otherwise it replays the pin
+    and `path`, counting a node only for the last option, and exhausts that
+    cube.  Past `limit` nodes it ends as ("nodes", limit + 1, None).  Every
+    1,024 nodes `tick(nodes)` may end it: "time" as ("time", nodes, None),
+    "abandon" with the result None.  The compiled kernel runs it when it
+    loaded; the body below is the fallback and the reference the kernel is
+    tested against."""
     if callable(tables):
-        return tables(path, limit, time_limit, start, poll)
+        return tables(path, limit, tick)
     q, n, N, powers, cmask, pos_tr, tr_pos = tables
     target = q ** (n - 1)
     chi = [-1] * N
@@ -565,7 +572,7 @@ def _cover_tree(tables, path, limit, time_limit, start, poll=None):
 
     # rotation rule: translate 0 reads 0**n
     if not place(0, 0):
-        return False, None, nodes
+        return "exhausted", nodes, None
     if path is not None:
         for opt in path[:-1]:
             place(*opt)
@@ -581,26 +588,20 @@ def _cover_tree(tables, path, limit, time_limit, start, poll=None):
         # innermost real branch moves on
         if len(opts) > 1:
             if path is None:
-                return None, (forced, opts), nodes
+                return "branch", nodes, (forced, opts)
             stack.append([opts, 1, len(trail), free])
         opt = opts[0] if opts else None
         while True:
             if opt is not None:
                 nodes += 1
                 if limit is not None and nodes > limit:
-                    raise BudgetExceeded("node budget exceeded", nodes,
-                                         time.monotonic() - start)
-                if not nodes & 1023:
-                    if time_limit is not None and \
-                            time.monotonic() - start > time_limit:
-                        raise BudgetExceeded("time budget exceeded", nodes,
-                                             time.monotonic() - start)
-                    if poll is not None and poll(nodes):
-                        return None
+                    return "nodes", nodes, None
+                if not nodes & 1023 and tick and (end := tick(nodes)):
+                    return None if end == "abandon" else (end, nodes, None)
                 if place(*opt):
                     break
             if not stack:
-                return False, None, nodes
+                return "exhausted", nodes, None
             frame = stack[-1]
             opts, i, mark, free = frame
             undo(mark)
@@ -613,7 +614,7 @@ def _cover_tree(tables, path, limit, time_limit, start, poll=None):
         if path is None:
             forced.append(opt)
         if not frontier and not untouched:
-            return True, chi, nodes
+            return "found", nodes, chi
         opts = branch()
 
 
@@ -623,50 +624,49 @@ def _cover_tree(tables, path, limit, time_limit, start, poll=None):
 _FORK_AFTER = 65536
 
 
-def _cover_search(q, n, I, N, node_limit, time_limit, start, jobs=1):
+def _cover_search(q, n, I, N, node_limit, deadline, jobs=1):
     """The exact-cover search of the module docstring, for |I| >= 3 and
-    N <= 4096: (found, symbols, nodes) as `_dfs` returns them, from the
-    prefix and its cubes on at most `jobs` processes."""
+    N <= 4096: the outcome (kind, nodes, symbols) as `_dfs` returns it,
+    from the prefix and its cubes on at most `jobs` processes."""
     tables = _cover_tables(q, n, I, N)
-    found, syms, prefix = _cover_tree(tables, None, node_limit, time_limit,
-                                      start)
-    if found is not None:
-        return found, syms, prefix
+
+    def tick(nodes, poll=None):
+        # end on the clock, or abandon the cube once the driver's `poll`
+        # says it no longer matters
+        if deadline is not None and time.monotonic() > deadline:
+            return "time"
+        if poll and poll(nodes):
+            return "abandon"
+
+    kind, prefix, syms = _cover_tree(tables, None, node_limit, tick)
+    if kind != "branch":
+        return kind, prefix, syms
     forced, options = syms
     paths = [forced + [opt] for opt in options]
 
     def run(i, results, poll):
-        # cube i as (kind, nodes, symbols); None when abandoned.  Its budget
-        # is what the prefix and the lower cubes known exhausted leave.
+        # cube i's outcome, None when abandoned.  Its budget is what the
+        # prefix and the lower cubes known exhausted leave.
         limit = node_limit
         if limit is not None:
             limit -= prefix + sum(r[1] for j, r in results.items()
                                   if j < i and r[0] == "exhausted")
-        try:
-            got = _cover_tree(tables, paths[i], limit, time_limit, start,
-                              poll)
-        except BudgetExceeded as exc:
-            over = limit is not None and exc.nodes > limit
-            return "nodes" if over else "time", exc.nodes, None
-        if got is None:
-            return None
-        found, syms, nodes = got
-        return "found" if found else "exhausted", nodes, syms
+        return _cover_tree(tables, paths[i], limit,
+                           lambda nodes: tick(nodes, poll))
 
     total = prefix
     with closing(_drive(len(paths), run, jobs,
                         ("found", "nodes", "time"))) as cubes:
         for kind, nodes, syms in cubes:
-            if kind == "time":
-                raise BudgetExceeded("time budget exceeded", total + nodes,
-                                     time.monotonic() - start)
-            if node_limit is not None and total + nodes > node_limit:
-                raise BudgetExceeded("node budget exceeded", node_limit + 1,
-                                     time.monotonic() - start)
             total += nodes
-            if kind == "found":
-                return True, syms, total
-    return False, None, total
+            # a cube past its own limit, or past one that left out lower
+            # cubes not yet reported when it started, is past the budget
+            if kind != "time" and node_limit is not None and \
+                    total > node_limit:
+                return "nodes", node_limit + 1, None
+            if kind != "exhausted":
+                return kind, total, syms
+    return "exhausted", total, None
 
 
 def _drive(count, run, jobs, stop=()):

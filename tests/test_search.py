@@ -127,6 +127,18 @@ class TestDecideValid:
             decide_valid(9, 2, (0, 27), time_limit=0.05)
         assert info.value.nodes >= 8192
 
+    @pytest.mark.parametrize("limit", [1, 1_000, 8_192, 100_000])
+    def test_node_budget_of_the_position_search(self, limit):
+        # {0, 27} over 9 symbols, and a 13-element set past N = 4096, both
+        # run past 100,000 nodes; the search stops at the first node over
+        rng = random.Random(8192)
+        for q, n, I in [(9, 2, (0, 27)),
+                        (2, 13, tuple(rng.sample(range(8192), 13)))]:
+            with pytest.raises(BudgetExceeded,
+                               match="node budget exceeded") as info:
+                decide_valid(q, n, I, node_limit=limit)
+            assert info.value.nodes == limit + 1, (q, n)
+
     def test_position_search_serves_two_positions_and_large_n(
             self, monkeypatch):
         calls = []
@@ -261,8 +273,9 @@ class TestPruningSoundness:
         verdicts = set()
         for rest in itertools.combinations(range(1, N), n - 1):
             I = (0,) + rest
-            found, syms, _ = search._cover_search(q, n, I, N, None, None, 0)
-            assert found == search._dfs(q, n, I, N, None, None, 0)[0], I
+            kind, _, syms = search._cover_search(q, n, I, N, None, None)
+            assert kind == search._dfs(q, n, I, N, None, None)[0], I
+            found = kind == "found"
             if found:
                 assert verify_cover(CyclicString(q, tuple(syms)),
                                     CycleParams.unreduced(q, n), I).complete
@@ -370,12 +383,12 @@ class TestCubes:
         # each cube searched on its own from its replayed path
         N = q ** n
         tables = search._cover_tables(q, n, I, N)
-        found, (forced, options), total = search._cover_tree(
-            tables, None, None, None, 0)
-        assert found is None and len(options) > 1
+        kind, total, (forced, options) = search._cover_tree(tables, None,
+                                                            None)
+        assert kind == "branch" and len(options) > 1
         for opt in options:
-            found, _, nodes = search._cover_tree(tables, forced + [opt],
-                                                 None, None, 0)
+            kind, nodes, _ = search._cover_tree(tables, forced + [opt], None)
+            found = kind == "found"
             total += nodes
             if found:
                 break
@@ -430,7 +443,7 @@ def _steer(monkeypatch, tmp_path, abandon):
     cube 1's witness.  Returns the (cube, result) pairs of the caller's own
     cube searches; the prefix is cube None."""
     tables = search._cover_tables(2, 5, HAND_OFF, 32)
-    _, (_, options), _ = search._cover_tree(tables, None, None, None, 0)
+    _, _, (_, options) = search._cover_tree(tables, None, None)
     caller = os.getpid()
     started, taken, sent = (tmp_path / m for m in ("started", "taken", "sent"))
     tree, fork, write_all = search._cover_tree, os.fork, search._write_all
@@ -504,8 +517,8 @@ class TestHelpers:
         # cube 1 first and fails there itself: an error either way
         I = (0, 1, 4, 15, 20)
         tree = search._cover_tree
-        _, (_, options), _ = tree(search._cover_tables(2, 5, I, 32), None,
-                                  None, None, 0)
+        _, _, (_, options) = tree(search._cover_tables(2, 5, I, 32), None,
+                                  None)
 
         def failing(tables, path, *args):
             if path is not None and path[-1] in options[1:]:
@@ -615,6 +628,29 @@ class TestKernel:
         assert (lib is None) == (shutil.which("cc") is None)
         assert list(tmp_path.iterdir()) == []
 
+    def test_no_temporary_directory_means_no_kernel(self, monkeypatch,
+                                                    tmp_path):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+        assert kernel.load.__wrapped__() is None
+        assert list(tmp_path.iterdir()) == []
+
+    def test_the_compile_counts_against_no_budget(self, monkeypatch):
+        # a first load that takes 1 s, as a slow compile would; the search
+        # itself takes a few ms in C and about 0.2 s in Python
+        lib = kernel.load()
+        calls = []
+
+        def slow_load():
+            if not calls:
+                time.sleep(1.0)
+            calls.append(1)
+            return lib
+
+        monkeypatch.setattr(kernel, "load", slow_load)
+        cert = decide_valid(2, 5, REFUTE25[0], time_limit=0.5, jobs=1)
+        assert calls and cert.verdict == INVALID
+        assert cert.elapsed < 0.5
+
     def test_same_certificates_on_every_small_class(self, forks,
                                                     monkeypatch):
         # at jobs 2 and 3 every class forks after its first cube
@@ -709,8 +745,7 @@ class TestKernel:
         # poll runs every 1,024 nodes; a helper's failure and an interrupt
         # both arrive there
         tables = search._cover_tables(2, 5, REFUTE25[0], 32)
-        _, (forced, options), _ = search._cover_tree(tables, None, None,
-                                                     None, 0)
+        _, _, (forced, options) = search._cover_tree(tables, None, None)
         polled = []
 
         def poll(nodes):
@@ -718,8 +753,7 @@ class TestKernel:
             raise exc("poll failed")
 
         with pytest.raises(exc, match="poll failed"):
-            search._cover_tree(tables, forced + [options[0]], None, None, 0,
-                               poll)
+            search._cover_tree(tables, forced + [options[0]], None, poll)
         assert polled == [1024]
 
 
