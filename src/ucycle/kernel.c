@@ -26,13 +26,17 @@ struct frame { int t, last, mark; };
 /* cover_run's return codes; kernel.py names them */
 enum { EXHAUSTED, FOUND, BRANCH, OVER, TICK };
 
+/* s->cube: the option the first real branch takes; PREFIX stops there
+ * instead, and TAKEN lets every real branch try all its options */
+enum { PREFIX = -1, TAKEN = -2 };
+
 struct cover {
     int q, n, N, W, target, untouched, nfront, ntrail;
     size_t nolds;
-    /* where cover_run stopped: nodes, open frames, forced options listed,
-     * the option to place, and whether it was stopped at a TICK */
+    /* where cover_run stopped: nodes, open frames, the option to place,
+     * whether it was stopped at a TICK, and the cube (see cover_run) */
     long long nodes;
-    int nframes, nf, ot, ow, resume;
+    int nframes, ot, ow, resume, cube;
     int *powers;    /* n: q**(n-1-j) */
     int *tr_pos;    /* N*n: position t + I[j] */
     int *pos_tr;    /* N*n: translate p - I[j] */
@@ -191,6 +195,21 @@ static int next_word(struct cover *s, int t, int after)
     return -1;
 }
 
+/* The option after `after` of a branch on translate t: the least word
+ * above it that t can take (next_word).  At t < 0 the branch is the
+ * complement rule's, whose options are the translates r <= N/2 that can
+ * still take 1**n (word N - 1); the least above `after` is returned.  -1
+ * when there is none. */
+static int next_option(struct cover *s, int t, int after)
+{
+    if (t >= 0)
+        return next_word(s, t, after);
+    for (int r = after < 1 ? 1 : after + 1; r <= s->N / 2; r++)
+        if (!s->nfix[r])
+            return r;
+    return -1;
+}
+
 /* The item to branch on: 0 when the node fails, 1 for the forced option
  * (*pt, *pw), 2 for a branch on the words of translate *pt. */
 static int branch(struct cover *s, int *pt, int *pw)
@@ -323,7 +342,7 @@ struct cover *cover_new(int q, int n, const int *I)
     s->nfront = s->ntrail = 0;
     s->nolds = 0;
     s->nodes = 0;
-    s->nframes = s->nf = s->ot = s->ow = s->resume = 0;
+    s->nframes = s->ot = s->ow = s->resume = 0;
     for (int j = 0, d = N / q; j < n; j++, d /= q)
         s->powers[j] = d;
     for (int t = 0; t < N; t++)
@@ -356,23 +375,20 @@ void cover_free(struct cover *s)
 /* Run the search of s as search._cover_tree runs it, until it ends or its
  * node count reaches a multiple of 1,024: then it returns TICK, for the
  * caller to read the clock and poll, and the next call goes on from there.
- * path and npath are read on the first call only.  With npath < 0 it runs
- * the pin and its forced moves and stops at the first real branch: it
- * returns BRANCH with the *nforced forced options and then the *nopts
- * branch options in out, as (translate, word) pairs.  Otherwise it replays
- * the pin and the first npath - 1 options of path, counting a node only for
- * the last, and exhausts that cube.  FOUND leaves the symbols in
- * out[0 .. N).  OVER means *nodes passed limit (limit < 0: none).  out
- * holds 4 * N ints. */
-int cover_run(struct cover *s, const int *path, int npath, long long limit,
-              long long *nodes_out, int *out, int *nforced, int *nopts)
+ * cube is read on the first call only.  With cube < 0 it runs the pin and
+ * its forced moves and stops at the first real branch: it returns BRANCH
+ * with the number of options in out[0].  Otherwise it runs the same
+ * prefix, counting its nodes again, takes only option cube of that branch
+ * and exhausts it.  FOUND leaves the symbols in out[0 .. N).  OVER means
+ * *nodes passed limit (limit < 0: none).  out holds N ints. */
+int cover_run(struct cover *s, int cube, long long limit,
+              long long *nodes_out, int *out)
 {
     struct frame *frames = s->frames;
-    const int N = s->N, W = s->W, prefix = npath < 0;
+    const int N = s->N, W = s->W;
     long long nodes = s->nodes;
-    int nframes = s->nframes, nf = s->nf, ot = s->ot, ow = s->ow;
-    int rc, have = 1, decide = 1;
-    *nforced = *nopts = 0;
+    int nframes = s->nframes, ot = s->ot, ow = s->ow;
+    int rc, have = 1, decide = 1, comp = 0;
 
     if (s->resume) {
         /* the option counted before the last TICK is still to be placed;
@@ -380,67 +396,46 @@ int cover_run(struct cover *s, const int *path, int npath, long long limit,
         s->resume = 0;
         goto place_option;
     }
-    nframes = nf = 0;
-    have = decide = 0;
-    /* rotation rule: translate 0 reads 0**n */
+    s->cube = cube < 0 ? PREFIX : cube;
+    nframes = 0;
+    /* rotation rule: translate 0 reads 0**n; at q = 2 the complement
+     * rule's branch comes next */
     if (!place(s, 0, 0)) {
         rc = EXHAUSTED;
         goto done;
     }
-    if (!prefix) {
-        for (int i = 0; i < npath - 1; i++)
-            place(s, path[2 * i], path[2 * i + 1]);
-        have = 1;
-        ot = path[2 * (npath - 1)];
-        ow = path[2 * (npath - 1) + 1];
-    } else if (s->q == 2) {
-        /* complement rule: 1**n (word N - 1) goes on a translate r <= N/2
-         * that it can still take */
-        int cnt = 0;
-        for (int r = 1; r <= N / 2; r++)
-            if (!s->nfix[r]) {
-                out[2 * cnt] = r;
-                out[2 * cnt + 1] = N - 1;
-                cnt++;
-            }
-        if (cnt > 1) {
-            *nopts = cnt;
-            rc = BRANCH;
-            goto done;
-        }
-        if (cnt == 1) {
-            have = 1;
-            ot = out[0];
-            ow = N - 1;
-        }
-    } else {
-        decide = 1;
-    }
+    comp = s->q == 2;
     for (;;) {
         if (decide) {
-            int t = 0, w = 0, kind = branch(s, &t, &w);
+            int t = -1, w = 0, kind = comp ? 2 : branch(s, &t, &w);
+            comp = 0;
             have = 0;
             if (kind == 1) {
                 have = 1;
                 ot = t;
                 ow = w;
             } else if (kind == 2) {
-                int w1 = next_word(s, t, -1);
-                int w2 = w1 < 0 ? -1 : next_word(s, t, w1);
-                if (w1 >= 0 && w2 < 0) {
-                    have = 1;
-                    ot = t;
-                    ow = w1;
-                } else if (w2 >= 0 && prefix) {
-                    int k = 0;
-                    for (int x = w1; x >= 0; x = next_word(s, t, x), k++) {
-                        out[2 * (nf + k)] = t;
-                        out[2 * (nf + k) + 1] = x;
-                    }
-                    *nforced = nf;
-                    *nopts = k;
+                int w1 = next_option(s, t, -1);
+                int w2 = w1 < 0 ? -1 : next_option(s, t, w1);
+                if (w2 >= 0 && s->cube == PREFIX) {
+                    int cnt = 0;
+                    for (int x = w1; x >= 0; x = next_option(s, t, x))
+                        cnt++;
+                    out[0] = cnt;
                     rc = BRANCH;
                     goto done;
+                }
+                if (w2 >= 0 && s->cube >= 0) {
+                    /* the cube's option, alone */
+                    for (int i = s->cube; i > 0 && w1 >= 0; i--)
+                        w1 = next_option(s, t, w1);
+                    s->cube = TAKEN;
+                    w2 = -1;
+                }
+                if (w1 >= 0 && w2 < 0) {
+                    have = 1;
+                    ot = t < 0 ? w1 : t;
+                    ow = t < 0 ? N - 1 : w1;
                 } else if (w2 >= 0) {
                     /* a lone option is forced and gets no frame: when it
                      * fails, the innermost real branch moves on */
@@ -493,11 +488,6 @@ place_option:
                 have = 0;
             }
         }
-        if (prefix) {
-            out[2 * nf] = ot;
-            out[2 * nf + 1] = ow;
-            nf++;
-        }
         if (!s->nfront && !s->untouched) {
             memcpy(out, s->chi, N * sizeof(int));
             rc = FOUND;
@@ -507,7 +497,6 @@ place_option:
 done:
     s->nodes = nodes;
     s->nframes = nframes;
-    s->nf = nf;
     s->ot = ot;
     s->ow = ow;
     *nodes_out = nodes;

@@ -8,11 +8,12 @@ each process pays the compile, about 0.2 s, once, before
 loaded library.  Where no `cc` is on PATH, no temporary directory can be
 made or the build fails, `load()` returns None and `search._cover_tree`
 runs its Python body, which is also the reference the tests compare the
-kernel against.  `bind`'s tree hands back to the caller's `tick` every
-1,024 nodes and maps `cover_run`'s return codes to outcome kinds; the
-clock and the budget's exception belong to `search`.  `search` imports
-this module only when it searches, so `import ucycle` loads neither
-ctypes nor the compiler.
+kernel against.  `bind`'s tree names a cube by its index, as
+`search._cover_tree` does, hands back to the caller's `tick` every 1,024
+nodes and maps `cover_run`'s return codes to outcome kinds; the cube
+order, the clock and the budget's exception belong to `search`.
+`search` imports this module only when it searches, so `import ucycle`
+loads neither ctypes nor the compiler.
 """
 from __future__ import annotations
 
@@ -54,50 +55,43 @@ def load():
     lib.cover_new.restype = ctypes.c_void_p
     lib.cover_free.argtypes = [ctypes.c_void_p]
     lib.cover_free.restype = None
-    lib.cover_run.argtypes = [ctypes.c_void_p, _INTS, ctypes.c_int,
+    lib.cover_run.argtypes = [ctypes.c_void_p, ctypes.c_int,
                               ctypes.c_longlong,
-                              ctypes.POINTER(ctypes.c_longlong), _INTS, _INTS,
-                              _INTS]
+                              ctypes.POINTER(ctypes.c_longlong), _INTS]
     lib.cover_run.restype = ctypes.c_int
     return lib
 
 
 def bind(q, n, N, I):
     """The kernel bound to the exact cover of I over q**n = N words, called
-    as `tree(path, limit, tick)` and answering as `search._cover_tree`
+    as `tree(cube, limit, tick)` and answering as `search._cover_tree`
     does; None where the kernel did not load."""
     lib = load()
     if lib is None:
         return None
     iset = (ctypes.c_int * n)(*I)
-    out = (ctypes.c_int * (4 * N))()
-    nodes, nforced, nopts = ctypes.c_longlong(), ctypes.c_int(), ctypes.c_int()
+    out = (ctypes.c_int * N)()
+    nodes = ctypes.c_longlong()
 
-    def tree(path, limit, tick):
-        flat = [x for opt in path for x in opt] if path is not None else ()
-        steps = (ctypes.c_int * len(flat))(*flat)
+    def tree(cube, limit, tick):
         state = lib.cover_new(q, n, iset)
         if not state:
             raise MemoryError("exact-cover kernel: out of memory")
         try:
             # every 1,024 nodes the kernel returns here, so `tick`, an
-            # exception it raises, or a signal, ends it as in Python
+            # exception it raises, or a signal, ends it as in Python.  A
+            # limit below 0 stops at the first node, as in Python, where
+            # the kernel would read it as none
             while (kind := KINDS[lib.cover_run(
-                    state, steps, -1 if path is None else len(path),
-                    -1 if limit is None else limit, nodes, out, nforced,
-                    nopts)]) == "tick":
+                    state, -1 if cube is None else cube,
+                    -1 if limit is None else max(limit, 0), nodes,
+                    out)]) == "tick":
                 if tick and (end := tick(nodes.value)):
                     return None if end == "abandon" else \
                         (end, nodes.value, None)
         finally:
             lib.cover_free(state)
-        syms = None
-        if kind == "found":
-            syms = out[:N]
-        elif kind == "branch":
-            k = 2 * (nforced.value + nopts.value)
-            pairs = list(zip(out[0:k:2], out[1:k:2]))
-            syms = pairs[:nforced.value], pairs[nforced.value:]
-        return kind, nodes.value, syms
+        return kind, nodes.value, (out[:N] if kind == "found" else
+                                   out[0] if kind == "branch" else None)
 
     return tree

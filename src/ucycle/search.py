@@ -31,17 +31,18 @@ option (t, w) colours the positions t + I with the symbols of w.
   hence the fixed scan order.
 * Cubes (cube-and-conquer; Heule, Kullmann, Wieringa and Biere, HVC 2011).
   The search is split at its first real branch, after the pin and its
-  forced moves (at q = 2, the complement rule's branch below).  Each option
-  there is one cube, searched from a fresh state that replays the pin, the
-  forced prefix and that option, so a cube's run does not depend on which
-  process runs it or what ran before.  The class is decided in cube order:
-  valid at the least cube with a witness once every lower cube is
-  exhausted, invalid when all are.  `nodes_explored` is the prefix's nodes
-  plus each cube's own nodes in cube order, up to and including the
-  deciding cube: one number whatever the CPU count.
+  forced moves (at q = 2, the complement rule's branch below).  Cube i,
+  option i there, is a fresh search that runs that prefix again, takes
+  only option i and exhausts it, so it does not depend on which process
+  runs it or what ran before.  The class is decided in cube order: valid
+  at the least cube with a witness once every lower cube is exhausted,
+  invalid when all are.  `nodes_explored` is the prefix's nodes plus, in
+  cube order up to and including the deciding cube, each cube's nodes
+  less the prefix's: one number whatever the CPU count.
 * CPUs.  One driver (`_drive`) runs numbered units on up to `jobs`
-  processes: the cubes of one search, or the classes of an atlas, each
-  decided there by a one-process `decide_valid`.  The caller runs units
+  processes, never more than `_cpus()`: the cubes of one search, or the
+  classes of an atlas, each decided there by a one-process
+  `decide_valid`.  The caller runs units
   itself; once they have spent 65,536 nodes with two units left, its own
   included, it forks one helper per further process.  Helpers take the
   next unit from one pipe that holds it as a single token, so the pipe
@@ -215,10 +216,9 @@ def decide_valid(q, n, I, node_limit=None, time_limit=None, jobs=None):
     refuted first, with 0 nodes and method "stabilizer": the window
     at t + s reads 0**n whenever the one at t does.
 
-    `jobs` caps the processes one exact-cover search may use; None means
-    the CPUs this process may run on (`os.sched_getaffinity`, else
-    `os.cpu_count()`).  It is one process where `os.fork` is missing or
-    while other threads run.  The verdict, witness and `nodes_explored`
+    `jobs` caps the processes one exact-cover search may use, and `_cpus()`
+    caps `jobs`; None means all of those CPUs.  It is one process where
+    `os.fork` is missing or while other threads run.  The verdict, witness and `nodes_explored`
     are the same for every `jobs`, and for either engine: the certificate's
     `engine` is "c" when the compiled kernel ran the exact cover, else
     "python".
@@ -235,8 +235,7 @@ def decide_valid(q, n, I, node_limit=None, time_limit=None, jobs=None):
     neither the time budget nor `elapsed` includes it.
     """
     if jobs is None:
-        jobs = (len(os.sched_getaffinity(0))
-                if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+        jobs = _cpus()
     if jobs < 1:
         raise ValueError(f"jobs must be positive, got {jobs}")
     params = CycleParams.unreduced(q, n)
@@ -272,6 +271,12 @@ def decide_valid(q, n, I, node_limit=None, time_limit=None, jobs=None):
         witness=witness, nodes_explored=nodes, elapsed=elapsed,
         method="stabilizer" if stabilized else "search", engine=engine,
     )
+
+
+def _cpus():
+    """The CPUs this process may run on."""
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 
 
 def _dfs(q, n, I, N, node_limit, deadline):
@@ -438,19 +443,19 @@ def _cover_tables(q, n, I, N):
     return q, n, N, powers, cmask, pos_tr, tr_pos
 
 
-def _cover_tree(tables, path, limit, tick=None):
+def _cover_tree(tables, cube, limit, tick=None):
     """The exact cover of the module docstring from a fresh state, as the
-    outcome (kind, nodes, symbols).  With `path` None it runs the pin and
+    outcome (kind, nodes, symbols).  With `cube` None it runs the pin and
     its forced moves and, at the first real branch, returns ("branch",
-    nodes, (forced options, branch options)).  Otherwise it replays the pin
-    and `path`, counting a node only for the last option, and exhausts that
-    cube.  Past `limit` nodes it ends as ("nodes", limit + 1, None).  Every
-    1,024 nodes `tick(nodes)` may end it: "time" as ("time", nodes, None),
-    "abandon" with the result None.  The compiled kernel runs it when it
-    loaded; the body below is the fallback and the reference the kernel is
-    tested against."""
+    nodes, the number of options).  With `cube` i it runs the same prefix,
+    counting its nodes again, takes only option i of that branch and
+    exhausts it.  Past `limit` nodes it ends as ("nodes", limit + 1, None).
+    Every 1,024 nodes `tick(nodes)` may end it: "time" as ("time", nodes,
+    None), "abandon" with the result None.  The compiled kernel runs it
+    when it loaded; the body below is the fallback and the reference the
+    kernel is tested against."""
     if callable(tables):
-        return tables(path, limit, tick)
+        return tables(cube, limit, tick)
     q, n, N, powers, cmask, pos_tr, tr_pos = tables
     target = q ** (n - 1)
     chi = [-1] * N
@@ -464,7 +469,6 @@ def _cover_tree(tables, path, limit, tick=None):
     free = (1 << N) - 1   # words no closed translate reads
     nodes = 0
     stack = []            # frames [options, next, trail mark, free]
-    forced = []           # the prefix's forced options, when path is None
     two_n = 2 * N
 
     def place(t, w):
@@ -573,11 +577,7 @@ def _cover_tree(tables, path, limit, tick=None):
     # rotation rule: translate 0 reads 0**n
     if not place(0, 0):
         return "exhausted", nodes, None
-    if path is not None:
-        for opt in path[:-1]:
-            place(*opt)
-        opts = path[-1:]
-    elif q == 2:
+    if q == 2:
         # complement rule: 1**n (word N - 1) goes on a translate r <= N/2
         # that it can still take (one through a position of I reads a 0)
         opts = [(r, N - 1) for r in range(1, N // 2 + 1) if not nfix[r]]
@@ -587,9 +587,13 @@ def _cover_tree(tables, path, limit, tick=None):
         # a lone option is forced and gets no frame: when it fails, the
         # innermost real branch moves on
         if len(opts) > 1:
-            if path is None:
-                return "branch", nodes, (forced, opts)
-            stack.append([opts, 1, len(trail), free])
+            if cube is None:
+                return "branch", nodes, len(opts)
+            if cube < 0:
+                stack.append([opts, 1, len(trail), free])
+            else:
+                # the cube's option, alone; later branches try them all
+                opts, cube = opts[cube:cube + 1], -1
         opt = opts[0] if opts else None
         while True:
             if opt is not None:
@@ -611,8 +615,6 @@ def _cover_tree(tables, path, limit, tick=None):
             else:
                 stack.pop()
                 opt = None
-        if path is None:
-            forced.append(opt)
         if not frontier and not untouched:
             return "found", nodes, chi
         opts = branch()
@@ -627,7 +629,7 @@ _FORK_AFTER = 65536
 def _cover_search(q, n, I, N, node_limit, deadline, jobs=1):
     """The exact-cover search of the module docstring, for |I| >= 3 and
     N <= 4096: the outcome (kind, nodes, symbols) as `_dfs` returns it,
-    from the prefix and its cubes on at most `jobs` processes."""
+    from the prefix and cubes 0, 1, ... on at most `jobs` processes."""
     tables = _cover_tables(q, n, I, N)
 
     def tick(nodes, poll=None):
@@ -638,24 +640,24 @@ def _cover_search(q, n, I, N, node_limit, deadline, jobs=1):
         if poll and poll(nodes):
             return "abandon"
 
-    kind, prefix, syms = _cover_tree(tables, None, node_limit, tick)
-    if kind != "branch":
-        return kind, prefix, syms
-    forced, options = syms
-    paths = [forced + [opt] for opt in options]
+    outcome = _cover_tree(tables, None, node_limit, tick)
+    if outcome[0] != "branch":
+        return outcome
+    _, prefix, count = outcome
 
     def run(i, results, poll):
-        # cube i's outcome, None when abandoned.  Its budget is what the
-        # prefix and the lower cubes known exhausted leave.
+        # cube i's outcome, None when abandoned, less the prefix's nodes,
+        # which the cube runs again.  Its budget is what the lower cubes
+        # known exhausted leave.
         limit = node_limit
         if limit is not None:
-            limit -= prefix + sum(r[1] for j, r in results.items()
-                                  if j < i and r[0] == "exhausted")
-        return _cover_tree(tables, paths[i], limit,
-                           lambda nodes: tick(nodes, poll))
+            limit -= sum(r[1] for j, r in results.items()
+                         if j < i and r[0] == "exhausted")
+        res = _cover_tree(tables, i, limit, lambda nodes: tick(nodes, poll))
+        return res and (res[0], res[1] - prefix, res[2])
 
     total = prefix
-    with closing(_drive(len(paths), run, jobs,
+    with closing(_drive(count, run, jobs,
                         ("found", "nodes", "time"))) as cubes:
         for kind, nodes, syms in cubes:
             total += nodes
@@ -670,8 +672,8 @@ def _cover_search(q, n, I, N, node_limit, deadline, jobs=1):
 
 
 def _drive(count, run, jobs, stop=()):
-    """Run units 0 .. count - 1 on at most `jobs` processes, as the module
-    docstring says, and yield their results, (kind, nodes, symbols), in unit
+    """Run units 0 .. count - 1 on at most `jobs` processes, and no more
+    than `_cpus()`, as the module docstring says, and yield their results, (kind, nodes, symbols), in unit
     order.  `run(i, results, poll)` gives unit i's result, or None once
     `poll(nodes)` is true; `results` holds the units decided so far.  A
     unit whose kind is in `stop` is the last one yielded.  Closing the
@@ -679,6 +681,7 @@ def _drive(count, run, jobs, stop=()):
     threading = sys.modules.get("threading")
     if not hasattr(os, "fork") or threading and threading.active_count() > 1:
         jobs = 1    # a fork copies no other thread, but may copy its locks
+    jobs = min(jobs, _cpus())   # processes past the CPUs would take turns
     results = {}
     spent = 0         # the caller's own nodes
     nxt = 0           # the next unit, until the fork
@@ -903,10 +906,10 @@ def _covers(text, params, I):
 def atlas(q, n, node_limit=None, time_limit=None, checkpoint=None, jobs=1):
     """Classify every affine class of n-element subsets of Z_{q**n}.
 
-    The classes are the units of `_drive` on at most `jobs` processes,
-    each decided by `decide_valid(..., jobs=1)` in whichever process takes
-    it.  A class that runs out of budget is `inconclusive`, and the run
-    goes on.  Returns {class representative: verdict} in canonical order.
+    The classes are the units of `_drive` on at most `jobs` processes and
+    `_cpus()`, each decided by `decide_valid(..., jobs=1)` in whichever
+    process takes it.  A class that runs out of budget is `inconclusive`,
+    and the run goes on.  Returns {class representative: verdict} in canonical order.
     With a `checkpoint` path each decided class is appended to that file
     as one `format_line` record, a valid one with its witness, and
     flushed, in canonical order whatever the number of processes, so

@@ -828,8 +828,10 @@ class TestAtlasAndGolden:
     def test_atlas_budget_leaves_classes_inconclusive(self, capsys,
                                                       monkeypatch):
         # a class out of budget no longer ends the run; forking after the
-        # first class makes the --jobs 2 run use a helper
+        # first class makes the --jobs 2 run use a helper, on a host taken
+        # to have 2 CPUs
         monkeypatch.setattr(search, "_FORK_AFTER", 0)
+        monkeypatch.setattr(search, "_cpus", lambda: 2)
         runs = [run_cli(capsys, "atlas", "--q", "2", "--n", "4", "--size",
                         "4", "--budget-nodes", "5", "--jobs", jobs)
                 for jobs in ("1", "2")]

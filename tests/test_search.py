@@ -380,16 +380,17 @@ class TestCubes:
     @pytest.mark.parametrize("q,n,I", [(2, 5, I) for I in REFUTE25] + [
         (2, 5, (0, 1, 2, 10, 13)), (3, 4, (0, 1, 7, 8)), (3, 3, (0, 1, 2))])
     def test_nodes_are_the_prefix_plus_the_cubes(self, q, n, I):
-        # each cube searched on its own from its replayed path
+        # each cube searched on its own from a fresh state; it runs the
+        # prefix's nodes again
         N = q ** n
         tables = search._cover_tables(q, n, I, N)
-        kind, total, (forced, options) = search._cover_tree(tables, None,
-                                                            None)
-        assert kind == "branch" and len(options) > 1
-        for opt in options:
-            kind, nodes, _ = search._cover_tree(tables, forced + [opt], None)
+        kind, prefix, count = search._cover_tree(tables, None, None)
+        assert kind == "branch" and count > 1
+        total = prefix
+        for cube in range(count):
+            kind, nodes, _ = search._cover_tree(tables, cube, None)
             found = kind == "found"
-            total += nodes
+            total += nodes - prefix
             if found:
                 break
         cert = decide_valid(q, n, I)
@@ -411,6 +412,8 @@ class TestCubesPython(TestCubes):
 
 @pytest.fixture
 def forks(monkeypatch):
+    """The calls to `os.fork`, on a host taken to have 3 CPUs."""
+    monkeypatch.setattr(search, "_cpus", lambda: 3)
     calls = []
     fork = os.fork
     monkeypatch.setattr(os, "fork", lambda: calls.append(1) or fork())
@@ -442,24 +445,21 @@ def _steer(monkeypatch, tmp_path, abandon):
     cube 2, and the caller searches cube 2 only once the helper has sent
     cube 1's witness.  Returns the (cube, result) pairs of the caller's own
     cube searches; the prefix is cube None."""
-    tables = search._cover_tables(2, 5, HAND_OFF, 32)
-    _, _, (_, options) = search._cover_tree(tables, None, None)
     caller = os.getpid()
     started, taken, sent = (tmp_path / m for m in ("started", "taken", "sent"))
     tree, fork, write_all = search._cover_tree, os.fork, search._write_all
     searched = []
 
-    def steered_tree(tables, path, *args):
-        i = None if path is None else options.index(path[-1])
+    def steered_tree(tables, i, *args):
         if os.getpid() != caller:
             started.touch()
             if abandon and i == 1:
                 _wait_for(taken)
-            return tree(tables, path, *args)
+            return tree(tables, i, *args)
         if abandon and i not in (None, 0):
             taken.touch()
             _wait_for(sent)
-        got = tree(tables, path, *args)
+        got = tree(tables, i, *args)
         searched.append((i, got))
         return got
 
@@ -475,6 +475,7 @@ def _steer(monkeypatch, tmp_path, abandon):
             sent.touch()
 
     monkeypatch.setattr(search, "_FORK_AFTER", 0)
+    monkeypatch.setattr(search, "_cpus", lambda: 2)
     monkeypatch.setattr(search, "_cover_tree", steered_tree)
     monkeypatch.setattr(search, "_write_all", steered_write)
     monkeypatch.setattr(os, "fork", steered_fork)
@@ -517,13 +518,11 @@ class TestHelpers:
         # cube 1 first and fails there itself: an error either way
         I = (0, 1, 4, 15, 20)
         tree = search._cover_tree
-        _, _, (_, options) = tree(search._cover_tables(2, 5, I, 32), None,
-                                  None)
 
-        def failing(tables, path, *args):
-            if path is not None and path[-1] in options[1:]:
+        def failing(tables, cube, *args):
+            if cube is not None and cube >= 1:
                 raise ZeroDivisionError("cube search failed")
-            return tree(tables, path, *args)
+            return tree(tables, cube, *args)
 
         monkeypatch.setattr(search, "_cover_tree", failing)
         with pytest.raises((RuntimeError, ZeroDivisionError),
@@ -655,7 +654,7 @@ class TestKernel:
                                                     monkeypatch):
         # at jobs 2 and 3 every class forks after its first cube
         monkeypatch.setattr(search, "_FORK_AFTER", 0)
-        cases = [(q, n, rep) for q, n in [(2, 4), (3, 3)]
+        cases = [(q, n, rep) for q, n in [(2, 3), (2, 4), (3, 3)]
                  for rep in affine_class_representatives(q ** n, n)]
         for jobs in (1, 2, 3):
             compiled = [_outcome(*c, jobs=jobs) for c in cases]
@@ -713,6 +712,18 @@ class TestKernel:
         assert _outcome(2, 5, I, node_limit=2 ** 40, jobs=1) == \
             _outcome(2, 5, I, jobs=1)
 
+    def test_a_limit_below_zero_stops_at_the_first_node(self, monkeypatch):
+        # a cube's budget is what the lower cubes left, below 0 once they
+        # spent it; the kernel reads a limit below 0 as none, so the
+        # binding must pass it on as 0
+        def cube_zero():
+            tables = search._cover_tables(2, 5, REFUTE25[0], 32)
+            return search._cover_tree(tables, 0, -5)
+
+        compiled = cube_zero()
+        monkeypatch.setattr(kernel, "load", lambda: None)
+        assert cube_zero() == compiled == ("nodes", 1, None)
+
     def test_an_interrupt_stops_the_search(self):
         # a signal is handled when the kernel hands back to Python every
         # 1,024 nodes; (4,3) 0,8,24 would run for minutes
@@ -745,7 +756,6 @@ class TestKernel:
         # poll runs every 1,024 nodes; a helper's failure and an interrupt
         # both arrive there
         tables = search._cover_tables(2, 5, REFUTE25[0], 32)
-        _, _, (forced, options) = search._cover_tree(tables, None, None)
         polled = []
 
         def poll(nodes):
@@ -753,7 +763,7 @@ class TestKernel:
             raise exc("poll failed")
 
         with pytest.raises(exc, match="poll failed"):
-            search._cover_tree(tables, forced + [options[0]], None, poll)
+            search._cover_tree(tables, 0, None, poll)
         assert polled == [1024]
 
 
@@ -798,6 +808,25 @@ class TestDriver:
             atlas(2, 4, jobs=2)
         assert forks
         _no_child_left()
+
+    def test_no_more_processes_than_cpus(self, monkeypatch):
+        # fork, kill and waitpid are stubbed, so no process starts: each
+        # helper is a made-up pid whose result pipe is closed at once, and
+        # the caller decides every class itself.  Before the cap, jobs=1000
+        # forked once per class left, 24 times here
+        kernel.load()   # built by a subprocess, before the stubs
+        expected = atlas(2, 4, jobs=1)
+        forked, killed, reaped = [], [], []
+        fake = 1_000_000
+        monkeypatch.setattr(search, "_FORK_AFTER", 0)
+        monkeypatch.setattr(search, "_cpus", lambda: 2)
+        monkeypatch.setattr(os, "fork", lambda: forked.append(1) or fake)
+        monkeypatch.setattr(os, "kill", lambda pid, sig: killed.append(pid))
+        monkeypatch.setattr(os, "waitpid",
+                            lambda pid, opts: reaped.append(pid) or (pid, 0))
+        assert atlas(2, 4, jobs=1000) == expected
+        assert forked == [1]
+        assert killed == reaped == [fake]
 
     def test_many_units_come_back_in_order(self, forks, monkeypatch):
         # far more unit indices than a pipe holds: the helper takes them
