@@ -16,33 +16,32 @@ Routes, tried in this order:
            it is an Euler circuit of K~_n, which names the route;
 * blowup   the least m with 2 <= m < n, m | n and d | m^2 exists: K~_m's
            length-d trails, each vertex blown up into n/m copies (see
-           `_blowup_trails`);
-* search   otherwise: the validity search for a {0, n^2/d}-cycle over n
-           symbols.  Its n^2 windows are the n^2 edges, and each residue
-           class mod n^2/d walks one closed trail of length d, the inverse
-           of `chi_from_decomposition`.
+           `_blowup_trails`).  Otherwise n | d (if not, some prime p has
+           v_p(d) < v_p(n), and m = n/p would do), so d = n*j with j | n:
+           for 2 <= j < n K~_j's Euler trail is blown up by k = n/j, and
+           for j = 1, n even (so n >= 6), K~_(n/2)'s length-n/2 trails by
+           k = 2, with each k copies that share a start merged;
+* cyclic   d = n odd, no such m: the n translates of one trail whose steps
+           are every residue mod n (`_cyclic_trails`).
 
-By the minimality of m, the base K~_m of a blow-up is itself an euler or a
-search row.
-
-The route taken is recorded on the returned decomposition.  The search and
-the prescribed-length split of the loopless complete digraph
-(`decompose_loopless`) are exact; `Impossible` from either is a refutation
-by exhaustion, and running out of budget raises `BudgetExceeded`.  Every
-emitted decomposition re-verifies through `check_decomposition` before
-being returned.
+Every route is a construction, so `Impossible` from `decompose_equal`
+comes only from counting.  The prescribed-length split of the loopless
+complete digraph (`decompose_loopless`) is a search: `Impossible` from it
+is a refutation by exhaustion, and running out of budget raises
+`BudgetExceeded`.  Every emitted decomposition re-verifies through
+`check_decomposition` before being returned.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .core import (BudgetExceeded, CycleParams, UcycleError,
                    VerificationError, desk_size, least_rotation, verify_cover)
-from .lift import chi_to_trail_symbols, de_bruijn_sequence, trails_to_chi
-from .search import decide_valid
+from .lift import de_bruijn_sequence, trails_to_chi
 
-# the node budget of every decomposition search, and of `decompose`
+# the node budget of the loopless split (`decompose_loopless`)
 NODE_BUDGET = 2_000_000
 
 
@@ -64,7 +63,7 @@ class TrailDecomposition:
     n: int
     d: int
     trails: list
-    # which construction built the trails: "euler", "blowup" or "search";
+    # which construction built the trails: "euler", "blowup" or "cyclic";
     # left out of the JSON document
     route: str = field(compare=False)
 
@@ -216,12 +215,12 @@ def _split_trails(verts, lengths, node_limit):
 
 
 # ---------------------------------------------------------------------------
-# blow-up and search routes, and the dispatcher
+# blow-up and cyclic routes, and the dispatcher
 # ---------------------------------------------------------------------------
 
 
-def _blowup_trails(base, k):
-    """Length-d trails of K~_{mk} from the length-d trails `base` of K~_m.
+def _blowup_trails(base, k, merge=1):
+    """Length-merge*d trails of K~_{mk} from the length-d trails of K~_m.
 
     Vertex v becomes the k vertices (v, i), numbered (v - 1)*k + i + 1, and
     base trail v_0 ... v_{d-1} the k*k trails through (v_a, f_a(i, j)) with
@@ -229,7 +228,8 @@ def _blowup_trails(base, k):
     cyclically consecutive pair (f_a, f_{a+1}) is (i, j), (j, i + j),
     (i + j, j), (j, i) or (i + j, i), of determinant +-1 and so a bijection
     of Z_k^2: every arc from block v_a to block v_{a+1}, loops included,
-    lies on exactly one trail.
+    lies on exactly one trail.  The copies (i, j) of one i start and end at
+    (v_0, i), since f_0 = i: `merge` | k consecutive ones splice into one.
     """
     fs = [(i, j, (i + j) % k) for i in range(k) for j in range(k)]
     trails = []
@@ -237,23 +237,23 @@ def _blowup_trails(base, k):
         # cols[a] lists vertex a of each of the k*k trails of t
         cols = [[(v - 1) * k + 1 + f[1 if a % 2 else 2 if a else 0]
                  for f in fs] for a, v in enumerate(t)]
-        trails.extend(zip(*cols))
+        copies = [iter(zip(*cols))] * merge  # one iterator: zip groups it
+        trails.extend(tuple(chain(*group)) for group in zip(*copies))
     return trails
 
 
-def _search_trails(n, d, node_limit):
-    """Length-d trails read off a {0, D}-cycle over n symbols, D = n*n/d:
-    its windows are the n*n edges, and trail a visits x[a], x[a + D], ..."""
-    D = n * n // d
-    cert = decide_valid(n, 2, (0, D), node_limit=node_limit)
-    if not cert.valid:
-        raise Impossible(f"no {{0, {D}}}-cycle over {n} symbols exists",
-                         reason="exhausted")
-    return [tuple(x + 1 for x in syms)
-            for syms in chi_to_trail_symbols(cert.witness, D)]
+def _cyclic_trails(n):
+    """K~_n's n trails of length n, n odd: trail a visits a + i(i-1)/2 mod n
+    (plus 1) for i = 0 .. n-1.  Its steps are 0, 1, ..., n-2 and, closing,
+    -(n-1)(n-2)/2 = -((n-1)/2)(n-2) = n-1 mod n: each residue once.  The
+    step-i edge of trail a starts at a + i(i-1)/2, a bijection in a, so
+    every edge (u, u + i), loops included, lies on exactly one trail."""
+    starts = [i * (i - 1) // 2 % n for i in range(n)]
+    verts = list(range(1, n + 1)) * 2  # verts[a + c] is (a + c mod n) + 1
+    return [tuple(verts[a + c] for c in starts) for a in range(n)]
 
 
-def decompose_equal(n, d, node_limit=NODE_BUDGET):
+def decompose_equal(n, d):
     """Decompose K~_n into n*n/d closed trails of length d.
 
     Raises Impossible for the two genuinely infeasible lengths (1 and 2,
@@ -283,10 +283,14 @@ def decompose_equal(n, d, node_limit=NODE_BUDGET):
         debruijn = de_bruijn_sequence(n, 2).symbols
         trails, route = [tuple(x + 1 for x in debruijn)], "euler"
     elif m is not None:
-        base = decompose_equal(m, d, node_limit).trails
+        base = decompose_equal(m, d).trails
         trails, route = _blowup_trails(base, n // m), "blowup"
-    else:
-        trails, route = _search_trails(n, d, node_limit), "search"
+    elif d == n and n % 2:
+        trails, route = _cyclic_trails(n), "cyclic"
+    else:  # d = n*j, j | n: K~_(n/k)'s trails, k = n/j (or 2), merged
+        k = n * n // d if d > n else 2
+        base = decompose_equal(n // k, d // k).trails
+        trails, route = _blowup_trails(base, k, k), "blowup"
     return TrailDecomposition(n, d, trails, route)
 
 

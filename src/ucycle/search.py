@@ -75,9 +75,9 @@ and sets past N = 4096, are searched depth-first over positions instead
 (`_dfs`), in O(n*N) memory, taking the positions in the order that
 translates first need them.  For I = {a, b} the translates are walked 0,
 D, 2D, ... with D = b - a, coset by coset of <D>, so each window closes as
-soon as it opens and the {0, D} sets of the decomposition route finish one
-trail before they start the next; that serves them up to N = 127**2.
-Other sets take the translates 0, 1, 2, ...
+soon as it opens and a {0, D}-cycle finishes one trail before it starts
+the next: (9, 2) {0, 9} is decided in 204 nodes, against more than 2M in
+plain order.  Other sets take the translates 0, 1, 2, ...
 
 Symmetry breaking.  Rotating a string, relabeling its symbols and, at
 q = 2, complementing it all map complete strings to complete strings, so

@@ -123,7 +123,8 @@ class TestSearchCommand:
 
     @pytest.mark.parametrize("argv", [
         ["gen-ap", "--q", "3", "--n", "3", "--budget-secs", "5"],
-        ["decompose", "--n", "6", "--d", "3", "--budget-secs", "5"]])
+        ["decompose", "--n", "6", "--d", "3", "--budget-secs", "5"],
+        ["decompose", "--n", "6", "--d", "3", "--budget-nodes", "5"]])
     def test_budget_flag_a_command_does_not_read_is_usage_error(
             self, capsys, argv):
         code, _, err = run_cli(capsys, *argv)
@@ -366,6 +367,19 @@ class TestGenerationCommands:
         doc = json.loads(out)
         assert code == 0
         assert doc["chi_index_set"] == [0, 3]
+
+    @pytest.mark.parametrize("argv,line", [
+        (["gen-ap", "--q", "254", "--n", "2"],
+         "# verified: complete=True q=254 n=2 set=0,254"),
+        (["decompose", "--n", "254", "--d", "254"],
+         "254 trails of length 254")])
+    def test_trails_of_twice_a_prime_are_built(self, capsys, argv, line):
+        # (254, 254) has no m < 254 with m | 254 and 254 | m*m; its trails
+        # were read off a {0, 254}-cycle search that ran out of its
+        # 2,000,000-node budget and exited 3
+        code, out, err = run_within(capsys, 30, *argv)
+        assert code == 0, err
+        assert line in out.splitlines()
 
     def test_approx_type1(self, capsys):
         code, out, _ = run_cli(capsys, "approx", "--q", "2", "--n", "4",
@@ -674,7 +688,7 @@ class TestHostileInput:
 
 class TestInputChecks:
     """Checks a command reaches on bad input, each with its exit code and
-    message; the last two cases are budgets echoed in the JSON config."""
+    message; the last case is a budget echoed in the JSON config."""
 
     @pytest.mark.parametrize("argv,text,code,expected", [
         pytest.param(["verify", "--q", "3", "--n", "2", "--set", "0,1,2",
@@ -708,9 +722,6 @@ class TestInputChecks:
         pytest.param(["search", "--q", "2", "--n", "3", "--set", "0,1,2",
                       "--budget-secs", "60", "--format", "json"], None, 0,
                      '"time_limit": 60.0', id="search-time-budget"),
-        pytest.param(["decompose", "--n", "6", "--d", "9", "--format",
-                      "json"], None, 0, '"node_limit": 2000000',
-                     id="decompose-node-budget"),
     ])
     def test_input_check(self, tmp_path, capsys, argv, text, code, expected):
         if text is not None:
@@ -945,7 +956,8 @@ class TestParserReuse:
     APPROX = ["approx", "--q", "2", "--n", "3", "--set", "0,1,2",
               "--format", "json"]
     CALLS = [
-        ["decompose", "--n", "6", "--d", "6", "--budget-nodes", "1"],
+        ["search", "--q", "2", "--n", "5", "--set", "0,1,2,6,26",
+         "--budget-nodes", "1"],
         APPROX + ["--type", "2", "--seed", "5"],
         APPROX + ["--type", "2"],
         APPROX + ["--type", "3"],  # argparse rejects the choice

@@ -4,11 +4,10 @@ import importlib.util
 import pathlib
 import sys
 import time
-from types import SimpleNamespace
 
 import pytest
 
-from ucycle import decomp
+from ucycle import decomp, search
 from ucycle.core import (BudgetExceeded, CycleParams, VerificationError,
                          verify_cover)
 from ucycle.decomp import (
@@ -131,14 +130,16 @@ class TestEqualDecomposition:
             assert len(dec.trails) == n * n // d
 
     def test_route_names_the_construction(self):
-        # blowup takes the least divisor m of n with d | m*m; search is
-        # left for the rows where no such m < n exists
+        # blowup takes the least divisor m of n with d | m*m; where no such
+        # m < n exists, d = n*j merges blown-up copies and odd n = d is
+        # cyclic
         for (n, d), route in [((1, 1), "euler"), ((3, 9), "euler"),
                               ((6, 4), "blowup"), ((9, 3), "blowup"),
                               ((10, 5), "blowup"), ((24, 16), "blowup"),
-                              ((30, 18), "blowup"), ((3, 3), "search"),
-                              ((7, 7), "search"), ((10, 10), "search"),
-                              ((10, 20), "search")]:
+                              ((30, 18), "blowup"), ((3, 3), "cyclic"),
+                              ((7, 7), "cyclic"), ((10, 10), "blowup"),
+                              ((10, 20), "blowup"), ((4, 8), "blowup"),
+                              ((6, 6), "blowup")]:
             assert decompose_equal(n, d).route == route
 
     def test_blowup_builds_large_n_fast(self):
@@ -148,31 +149,41 @@ class TestEqualDecomposition:
             assert decompose_equal(n, d).route == "blowup"
         assert time.process_time() - t0 < 1.0
 
-    def test_every_length_up_to_40_is_built_or_searched_fast(self):
-        # every feasible (n, d) with n <= 40 takes one of the three routes,
-        # about 1.5 s of CPU in all
+    def test_every_length_up_to_128_is_built_without_search(
+            self, monkeypatch):
+        # every feasible (n, d) with n <= 128 is one of the three
+        # constructions, checked in the constructor, about 4.5 s of CPU
+        def no_search(*args, **kwargs):
+            raise AssertionError("a decomposition ran the search")
+
+        monkeypatch.setattr(search, "decide_valid", no_search)
+        monkeypatch.setattr(search, "_dfs", no_search)
         t0 = time.process_time()
         routes = set()
-        for n in range(1, 41):
+        for n in range(1, 129):
             for d in range(3, n * n + 1):
                 if (n * n) % d == 0:
                     routes.add(decompose_equal(n, d).route)
-        assert routes == {"euler", "blowup", "search"}
-        assert time.process_time() - t0 < 10.0
+        assert routes == {"euler", "blowup", "cyclic"}
+        assert time.process_time() - t0 < 30.0
 
-    def test_search_route_past_the_first_need_threshold(self):
-        # N = 65 * 65 > 4096, where sets of more than two positions leave
-        # the exact cover for the position search; {0, 65} is searched one
-        # trail at a time
+    def test_every_reading_up_to_64_verifies(self):
+        # chi_from_decomposition raises unless its {0, D}-cycle is complete
+        for n in range(2, 65):
+            for d in range(3, n * n + 1):
+                if (n * n) % d == 0:
+                    chi, rep = chi_from_decomposition(decompose_equal(n, d))
+                    assert rep.complete and len(chi) == n * n
+
+    def test_cyclic_trails_for_odd_n_up_to_201(self):
+        for n in range(3, 202, 2):
+            check_decomposition(n, n, decomp._cyclic_trails(n))
+
+    def test_past_the_first_need_threshold_by_construction(self):
+        # N = 65 * 65 > 4096, past the exact cover; 65 is odd with no
+        # m < 65, m | 65 and 65 | m*m, so the trails are cyclic
         dec = decompose_equal(65, 65)
-        assert dec.route == "search" and len(dec.trails) == 65
-
-    def test_search_route_reports_an_exhausted_search(self, monkeypatch):
-        cert = SimpleNamespace(valid=False)
-        monkeypatch.setattr(decomp, "decide_valid", lambda *a, **k: cert)
-        with pytest.raises(Impossible) as exc:
-            decompose_equal(6, 6)
-        assert exc.value.reason == "exhausted"
+        assert dec.route == "cyclic" and len(dec.trails) == 65
 
     def test_length3_trails_by_construction(self):
         # past n = 3, length 3 is blown up from K~_3's three trails: every
@@ -185,32 +196,19 @@ class TestEqualDecomposition:
         assert rep.complete and len(chi) == 36 * 36
         assert time.process_time() - t0 < 1.0
 
-    def test_budget_propagates_from_the_search_route(self):
-        with pytest.raises(BudgetExceeded):
-            decompose_equal(10, 10, node_limit=5)
-
 
 class TestGridScript:
-    def test_budget_row_is_reported_and_the_sweep_finishes(
-            self, monkeypatch, capsys):
+    def test_sweep_prints_every_row_to_the_last(self, monkeypatch, capsys):
         path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / \
             "decomposition_grid.py"
         spec = importlib.util.spec_from_file_location("decomposition_grid",
                                                       path)
         grid = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(grid)
-
-        def decompose(n, d):
-            if (n, d) == (2, 2):
-                raise BudgetExceeded("trail split budget exceeded", 17)
-            return decompose_equal(n, d)
-
-        monkeypatch.setattr(grid, "decompose_equal", decompose)
         monkeypatch.setattr(sys, "argv", ["decomposition_grid.py",
                                           "--max-n", "3"])
-        assert grid.main() == 3
+        assert grid.main() == 0
         rows = capsys.readouterr().out.splitlines()
-        assert "budget [nodes=17]" in rows[2]  # n=2: d=1, d=2, d=4
         assert len(rows) == 1 + 3 + 3  # the divisors of 1, 4 and 9
         assert rows[-1].startswith("n= 3 d=  9")
 

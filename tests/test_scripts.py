@@ -16,8 +16,8 @@ SRC = str(pathlib.Path(ucycle.__file__).resolve().parents[1])
 # script -> (arguments, pattern of a row's case, the cases in order)
 CASES = {
     "decomposition_grid.py": (
-        ["--max-n", "4"], r"^n=\s*(\d+) d=\s*(\d+) ",
-        [(str(n), str(d)) for n in range(1, 5)
+        ["--max-n", "6"], r"^n=\s*(\d+) d=\s*(\d+) ",
+        [(str(n), str(d)) for n in range(1, 7)
          for d in range(1, n * n + 1) if n * n % d == 0]),
     "approx_sweep.py": (
         ["--q", "2", "--n", "3", "--seeds", "2", "--factors", "1", "2"],
