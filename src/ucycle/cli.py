@@ -7,12 +7,18 @@ the check fails, so nothing unverified is written out.  `verify` and
 the budget flags are checked as they are parsed (`node_budget`,
 `time_budget`), and a JSON document echoes the seed and budgets it ran with.
 
+A command writes the one document `--format` asks for.  JSON is one line
+with sorted keys, which `json.dumps` writes with its C encoder
+(`python -m json.tool` indents it); `decompose`, whose documents list every
+edge, builds only the one asked for.  `search --format json` names the
+`engine` that ran the exact cover: "c" for the compiled kernel, else
+"python".
+
 Exit codes: 0 verified result (including proven negative verdicts),
 1 a check that failed (`verify` on an incomplete cycle, `diff-golden` on a
 mismatch), 2 usage errors, 3 budget/inconclusive outcomes and running out
-of memory, which claim no verdict.  `search --format json` names the
-`engine` that ran the exact cover: "c" for the compiled kernel, else
-"python".
+of memory, which claim no verdict, 141 (128 + SIGPIPE) when the reader of
+stdout closes the pipe early, with no error line.
 """
 from __future__ import annotations
 
@@ -20,6 +26,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from importlib import resources
 
@@ -42,6 +49,7 @@ EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
+EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process SIGPIPE ended
 
 GOLDEN_TABLES = {
     "obs1": {"file": "obs1.txt", "q": 3, "n": 3, "verdict": "invalid"},
@@ -51,13 +59,17 @@ GOLDEN_TABLES = {
 
 
 def _emit(args, doc, text_lines):
+    """`doc` as one line of JSON with sorted keys, or `text_lines` as lines,
+    as `args.format` asks.  A command whose documents are costly builds only
+    the one asked for and passes None for the other."""
     if args.format == "json":
         payload = dict(doc)
         payload.setdefault("schema", 1)
         payload["config"] = {"seed": getattr(args, "seed", 0),
                              "node_limit": getattr(args, "budget_nodes", None),
                              "time_limit": getattr(args, "budget_secs", None)}
-        out = json.dumps(payload, indent=2, sort_keys=True)
+        # no indent: any indent sends json to its pure-Python encoder
+        out = json.dumps(payload, sort_keys=True)
     else:
         out = "\n".join(text_lines)
     _write(args, out)
@@ -67,17 +79,19 @@ def _write(args, text):
     """`text` and a newline, to the `--out` file or to stdout."""
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
+            fh.write("\n")
     else:
         print(text)
 
 
 def _emit_cycle(args, chi, report, extra=None):
-    doc = {"cycle": chi.text(), "q": chi.q, "length": len(chi),
+    text = chi.text()
+    doc = {"cycle": text, "q": chi.q, "length": len(chi),
            "verification": report.to_json_dict()}
     if extra:
         doc.update(extra)
-    lines = [chi.text(),
+    lines = [text,
              f"# verified: complete={report.complete} q={report.q} "
              f"n={report.n} set={','.join(map(str, report.index_set))}"]
     if extra:
@@ -202,6 +216,9 @@ def cmd_classify(args):
 
 
 def cmd_decompose(args):
+    if args.emit_chi and args.n < 2:
+        raise ValueError(f"--emit-chi needs n >= 2, got n = {args.n}: the "
+                         "cycle's alphabet has n symbols")
     try:
         dec = decomp_mod.decompose_equal(args.n, args.d)
     except decomp_mod.Impossible as exc:
@@ -209,17 +226,22 @@ def cmd_decompose(args):
                "n": args.n, "d": args.d}
         _emit(args, doc, [f"impossible ({exc.reason})"])
         return EXIT_OK
-    doc = dec.to_json_obj()
-    doc["verdict"] = "decomposed"
-    lines = [f"{len(dec.trails)} trails of length {args.d}"]
-    for t in dec.trails:
-        lines.append(" ".join("%d>%d" % e for e in decomp_mod.trail_edges(t)))
+    chi = None
     if args.emit_chi:
-        chi, _ = decomp_mod.chi_from_decomposition(dec)
-        doc["chi"] = chi.text()
-        doc["chi_index_set"] = [0, len(dec.trails)]
-        lines.append(chi.text())
-    _emit(args, doc, lines)
+        chi = decomp_mod.chi_from_decomposition(dec)[0].text()
+    # each document lists every edge: build only the one asked for
+    if args.format == "json":
+        doc = dec.to_json_obj()
+        doc["verdict"] = "decomposed"
+        if chi is not None:
+            doc["chi"] = chi
+            doc["chi_index_set"] = [0, len(dec.trails)]
+        _emit(args, doc, None)
+    else:
+        lines = dec.to_text_lines()
+        if chi is not None:
+            lines.append(chi)
+        _emit(args, None, lines)
     return EXIT_OK
 
 
@@ -447,7 +469,16 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout is gone: point stdout at devnull so the flush
+        # at exit stays quiet, and print no error line
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except search_mod.BudgetExceeded as exc:
         print(f"inconclusive: {exc} (nodes={exc.nodes})", file=sys.stderr)
         return EXIT_INCONCLUSIVE

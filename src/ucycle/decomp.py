@@ -71,35 +71,55 @@ class TrailDecomposition:
         check_decomposition(self.n, self.d, self.trails)
 
     def to_json_obj(self):
+        """The JSON document; each trail is a tuple of its edges, which
+        `json` writes as arrays."""
         return {
             "schema": 1,
             "n": self.n,
             "d": self.d,
-            "trails": [list(map(list, trail_edges(t))) for t in self.trails],
+            "trails": [trail_edges(t) for t in self.trails],
         }
+
+    def to_text_lines(self):
+        """The text document: a count line, then one line of `u>v` edges per
+        trail."""
+        return [f"{len(self.trails)} trails of length {self.d}"] + [
+            " ".join("%d>%d" % e for e in trail_edges(t)) for t in self.trails]
 
 
 def check_decomposition(n, d, trails):
     """Independent certificate check: lengths, edge-disjointness (within a
-    trail and across trails), and full coverage of the n*n edges."""
+    trail and across trails), and full coverage of the n*n edges.
+
+    Edges are walked in trail order and edge (u, v) is marked at
+    (u - 1)*n + v - 1 of one n*n-byte map, so the check holds n*n bytes
+    besides the trails.  The first repeated edge is named before the first
+    edge out of range, and each before any edge left uncovered."""
     if len(trails) != n * n // d:
         raise VerificationError(
             f"expected {n * n // d} trails, got {len(trails)}")
     for t in trails:
         if len(t) != d:
             raise VerificationError(f"trail length {len(t)} != {d}")
-    edges = [e for t in trails for e in trail_edges(t)]
-    distinct = dict.fromkeys(edges)  # trail order: name the first bad edge
-    if len(distinct) != len(edges):
-        seen = set()
-        for u, v in edges:
-            if (u, v) in seen:
+    seen = bytearray(n * n)
+    outside = {}  # the edges out of range, in trail order
+    for t in trails:
+        # zip, not trail_edges: the Euler trail's edges would be n*n tuples
+        for u, v in zip(t, t[1:] + t[:1]):
+            # the range check comes first: vertex 0 would index from the end
+            if 0 < u <= n and 0 < v <= n:
+                i = (u - 1) * n + v - 1
+                if seen[i]:
+                    raise VerificationError(f"edge ({u},{v}) covered twice")
+                seen[i] = 1
+            elif (u, v) in outside:
                 raise VerificationError(f"edge ({u},{v}) covered twice")
-            seen.add((u, v))
-    for u, v in distinct:
-        if not (1 <= u <= n and 1 <= v <= n):
-            raise VerificationError(f"edge ({u},{v}) out of range")
-    if len(distinct) != n * n:
+            else:
+                outside[u, v] = None
+    if outside:
+        u, v = next(iter(outside))
+        raise VerificationError(f"edge ({u},{v}) out of range")
+    if 0 in seen:
         raise VerificationError("edges left uncovered")
 
 

@@ -368,6 +368,13 @@ class TestGenerationCommands:
         assert code == 0
         assert doc["chi_index_set"] == [0, 3]
 
+    def test_decompose_emit_chi_needs_two_vertices(self, capsys):
+        # K~_1's one loop would read as a cycle over one symbol
+        code, out, err = run_cli(capsys, "decompose", "--n", "1", "--d", "1",
+                                 "--emit-chi")
+        assert code == 2 and out == ""
+        assert "--emit-chi needs n >= 2" in err
+
     @pytest.mark.parametrize("argv,line", [
         (["gen-ap", "--q", "254", "--n", "2"],
          "# verified: complete=True q=254 n=2 set=0,254"),
@@ -980,6 +987,65 @@ class TestParserReuse:
             assert run_cli(capsys, *argv) == got, argv
 
 
+class TestOutputDocuments:
+    """Each command writes the one document `--format` asks for."""
+
+    @pytest.mark.parametrize("argv", [
+        ["search", "--q", "2", "--n", "3", "--set", "0,1,2"],
+        ["gen-ap", "--q", "3", "--n", "2"],
+        ["double-ap3", "--input", "{db}", "--q", "2", "--d", "1"],
+        ["gen-reduced", "--q", "3", "--n", "3", "--set", "0,1,3"],
+        ["classify", "--q", "2", "--n", "3", "--set", "0,1,5"],
+        ["decompose", "--n", "6", "--d", "9", "--emit-chi"],
+        ["decompose", "--n", "2", "--d", "2"],
+        ["approx", "--q", "2", "--n", "4", "--set", "0,1,2,3", "--type", "1"],
+        ["approx", "--q", "2", "--n", "4", "--set", "0,1,2,3", "--type", "2"],
+        ["janson", "--mu", "1", "--Delta", "1", "--delta", "1"],
+        ["verify", "--file", "{db}", "--q", "2", "--n", "3", "--set", "0,1,2"],
+        ["diff-golden", "--atlas", "{empty}", "--table", "obs2"]],
+        ids=" ".join)
+    def test_json_is_one_line(self, tmp_path, capsys, argv):
+        # atlas is left out: it writes set<TAB>verdict lines in either format
+        files = {"db": tmp_path / "db.txt", "empty": tmp_path / "empty.tsv"}
+        files["db"].write_text("00010111\n")
+        files["empty"].write_text("")
+        argv = [a.format(**files) for a in argv]
+        code, out, err = run_cli(capsys, *argv, "--format", "json")
+        assert code in (0, 1), err
+        assert out.endswith("\n") and out.count("\n") == 1
+        assert isinstance(json.loads(out), dict)
+
+    @pytest.mark.parametrize("n,d,route", [
+        (4, 16, "euler"), (6, 4, "blowup"), (7, 7, "cyclic")])
+    def test_decompose_text_and_json_name_the_same_trails(self, capsys, n, d,
+                                                          route):
+        assert decomp.decompose_equal(n, d).route == route
+        argv = ["decompose", "--n", str(n), "--d", str(d), "--emit-chi"]
+        _, text, _ = run_cli(capsys, *argv)
+        _, js, _ = run_cli(capsys, *argv, "--format", "json")
+        doc = json.loads(js)
+        head, *rows, chi = text.splitlines()
+        assert head == f"{n * n // d} trails of length {d}"
+        assert [[[int(x) for x in e.split(">")] for e in row.split()]
+                for row in rows] == doc["trails"]
+        assert chi == doc["chi"]
+
+    def test_decompose_builds_only_the_document_asked_for(self, capsys,
+                                                          monkeypatch):
+        def refuse(self):
+            raise AssertionError("built the document not asked for")
+        argv = ["decompose", "--n", "6", "--d", "9", "--emit-chi"]
+        monkeypatch.setattr(decomp.TrailDecomposition, "to_json_obj", refuse)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out.startswith("4 trails of length 9\n1>")
+        monkeypatch.undo()
+        # the text document is where the u>v lines are formatted
+        monkeypatch.setattr(decomp.TrailDecomposition, "to_text_lines",
+                            refuse)
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0 and len(json.loads(out)["trails"]) == 4
+
+
 class TestSubprocessEntry:
     def test_module_invocation(self):
         proc = subprocess.run(
@@ -1042,6 +1108,22 @@ class TestSubprocessEntry:
         assert (proc.returncode, proc.stdout, proc.stderr) == \
             (3, "", "error: out of memory\n")
         assert time.monotonic() - start < 10
+
+    def test_closed_stdout_pipe_exits_141_without_an_error_line(self):
+        # the reader is gone before the command writes a byte: exit as a
+        # process that SIGPIPE ended, not as a usage error
+        src = str(pathlib.Path(ucycle.__file__).resolve().parents[1])
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "ucycle", "decompose", "--n", "40",
+                 "--d", "40", "--format", "json"],
+                stdout=w, stderr=subprocess.PIPE, text=True, timeout=60,
+                env=dict(os.environ, PYTHONPATH=src))
+        finally:
+            os.close(w)
+        assert (proc.returncode, proc.stderr) == (141, "")
 
     def test_usage_exit_two(self):
         proc = subprocess.run(

@@ -69,6 +69,19 @@ class TestChecker:
                            match=r"^edge \(1,3\) out of range$"):
             check_decomposition(2, 4, [trail])
 
+    @pytest.mark.parametrize("trail,message", [
+        # vertex 0 or n + 1 at either end: indexed without the range check,
+        # (0,2) and (1,0) would take the slot of (2,2), (1,3) that of (2,1)
+        ((0, 2, 2, 1), r"\(0,2\) out of range"),
+        ((2, 1, 0, 2), r"\(1,0\) out of range"),
+        ((3, 1, 1, 2), r"\(3,1\) out of range"),
+        ((2, 2, 1, 3), r"\(1,3\) out of range"),
+        # a repeated edge out of range is named as repeated
+        ((1, 0, 1, 0), r"\(1,0\) covered twice")])
+    def test_vertex_zero_or_past_n(self, trail, message):
+        with pytest.raises(VerificationError, match=rf"^edge {message}$"):
+            check_decomposition(2, 4, [trail])
+
     def test_detects_uncovered_edges(self):
         # one trail of length 3 cannot cover the four edges of K~_2
         trail = (1, 1, 2)

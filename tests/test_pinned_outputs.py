@@ -37,10 +37,13 @@ their inverse coordinate matrix: each subfield basis line dropped its
 whose builders verify their own output.  It was computed while the CLI still
 re-ran `verify_cover` after each of those builders, so it pins that emitting
 the builder's own report leaves every byte unchanged.  It was re-pinned
-twice: when `gen-ap --q 4 --n 2` began to read its (4, 4) decomposition off
-the blow-up of K~_2's Euler circuit, only those two outputs changed; when
-`double_ap3` moved to the parity patterns, only the four double-ap3 outputs
-(text and JSON of both steps) changed."""
+three times: when `gen-ap --q 4 --n 2` began to read its (4, 4)
+decomposition off the blow-up of K~_2's Euler circuit, only those two
+outputs changed; when `double_ap3` moved to the parity patterns, only the
+four double-ap3 outputs (text and JSON of both steps) changed; when JSON
+documents became one line with sorted keys instead of an indented layout,
+only the JSON layout changed: every text byte stayed the same, and every
+JSON document is equal to the one before under `json.loads`."""
 
 import hashlib
 import itertools
@@ -196,7 +199,7 @@ def test_galois_outputs_match_pinned_digest():
 
 
 CLI_SHA256 = (
-    "4d656a7284e851a46d2976b98c9a98c02f62c7eadef38f2b1556cc3f2f31c4f5")
+    "4ecd5cbb98c26562ba970051c129808091aef5758e1b52ea189e6045fec43e01")
 
 
 def cli_outputs(tmp_path):
