@@ -50,8 +50,10 @@ def plan_dilation(I, S, min_p=None):
     fixes k, so at most n*(n - 1)*(S - 1) multipliers fall short, fewer than
     the p - 1 there are, as p > n*n*(S + 3).  And p // n > S, so the early
     break below never stops short of S."""
-    I = tuple(sorted(set(I)))
+    I = tuple(sorted(I))
     n = len(I)
+    if len(set(I)) != n:
+        raise ValueError("index set must have distinct elements")
     if S < 0:
         raise ValueError("S must be nonnegative")
     bound = n * n * (S + 3)
@@ -76,16 +78,15 @@ def patch_sequence(I, words, q, min_p=None):
     """A cyclic string achieving every prescribed word on some translate of
     I: word t sits at the dilated positions, then the whole string is read
     back through the multiplier.  Unassigned positions are 0."""
-    I = tuple(sorted(set(I)))
-    n = len(I)
+    I = tuple(sorted(I))
     words = list(words)
+    S = len(words)
+    p, k = plan_dilation(I, S, min_p=min_p)    # refuses a repeat in I
     for w in words:
-        if len(w) != n or any(not 0 <= s < q for s in w):
+        if len(w) != len(I) or any(not 0 <= s < q for s in w):
             raise ValueError("words must be length-n over the alphabet")
     if len(set(words)) != len(words):
         raise ValueError("words must be distinct")
-    S = len(words)
-    p, k = plan_dilation(I, S, min_p=min_p)
     raw = [0] * p
     for t in range(1, S + 1):
         for j, i in enumerate(I):

@@ -274,7 +274,7 @@ def cmd_verify(args):
     I = search_mod.parse_set(args.set)
     chi = _read_cycle(args.file, args.q)
     q, n = args.q, args.n
-    if args.reduced or len(chi) == desk_size(q, n) - 1:
+    if len(chi) == desk_size(q, n) - 1:
         report = verify_cover(chi, CycleParams.reduced(q, n), I)
     else:
         report = verify_cover(chi, (q, n), I)
@@ -449,7 +449,6 @@ def build_parser():
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--set", required=True)
-    sp.add_argument("--reduced", action="store_true")
     _add_common(sp)
     sp.set_defaults(func=cmd_verify)
 

@@ -252,10 +252,12 @@ def _blowup_trails(base, k, merge=1):
     (v_0, i), since f_0 = i: `merge` | k consecutive ones splice into one.
     """
     fs = [(i, j, (i + j) % k) for i in range(k) for j in range(k)]
+    # one int object per vertex, shared by every trail through it
+    ids = list(range(1, max(map(max, base)) * k + 1))
     trails = []
     for t in base:
         # cols[a] lists vertex a of each of the k*k trails of t
-        cols = [[(v - 1) * k + 1 + f[1 if a % 2 else 2 if a else 0]
+        cols = [[ids[(v - 1) * k + f[1 if a % 2 else 2 if a else 0]]
                  for f in fs] for a, v in enumerate(t)]
         copies = [iter(zip(*cols))] * merge  # one iterator: zip groups it
         trails.extend(tuple(chain(*group)) for group in zip(*copies))

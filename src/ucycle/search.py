@@ -42,31 +42,31 @@ option (t, w) colours the positions t + I with the symbols of w.
 * CPUs.  One driver (`_drive`) runs numbered units on up to `jobs`
   processes, never more than `_cpus()`: the cubes of one search, or the
   classes of an atlas, each decided there by a one-process
-  `decide_valid`.  The caller runs units
-  itself; once they have spent 65,536 nodes with two units left, its own
-  included, it forks one helper per further process.  Helpers take the
-  next unit from one pipe that holds it as a single token, so the pipe
-  never fills however many units there are, and each sends its results
-  back on its own pipe.  The caller reads them before each unit and every
-  1,024 nodes, yields the results in unit order, drops a cube once the
-  answer no longer depends on it, and kills and reaps every helper when it
-  is done.  While other threads run, or where `os.fork` is missing, it
-  runs everything in one process.  Each cube runs under the node budget
-  and every process reads the clock against the same deadline.  Every
-  search returns an outcome (kind, nodes, symbols), a budget that ran out
-  included, and only `decide_valid` raises: where a one-process run
-  would, with the node count at the limit + 1.
+  `decide_valid`.  The caller runs units itself; once they have spent
+  65,536 nodes with two units left, its own included, it forks one helper
+  per further process.  Helpers take the next unit from one pipe that
+  holds it as a single token, so the pipe never fills however many units
+  there are, and each sends every (unit, outcome) back on its own one-way
+  `multiprocessing` connection.  The caller reads them before each unit
+  and every 1,024 nodes, yields the results in unit order, drops a cube
+  once the answer no longer depends on it, and kills and reaps every
+  helper when it is done.  While other threads run, or where `os.fork` is
+  missing, it runs everything in one process.  Each cube runs under the
+  node budget and every process reads the clock against the same
+  deadline.  Every search returns an outcome (kind, nodes, symbols), a
+  budget that ran out included, and only `decide_valid` raises: where a
+  one-process run would, with the node count at the limit + 1.
 
 Kernel.  Where a C compiler is on PATH, `_cover_tree` runs in C
-(`kernel.c`, built by `kernel.load` when a process first reaches the
-exact cover, before `decide_valid` starts its clock, so the compile
-counts against no budget); the cube order, `_drive`, the clock and the
-final `verify_cover` stay here.  Both engines call the same `tick` every
-1,024 nodes and return the same outcomes.  The kernel walks the same
-tree in the same order, so the certificate, node count included, is the
-same on either engine.  The Python body is the fallback and the reference
-that the tests hold the kernel to.  `ValidityCertificate.engine` says
-which one ran.
+(`kernel.c`, built by `kernel.load` on first use); the cube order,
+`_drive`, the clock and the final `verify_cover` stay here.  The engine is
+chosen once, by `_cover_tables`, which `decide_valid` calls before its
+clock starts: the kernel bound to I or, where it did not load, the Python
+search's tables.  Both engines call the same `tick` every 1,024 nodes and
+return the same outcomes.  The kernel walks the same tree in the same
+order, so the certificate, node count included, is the same on either
+engine.  The Python body is the fallback and the reference that the tests
+hold the kernel to.  `ValidityCertificate.engine` says which one ran.
 
 The live masks are N-bit ints (ceil(N/64) 64-bit words in the kernel) and
 the trail keeps n of them per fixed position, so the exact cover's memory
@@ -218,10 +218,10 @@ def decide_valid(q, n, I, node_limit=None, time_limit=None, jobs=None):
 
     `jobs` caps the processes one exact-cover search may use, and `_cpus()`
     caps `jobs`; None means all of those CPUs.  It is one process where
-    `os.fork` is missing or while other threads run.  The verdict, witness and `nodes_explored`
-    are the same for every `jobs`, and for either engine: the certificate's
-    `engine` is "c" when the compiled kernel ran the exact cover, else
-    "python".
+    `os.fork` is missing or while other threads run.  The verdict, witness
+    and `nodes_explored` are the same for every `jobs`, and for either
+    engine: the certificate's `engine` is "c" when the compiled kernel ran
+    the exact cover, else "python".
 
     Deterministic: translate 0 is pinned to the word 0**n, at q = 2 the
     exact cover then places 1**n on translates 1 .. N//2 in ascending
@@ -231,8 +231,9 @@ def decide_valid(q, n, I, node_limit=None, time_limit=None, jobs=None):
     complete string in that order; it reads 0 at every position of I and
     passes `verify_cover`, in the calling process, before it is returned.
     A node or time budget that runs out raises `BudgetExceeded` and
-    reports no verdict.  The clock starts after the kernel's compile, so
-    neither the time budget nor `elapsed` includes it.
+    reports no verdict.  The clock starts after `_cover_tables`, the
+    kernel's compile or the Python search's masks (10-16 ms at N = 4096),
+    so neither the time budget nor `elapsed` includes them.
     """
     if jobs is None:
         jobs = _cpus()
@@ -245,17 +246,12 @@ def decide_valid(q, n, I, node_limit=None, time_limit=None, jobs=None):
         raise ValueError(f"index set must have {n} distinct residues mod {N}")
     stabilized = _stabilized(I, N)
     cover = not stabilized and n >= 3 and N <= _COVER_MAX_N
-    engine = "python"
-    if cover:
-        from . import kernel
-
-        if kernel.load() is not None:
-            engine = "c"
-    start = time.monotonic()    # after the compile: no budget pays for it
+    tables = _cover_tables(q, n, I, N) if cover else None
+    start = time.monotonic()    # after the tables: no budget pays for them
     deadline = None if time_limit is None else start + time_limit
     kind, nodes, chi_syms = (
         ("exhausted", 0, None) if stabilized
-        else _cover_search(q, n, I, N, node_limit, deadline, jobs) if cover
+        else _cover_search(tables, node_limit, deadline, jobs) if cover
         else _dfs(q, n, I, N, node_limit, deadline))
     elapsed = time.monotonic() - start
     if kind in _BUDGETS:
@@ -269,7 +265,8 @@ def decide_valid(q, n, I, node_limit=None, time_limit=None, jobs=None):
     return ValidityCertificate(
         index_set=I, verdict=VALID if kind == "found" else INVALID,
         witness=witness, nodes_explored=nodes, elapsed=elapsed,
-        method="stabilizer" if stabilized else "search", engine=engine,
+        method="stabilizer" if stabilized else "search",
+        engine="c" if callable(tables) else "python",
     )
 
 
@@ -626,12 +623,10 @@ def _cover_tree(tables, cube, limit, tick=None):
 _FORK_AFTER = 65536
 
 
-def _cover_search(q, n, I, N, node_limit, deadline, jobs=1):
-    """The exact-cover search of the module docstring, for |I| >= 3 and
-    N <= 4096: the outcome (kind, nodes, symbols) as `_dfs` returns it,
-    from the prefix and cubes 0, 1, ... on at most `jobs` processes."""
-    tables = _cover_tables(q, n, I, N)
-
+def _cover_search(tables, node_limit, deadline, jobs=1):
+    """The exact-cover search of the module docstring on the
+    `_cover_tables` of I: the outcome (kind, nodes, symbols) as `_dfs`
+    returns it, from the prefix and cubes 0, 1, ... on `jobs` processes."""
     def tick(nodes, poll=None):
         # end on the clock, or abandon the cube once the driver's `poll`
         # says it no longer matters
@@ -673,11 +668,12 @@ def _cover_search(q, n, I, N, node_limit, deadline, jobs=1):
 
 def _drive(count, run, jobs, stop=()):
     """Run units 0 .. count - 1 on at most `jobs` processes, and no more
-    than `_cpus()`, as the module docstring says, and yield their results, (kind, nodes, symbols), in unit
-    order.  `run(i, results, poll)` gives unit i's result, or None once
-    `poll(nodes)` is true; `results` holds the units decided so far.  A
-    unit whose kind is in `stop` is the last one yielded.  Closing the
-    generator kills and reaps every helper."""
+    than `_cpus()`, as the module docstring says, and yield their results,
+    (kind, nodes, symbols), in unit order.  `run(i, results, poll)` gives
+    unit i's result, or None once `poll(nodes)` is true; `results` holds
+    the units decided so far.  A unit whose kind is in `stop` settles every
+    later one, so the caller stops there.  Closing the generator kills and
+    reaps every helper."""
     threading = sys.modules.get("threading")
     if not hasattr(os, "fork") or threading and threading.active_count() > 1:
         jobs = 1    # a fork copies no other thread, but may copy its locks
@@ -686,8 +682,7 @@ def _drive(count, run, jobs, stop=()):
     spent = 0         # the caller's own nodes
     nxt = 0           # the next unit, until the fork
     tasks = ()        # then a pipe that holds the next unit as one token
-    helpers = {}      # helper pid -> read end of its result pipe
-    bufs = {}         # result pipe -> bytes of a line not yet complete
+    helpers = {}      # helper pid -> read end of its result connection
 
     def settled(i):
         # a unit below i settled the answer; none can without `stop` kinds
@@ -708,56 +703,51 @@ def _drive(count, run, jobs, stop=()):
 
     def fork():
         nonlocal tasks
+        from multiprocessing import Pipe
+
         tasks = os.pipe()
         os.write(tasks[1], nxt.to_bytes(8, "little"))
         for _ in range(min(jobs - 1, count - nxt)):
-            fd, out = os.pipe()
+            reader, writer = Pipe(duplex=False)
             try:
                 pid = os.fork()
             except OSError:   # no process to spare: go on with those forked
-                os.close(fd)
-                os.close(out)
+                reader.close()
+                writer.close()
                 break
             if pid == 0:
-                os.close(fd)
+                reader.close()
                 status = 1
                 try:
                     while (i := take()) is not None:
-                        kind, nodes, syms = run(i, results, None)
-                        msg = f"{i} {kind} {nodes} " + (
-                            ",".join(map(str, syms)) if syms else "-")
-                        _write_all(out, msg)
+                        writer.send((i, run(i, results, None)))
                     status = 0
                 except BaseException as exc:  # reported, then _exit below
-                    _write_all(out, f"-1 error 0 {exc!r}".replace("\n", " "))
+                    writer.send((-1, repr(exc)))
                 finally:
                     os._exit(status)
-            os.close(out)
-            helpers[pid] = fd
-            bufs[fd] = b""
+            writer.close()
+            helpers[pid] = reader
 
     def drain(block):
-        # record the result lines helpers have sent; with `block`, wait
-        # for some
-        if not bufs:
+        # record the results helpers have sent; with `block`, wait for some
+        live = [conn for conn in helpers.values() if not conn.closed]
+        if not live:
             if block:
                 raise RuntimeError("search helpers exited before every unit "
                                    "was decided")
             return
-        import select
+        from multiprocessing.connection import wait
 
-        for fd in select.select(list(bufs), [], [], None if block else 0)[0]:
-            data = os.read(fd, 1 << 16)
-            if not data:
-                del bufs[fd]
+        for conn in wait(live, None if block else 0):
+            try:
+                i, res = conn.recv()
+            except EOFError:    # the helper has exited
+                conn.close()
                 continue
-            *lines, bufs[fd] = (bufs[fd] + data).split(b"\n")
-            for line in lines:
-                i, kind, nodes, syms = line.decode().split(" ", 3)
-                if kind == "error":
-                    raise RuntimeError(f"search helper failed: {syms}")
-                results[int(i)] = (kind, int(nodes), None if syms == "-"
-                                   else list(map(int, syms.split(","))))
+            if i < 0:
+                raise RuntimeError(f"search helper failed: {res}")
+            results[i] = res
 
     def poll(nodes, i=None):
         # every 1,024 nodes of the caller's own unit i, and after each unit:
@@ -783,26 +773,18 @@ def _drive(count, run, jobs, stop=()):
                         spent += res[1]
                     poll(0)
             yield results[k]
-            if results[k][0] in stop:
-                return
     finally:
         if helpers:
             import signal
 
-            for pid, fd in helpers.items():
+            for pid, conn in helpers.items():
                 with suppress(ProcessLookupError):
                     os.kill(pid, signal.SIGKILL)
                 with suppress(ChildProcessError):
                     os.waitpid(pid, 0)
-                os.close(fd)
+                conn.close()
         for fd in tasks:
             os.close(fd)
-
-
-def _write_all(fd, line):
-    data = (line + "\n").encode()
-    while data:
-        data = data[os.write(fd, data):]
 
 
 def two_element_validity(q, d):

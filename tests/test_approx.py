@@ -46,6 +46,10 @@ class TestDilationPlan:
                 for j in range(p)]
         assert gaps.index(max(gaps)) == k and gaps[k] >= 5
 
+    def test_repeated_element_rejected(self):
+        with pytest.raises(ValueError, match="distinct"):
+            plan_dilation((0, 0, 5), 2)
+
     def test_primes(self):
         assert smallest_prime_above(16) == 17
         assert smallest_prime_above(1) == 2
@@ -77,6 +81,11 @@ class TestPatch:
     def test_duplicate_words_rejected(self):
         with pytest.raises(ValueError):
             patch_sequence((0, 1), [(1, 1), (1, 1)], 2)
+
+    def test_repeated_element_rejected(self):
+        # a 3-element set with a repeat, not the pair {0, 5}
+        with pytest.raises(ValueError, match="distinct"):
+            patch_sequence((0, 0, 5), [(0, 1), (1, 1)], 2)
 
     @settings(max_examples=25, deadline=None)
     @given(st.data())

@@ -181,10 +181,8 @@ class TestVerifyCommand:
                                  "--q", "3", "--n", "3", "--set", "0,3,6")
         assert (code, out, err) == (0, "complete=True\n", "")
 
-    @pytest.mark.parametrize("flags", [["--reduced"], []])
-    def test_reduced_cycle_with_and_without_flag(self, tmp_path, capsys,
-                                                 flags):
-        # length q**n - 1 is read as reduced whether or not it is asked for
+    def test_reduced_cycle_is_read_by_its_length(self, tmp_path, capsys):
+        # length q**n - 1 is read as reduced
         code, out, _ = run_cli(capsys, "gen-reduced", "--q", "3", "--n", "3",
                                "--set", "0,1,3")
         assert code == 0
@@ -192,7 +190,7 @@ class TestVerifyCommand:
         f.write_text(out.splitlines()[0] + "\n")
         code, out, _ = run_cli(capsys, "verify", "--file", str(f), "--q", "3",
                                "--n", "3", "--set", "0,1,3",
-                               "--format", "json", *flags)
+                               "--format", "json")
         assert code == 0
         doc = json.loads(out)
         assert doc["complete"] and doc["reduced"]
@@ -610,9 +608,7 @@ class TestDeskScale:
                      ["approx", "--set", I, "--type", "2"],
                      ["approx", "--set", I, "--type", "2",
                       "--m", str(min(n, 30))],
-                     ["verify", "--set", I, "--file", str(cycle)],
-                     ["verify", "--set", I, "--file", str(cycle),
-                      "--reduced"]):
+                     ["verify", "--set", I, "--file", str(cycle)]):
             code, out, err = run_within(capsys, 2, argv[0], "--q", str(q),
                                         "--n", str(n), *argv[1:])
             assert (code, out) == (2, ""), (argv, err)

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from multiprocessing.connection import Connection
 
 import pytest
 from hypothesis import given, settings
@@ -273,7 +274,8 @@ class TestPruningSoundness:
         verdicts = set()
         for rest in itertools.combinations(range(1, N), n - 1):
             I = (0,) + rest
-            kind, _, syms = search._cover_search(q, n, I, N, None, None)
+            kind, _, syms = search._cover_search(
+                search._cover_tables(q, n, I, N), None, None)
             assert kind == search._dfs(q, n, I, N, None, None)[0], I
             found = kind == "found"
             if found:
@@ -447,7 +449,7 @@ def _steer(monkeypatch, tmp_path, abandon):
     cube searches; the prefix is cube None."""
     caller = os.getpid()
     started, taken, sent = (tmp_path / m for m in ("started", "taken", "sent"))
-    tree, fork, write_all = search._cover_tree, os.fork, search._write_all
+    tree, fork, send = search._cover_tree, os.fork, Connection.send
     searched = []
 
     def steered_tree(tables, i, *args):
@@ -469,15 +471,15 @@ def _steer(monkeypatch, tmp_path, abandon):
             _wait_for(started)
         return pid
 
-    def steered_write(fd, line):
-        write_all(fd, line)
-        if " found " in line:
+    def steered_send(conn, obj):
+        send(conn, obj)
+        if obj[1][0] == "found":
             sent.touch()
 
     monkeypatch.setattr(search, "_FORK_AFTER", 0)
     monkeypatch.setattr(search, "_cpus", lambda: 2)
     monkeypatch.setattr(search, "_cover_tree", steered_tree)
-    monkeypatch.setattr(search, "_write_all", steered_write)
+    monkeypatch.setattr(Connection, "send", steered_send)
     monkeypatch.setattr(os, "fork", steered_fork)
     return searched
 
@@ -528,6 +530,42 @@ class TestHelpers:
         with pytest.raises((RuntimeError, ZeroDivisionError),
                            match="cube search failed"):
             decide_valid(2, 5, I, jobs=2)
+        assert forks
+        _no_child_left()
+
+    def test_a_helper_that_exits_without_a_result(self, forks, monkeypatch,
+                                                  tmp_path):
+        # the helper takes a cube and exits without sending its result; the
+        # caller, out of cubes, must find no helper left to wait for, and
+        # not block on one.  The fork returns once the helper has left
+        caller, left = os.getpid(), tmp_path / "left"
+        tree, fork = search._cover_tree, os.fork
+
+        def exiting(*args):
+            if os.getpid() != caller:
+                left.touch()
+                os._exit(0)
+            return tree(*args)
+
+        def waiting_fork():
+            pid = fork()
+            if pid:
+                _wait_for(left)
+            return pid
+
+        def timeout(*_):
+            raise TimeoutError("the caller waited for an exited helper")
+
+        monkeypatch.setattr(search, "_cover_tree", exiting)
+        monkeypatch.setattr(os, "fork", waiting_fork)
+        old = signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(60)
+        try:
+            with pytest.raises(RuntimeError, match="exited before every"):
+                decide_valid(2, 5, (0, 1, 4, 15, 20), jobs=2)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, old)
         assert forks
         _no_child_left()
 
